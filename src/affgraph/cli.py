@@ -149,14 +149,17 @@ def cmd_embed(args) -> int:
 
 def cmd_cluster(args) -> int:
     cfg = _config(args)
-    table = emb.load_embeddings(args.embeddings)
-    dist = clust.pairwise_cosine_costs(table.vectors)
-    dend = clust.hierarchical_cluster(dist, cfg.linkage, leaf_ids=table.graph_ids)
-    if cfg.cut_threshold is None:
-        threshold = clust.select_threshold(dend, table.vectors, cfg.criterion)
-    else:
-        threshold = cfg.cut_threshold
-    flat = clust.cut(dend, threshold)
+    try:
+        table = emb.load_embeddings(args.embeddings)
+        dist = clust.pairwise_cosine_costs(table.vectors)
+        dend = clust.hierarchical_cluster(dist, cfg.linkage, leaf_ids=table.graph_ids)
+        if cfg.cut_threshold is None:
+            threshold = clust.select_threshold(dend, table.vectors, cfg.criterion)
+        else:
+            threshold = cfg.cut_threshold
+        flat = clust.cut(dend, threshold)
+    except ValueError as exc:
+        raise CliError(EXIT_DATA, f"{args.embeddings}: {exc}") from exc
     clust.export_dendrogram_json(dend, args.dendrogram)
     with open(args.output, "w", encoding="utf-8") as fh:
         for gid in table.graph_ids:
@@ -169,12 +172,15 @@ def cmd_evaluate(args) -> int:
     with open(args.truth, "r", encoding="utf-8") as fh:
         truth = json.load(fh)
     predicted = {}
-    with open(args.clusters, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                gid, cid = line.rstrip("\n").split("\t")
-                predicted[gid] = int(cid)
-    h, c, v = v_measure(LabeledCorpus(truth=truth, predicted=predicted))
+    try:
+        with open(args.clusters, "r", encoding="utf-8") as fh:
+            for line in fh:
+                if line.strip():
+                    gid, cid = line.rstrip("\n").split("\t")
+                    predicted[gid] = int(cid)
+        h, c, v = v_measure(LabeledCorpus(truth=truth, predicted=predicted))
+    except ValueError as exc:
+        raise CliError(EXIT_DATA, f"{args.clusters}: {exc}") from exc
     sys.stdout.write(metrics_report(h, c, v))
     return EXIT_OK
 
@@ -329,7 +335,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        label = "data error" if exc.code == EXIT_DATA else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
         return exc.code
     except (SceneError, ScriptError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -93,11 +93,16 @@ class Dendrogram:
 
 
 def pairwise_cosine_costs(vectors: np.ndarray) -> np.ndarray:
-    n = len(vectors)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = cosine_cost(vectors[i], vectors[j])
+    """All-pairs ``cosine_cost`` as ``1 - Xn @ Xn.T``, clipped to [0, 2], zero diagonal."""
+    x = np.asarray(vectors, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("cosine cost undefined for a non-finite vector")
+    norms = np.linalg.norm(x, axis=1)
+    if (norms == 0.0).any():
+        raise ValueError("cosine cost undefined for a zero vector")
+    xn = x / norms[:, None]
+    dist = np.clip(1.0 - xn @ xn.T, 0.0, 2.0)
+    np.fill_diagonal(dist, 0.0)
     return dist
 
 
@@ -108,53 +113,72 @@ def hierarchical_cluster(
 ) -> Dendrogram:
     """Agglomerate a precomputed distance matrix into a full merge tree.
 
-    Ties at the minimum break toward the pair whose clusters contain the
-    lowest leaf ids, making the merge sequence deterministic.
+    Each step merges the active pair with the smallest key
+    ``(cost, min rep, max rep)``, where a cluster's rep is the lowest leaf id
+    it contains: ties at the minimum break toward the lowest leaf ids, making
+    the merge sequence deterministic.  Only the upper triangle of ``dist`` is
+    read, and it must be finite.
+
+    Each cluster lives in the row of its rep, so the key's tie-break is a row
+    and column order.  Every row caches the minimum of its entries right of
+    the diagonal (lowest column on ties); a merge rewrites the survivor's row
+    by the Lance-Williams update and recomputes only the rows whose cached
+    minimum it touched, so a step costs O(n) plus O(n) per such row.
     """
+    dist = np.asarray(dist, dtype=float)
     n = len(dist)
     if n < 2:
         raise ValueError("need at least 2 points")
-    dist = np.asarray(dist, dtype=float)
-    active: dict[int, int] = {i: 1 for i in range(n)}  # node -> size
-    rep = {i: i for i in range(n)}  # node -> smallest leaf id underneath
-    d = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[(i, j)] = float(dist[i, j])
+    if dist.shape != (n, n):
+        raise ValueError("distance matrix must be square")
+    d = np.where(np.tri(n, dtype=bool), dist.T, dist)
+    if not np.isfinite(d).all():
+        raise ValueError("distances must be finite")
+    np.fill_diagonal(d, math.inf)  # inf marks the diagonal and merged-away rows
+    node = list(range(n))  # row -> id of the cluster's current tree node
+    size = [1] * n
+    row_min = np.full(n, math.inf)
+    row_arg = np.full(n, -1)
+
+    def refresh(k: int) -> None:
+        row = d[k, k + 1:]
+        if row.size:
+            j = int(row.argmin())
+            row_min[k], row_arg[k] = row[j], k + 1 + j
+
+    for k in range(n):
+        refresh(k)
     dend = Dendrogram(n_leaves=n, leaf_ids=leaf_ids or [str(i) for i in range(n)])
-    next_node = n
-    while len(active) > 1:
-        best_key = None
-        best = (math.inf, math.inf, math.inf)
-        for (i, j), cost in d.items():
-            key = (cost, min(rep[i], rep[j]), max(rep[i], rep[j]))
-            if key < best:
-                best = key
-                best_key = (i, j)
-        i, j = best_key
-        cost = d[(i, j)]
-        size = active[i] + active[j]
-        dend.merges.append(Merge(left=i, right=j, height=cost, size=size))
-        new = next_node
-        next_node += 1
-        for k in list(active):
-            if k in (i, j):
-                continue
-            dik = d[(min(i, k), max(i, k))]
-            djk = d[(min(j, k), max(j, k))]
-            if linkage is Linkage.AVERAGE:
-                val = (active[i] * dik + active[j] * djk) / size
-            elif linkage is Linkage.COMPLETE:
-                val = max(dik, djk)
-            else:
-                val = min(dik, djk)
-            d[(k, new)] = val
-        for key in [k for k in d if i in k or j in k]:
-            del d[key]
-        rep[new] = min(rep[i], rep[j])
-        del active[i]
-        del active[j]
-        active[new] = size
+    for step in range(n - 1):
+        a = int(row_min.argmin())
+        b = int(row_arg[a])
+        na, nb = size[a], size[b]
+        left, right = sorted((node[a], node[b]))
+        dend.merges.append(Merge(left=left, right=right, height=float(d[a, b]),
+                                 size=na + nb))
+        if linkage is Linkage.AVERAGE:
+            new = (na * d[a] + nb * d[b]) / (na + nb)
+        elif linkage is Linkage.COMPLETE:
+            new = np.maximum(d[a], d[b])
+        else:
+            new = np.minimum(d[a], d[b])
+        new[a] = new[b] = math.inf
+        d[a] = d[:, a] = new
+        d[b] = d[:, b] = math.inf
+        node[a], size[a] = n + step, na + nb
+        row_min[b], row_arg[b] = math.inf, -1
+        # rows whose cached minimum sat in a merged column start over; rows
+        # above a otherwise only compare against their new column-a entry
+        stale = (row_arg[:b] == b)
+        stale[:a] |= row_arg[:a] == a
+        stale[a] = False  # refreshed below in any case
+        col, mins, args = new[:a], row_min[:a], row_arg[:a]
+        better = ~stale[:a] & ((col < mins) | ((col == mins) & (a < args)))
+        mins[better] = col[better]
+        args[better] = a
+        refresh(a)
+        for k in np.flatnonzero(stale):
+            refresh(int(k))
     return dend
 
 
@@ -169,36 +193,32 @@ class FlatClustering:
         return [self.assignment[i] for i in ids]
 
 
+def _effective_heights(dend: Dendrogram) -> list[float]:
+    """Per node, the largest merge height in its subtree (-inf for a leaf)."""
+    eff = [-math.inf] * (dend.n_leaves + len(dend.merges))
+    for i, m in enumerate(dend.merges):
+        eff[dend.n_leaves + i] = max(m.height, eff[m.left], eff[m.right])
+    return eff
+
+
 def cut(dend: Dendrogram, threshold: float) -> FlatClustering:
     """Clusters are maximal subtrees whose internal merge heights are all < threshold."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-
-    def max_internal(node: int) -> float:
-        kids = dend.children(node)
-        if kids is None:
-            return -math.inf
-        return max(dend.height(node), max_internal(kids[0]), max_internal(kids[1]))
-
-    clusters: list[list[int]] = []
-
-    def walk(node: int) -> None:
-        if max_internal(node) < threshold:
-            clusters.append(dend.leaves_under(node))
-            return
-        kids = dend.children(node)
-        if kids is None:
-            clusters.append([node])
-            return
-        walk(kids[0])
-        walk(kids[1])
-
-    walk(dend.root())
-    clusters.sort(key=lambda leaves: leaves[0])
-    assignment: dict[str, int] = {}
-    for ci, leaves in enumerate(clusters):
-        for leaf in leaves:
-            assignment[dend.leaf_ids[leaf]] = ci
+    eff = _effective_heights(dend)
+    # top-down from the root: a node below a subtree that qualifies joins it
+    top = list(range(len(eff)))
+    for i in range(len(dend.merges) - 1, -1, -1):
+        node = dend.n_leaves + i
+        if eff[node] < threshold:
+            m = dend.merges[i]
+            top[m.left] = top[m.right] = top[node]
+    # clusters are numbered in order of their lowest leaf
+    number: dict[int, int] = {}
+    assignment = {
+        gid: number.setdefault(top[leaf], len(number))
+        for leaf, gid in enumerate(dend.leaf_ids)
+    }
     return FlatClustering(assignment=assignment)
 
 
@@ -210,36 +230,6 @@ class Criterion(str, Enum):
 _VAR_FLOOR = 1e-12
 
 
-def _criterion_score(
-    vectors: np.ndarray, labels: list[int], criterion: Criterion
-) -> float:
-    """Spherical-Gaussian shared-variance model score (lower is better).
-
-    The variance is shared across clusters and fixed to the global data
-    variance, so the likelihood stays bounded when clusters shrink to
-    duplicates and the criterion cannot degenerate into all-singletons.
-    """
-    n, dim = vectors.shape
-    clusters = sorted(set(labels))
-    k = len(clusters)
-    labels_arr = np.asarray(labels)
-    centered = vectors - vectors.mean(axis=0)
-    var = max(float((centered ** 2).sum()) / (n * dim), _VAR_FLOOR)
-    log_lik = 0.0
-    for c in clusters:
-        nc = int((labels_arr == c).sum())
-        pts = vectors[labels_arr == c]
-        mu = pts.mean(axis=0)
-        sq = float(((pts - mu) ** 2).sum())
-        log_lik += (nc * math.log(nc / n)
-                    - 0.5 * nc * dim * math.log(2 * math.pi * var)
-                    - 0.5 * sq / var)
-    params = k * dim + (k - 1) + 1
-    if criterion is Criterion.BIC:
-        return params * math.log(n) - 2.0 * log_lik
-    return 2.0 * params - 2.0 * log_lik
-
-
 def select_threshold(
     dend: Dendrogram, vectors: np.ndarray, criterion: Criterion = Criterion.BIC
 ) -> float:
@@ -247,19 +237,57 @@ def select_threshold(
 
     Candidates are each distinct merge height plus a value above the root so
     the single-cluster solution is reachable; ties go to the smaller threshold.
+
+    Each candidate is scored under a spherical-Gaussian model (lower is
+    better).  The variance is shared across clusters and fixed to the global
+    data variance, so the likelihood stays bounded when clusters shrink to
+    duplicates and the criterion cannot degenerate into all-singletons.
+
+    One sweep applies the merges in order of effective height, keeping each
+    cluster's size and vector sum, the running sum of ``nc * log(nc)`` and the
+    within-cluster sum of squares (grown by Ward's increment
+    ``na * nb / (na + nb) * |mu_a - mu_b|^2``), so the flat clustering ``cut``
+    gives at a candidate is scored in O(1) without cutting.
     """
-    if len(vectors) < 2:
+    x = np.asarray(vectors, dtype=float)
+    n, dim = x.shape
+    if n < 2:
         raise ValueError("need at least 2 points")
+    if n != dend.n_leaves:
+        raise ValueError(f"{n} vectors for {dend.n_leaves} leaves")
     heights = sorted({m.height for m in dend.merges})
     top = heights[-1] if heights else 0.0
     candidates = heights + [top + max(1e-9, abs(top) * 1e-9 + 1e-9)]
-    best_t = candidates[0]
-    best_score = math.inf
-    ids = dend.leaf_ids
+
+    centered = x - x.mean(axis=0)
+    var = max(float((centered ** 2).sum()) / (n * dim), _VAR_FLOOR)
+    log_norm = 0.5 * n * dim * math.log(2 * math.pi * var) + n * math.log(n)
+    penalty = math.log(n) if criterion is Criterion.BIC else 2.0
+
+    eff = _effective_heights(dend)
+    order = sorted(range(len(dend.merges)), key=lambda i: (eff[n + i], i))
+    count = [1] * len(eff)
+    total = np.empty((len(eff), dim))
+    total[:n] = x
+    k, n_log_n, within = n, 0.0, 0.0
+    applied = 0
+    best_t, best_score = candidates[0], math.inf
     for t in candidates:
-        flat = cut(dend, t)
-        labels = flat.labels_for(ids)
-        score = _criterion_score(np.asarray(vectors, dtype=float), labels, criterion)
+        # the flat clustering at t joins exactly the merges with eff < t
+        while applied < len(order) and eff[n + order[applied]] < t:
+            i = order[applied]
+            m = dend.merges[i]
+            na, nb = count[m.left], count[m.right]
+            nc = na + nb
+            diff = total[m.left] / na - total[m.right] / nb
+            within += na * nb / nc * float(diff @ diff)
+            n_log_n += nc * math.log(nc) - na * math.log(na) - nb * math.log(nb)
+            count[n + i] = nc
+            total[n + i] = total[m.left] + total[m.right]
+            k -= 1
+            applied += 1
+        log_lik = n_log_n - log_norm - 0.5 * within / var
+        score = (k * dim + k) * penalty - 2.0 * log_lik
         if score < best_score - 1e-12:
             best_score = score
             best_t = t

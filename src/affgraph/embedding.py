@@ -233,6 +233,8 @@ def load_embeddings(path: str) -> EmbeddingTable:
             vec = np.array([float(x) for x in values.split()])
             if len(vec) != int(dim):
                 raise ValueError(f"{path}: vector length mismatch for {gid}")
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}: non-finite value in the vector for {gid}")
             ids.append(gid)
             rows.append(vec)
     return EmbeddingTable(graph_ids=ids, vectors=np.vstack(rows))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -130,8 +131,8 @@ class DepthSample:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(v <= 0 for v in self.values):
-            raise SceneError("depth values must be positive millimeters")
+        if not all(0 < v < math.inf for v in self.values):
+            raise SceneError("depth values must be finite positive millimeters")
 
 
 @dataclass(frozen=True)

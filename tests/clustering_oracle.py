@@ -1,0 +1,181 @@
+"""Reference clustering: the straightforward loop versions of the stage functions.
+
+``affgraph.clustering`` computes the same results with dense-matrix and
+single-sweep algorithms; the tests compare the two on random and tied inputs.
+Here the cosine matrix is one ``cosine_cost`` call per pair, agglomeration
+scans every active pair for the minimum key at each step (O(n^3)), ``cut``
+recomputes each subtree's largest internal height recursively, and
+``select_threshold`` cuts and rescores the whole tree at every candidate.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+import numpy as np
+
+from affgraph.clustering import (
+    Criterion,
+    Dendrogram,
+    FlatClustering,
+    Linkage,
+    Merge,
+    _VAR_FLOOR,
+    cosine_cost,
+)
+
+
+def pairwise_cosine_costs(vectors: np.ndarray) -> np.ndarray:
+    n = len(vectors)
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i, j] = dist[j, i] = cosine_cost(vectors[i], vectors[j])
+    return dist
+
+
+def hierarchical_cluster(
+    dist: np.ndarray,
+    linkage: Linkage = Linkage.AVERAGE,
+    leaf_ids: Optional[list[str]] = None,
+) -> Dendrogram:
+    """Agglomerate a precomputed distance matrix into a full merge tree.
+
+    Ties at the minimum break toward the pair whose clusters contain the
+    lowest leaf ids, making the merge sequence deterministic.
+    """
+    n = len(dist)
+    if n < 2:
+        raise ValueError("need at least 2 points")
+    dist = np.asarray(dist, dtype=float)
+    active: dict[int, int] = {i: 1 for i in range(n)}  # node -> size
+    rep = {i: i for i in range(n)}  # node -> smallest leaf id underneath
+    d = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[(i, j)] = float(dist[i, j])
+    dend = Dendrogram(n_leaves=n, leaf_ids=leaf_ids or [str(i) for i in range(n)])
+    next_node = n
+    while len(active) > 1:
+        best_key = None
+        best = (math.inf, math.inf, math.inf)
+        for (i, j), cost in d.items():
+            key = (cost, min(rep[i], rep[j]), max(rep[i], rep[j]))
+            if key < best:
+                best = key
+                best_key = (i, j)
+        i, j = best_key
+        cost = d[(i, j)]
+        size = active[i] + active[j]
+        dend.merges.append(Merge(left=i, right=j, height=cost, size=size))
+        new = next_node
+        next_node += 1
+        for k in list(active):
+            if k in (i, j):
+                continue
+            dik = d[(min(i, k), max(i, k))]
+            djk = d[(min(j, k), max(j, k))]
+            if linkage is Linkage.AVERAGE:
+                val = (active[i] * dik + active[j] * djk) / size
+            elif linkage is Linkage.COMPLETE:
+                val = max(dik, djk)
+            else:
+                val = min(dik, djk)
+            d[(k, new)] = val
+        for key in [k for k in d if i in k or j in k]:
+            del d[key]
+        rep[new] = min(rep[i], rep[j])
+        del active[i]
+        del active[j]
+        active[new] = size
+    return dend
+
+
+def cut(dend: Dendrogram, threshold: float) -> FlatClustering:
+    """Clusters are maximal subtrees whose internal merge heights are all < threshold."""
+    if threshold < 0:
+        raise ValueError("threshold must be >= 0")
+
+    def max_internal(node: int) -> float:
+        kids = dend.children(node)
+        if kids is None:
+            return -math.inf
+        return max(dend.height(node), max_internal(kids[0]), max_internal(kids[1]))
+
+    clusters: list[list[int]] = []
+
+    def walk(node: int) -> None:
+        if max_internal(node) < threshold:
+            clusters.append(dend.leaves_under(node))
+            return
+        kids = dend.children(node)
+        if kids is None:
+            clusters.append([node])
+            return
+        walk(kids[0])
+        walk(kids[1])
+
+    walk(dend.root())
+    clusters.sort(key=lambda leaves: leaves[0])
+    assignment: dict[str, int] = {}
+    for ci, leaves in enumerate(clusters):
+        for leaf in leaves:
+            assignment[dend.leaf_ids[leaf]] = ci
+    return FlatClustering(assignment=assignment)
+
+
+def _criterion_score(
+    vectors: np.ndarray, labels: list[int], criterion: Criterion
+) -> float:
+    """Spherical-Gaussian shared-variance model score (lower is better).
+
+    The variance is shared across clusters and fixed to the global data
+    variance, so the likelihood stays bounded when clusters shrink to
+    duplicates and the criterion cannot degenerate into all-singletons.
+    """
+    n, dim = vectors.shape
+    clusters = sorted(set(labels))
+    k = len(clusters)
+    labels_arr = np.asarray(labels)
+    centered = vectors - vectors.mean(axis=0)
+    var = max(float((centered ** 2).sum()) / (n * dim), _VAR_FLOOR)
+    log_lik = 0.0
+    for c in clusters:
+        nc = int((labels_arr == c).sum())
+        pts = vectors[labels_arr == c]
+        mu = pts.mean(axis=0)
+        sq = float(((pts - mu) ** 2).sum())
+        log_lik += (nc * math.log(nc / n)
+                    - 0.5 * nc * dim * math.log(2 * math.pi * var)
+                    - 0.5 * sq / var)
+    params = k * dim + (k - 1) + 1
+    if criterion is Criterion.BIC:
+        return params * math.log(n) - 2.0 * log_lik
+    return 2.0 * params - 2.0 * log_lik
+
+
+def select_threshold(
+    dend: Dendrogram, vectors: np.ndarray, criterion: Criterion = Criterion.BIC
+) -> float:
+    """Scan cut thresholds at the merge heights and pick the criterion minimum.
+
+    Candidates are each distinct merge height plus a value above the root so
+    the single-cluster solution is reachable; ties go to the smaller threshold.
+    """
+    if len(vectors) < 2:
+        raise ValueError("need at least 2 points")
+    heights = sorted({m.height for m in dend.merges})
+    top = heights[-1] if heights else 0.0
+    candidates = heights + [top + max(1e-9, abs(top) * 1e-9 + 1e-9)]
+    best_t = candidates[0]
+    best_score = math.inf
+    ids = dend.leaf_ids
+    for t in candidates:
+        flat = cut(dend, t)
+        labels = flat.labels_for(ids)
+        score = _criterion_score(np.asarray(vectors, dtype=float), labels, criterion)
+        if score < best_score - 1e-12:
+            best_score = score
+            best_t = t
+    return float(best_t)

@@ -136,3 +136,29 @@ def test_divergent_training_is_numeric_error(tmp_path, scene_file, capsys):
                  "--config", str(cfg)])
     assert code == EXIT_NUMERIC
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("table", [
+    "g0\t2\t1.0 0.0\n",                              # one row
+    "g0\t3\t1.0 0.0\ng1\t2\t0.0 1.0\n",              # short vector
+    "g0\t2\t0.0 0.0\ng1\t2\t0.0 1.0\n",              # zero vector
+    "g0\t2\tnan 1.0\ng1\t2\t0.0 1.0\n",              # non-finite entry
+], ids=["one-row", "short-vector", "zero-vector", "nan"])
+def test_cluster_bad_table_is_data_error(tmp_path, capsys, table):
+    embs = tmp_path / "emb.tsv"
+    embs.write_text(table)
+    code = main(["cluster", str(embs), "-o", str(tmp_path / "c.tsv"),
+                 "--dendrogram", str(tmp_path / "d.json"), "--cut-threshold", "auto"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+
+
+def test_evaluate_non_integer_cluster_is_data_error(tmp_path, capsys):
+    clusters = tmp_path / "clusters.tsv"
+    clusters.write_text("g0\t0\ng1\tx\n")
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"g0": ["a"], "g1": ["b"]}))
+    assert main(["evaluate", str(clusters), str(truth)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1

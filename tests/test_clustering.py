@@ -22,6 +22,7 @@ from affgraph.clustering import (
 from affgraph.graphlet import ENTITY, SPATIAL, TEMPORAL, AGraphlet
 from affgraph.temporal import Calculus
 
+import clustering_oracle as oracle
 from conftest import random_graphlet
 
 
@@ -138,6 +139,13 @@ def test_hierarchical_cluster_rejects_single_point():
         hierarchical_cluster(np.zeros((1, 1)))
 
 
+def test_hierarchical_cluster_rejects_bad_matrices():
+    with pytest.raises(ValueError):
+        hierarchical_cluster(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        hierarchical_cluster(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+
 def test_pairwise_cosine_costs_matrix():
     vecs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     dist = pairwise_cosine_costs(vecs)
@@ -145,6 +153,42 @@ def test_pairwise_cosine_costs_matrix():
     assert np.allclose(dist, dist.T)
     assert np.allclose(np.diag(dist), 0.0)
     assert dist[0, 1] == pytest.approx(1.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            pairwise_cosine_costs(np.array([[1.0, 0.0], [bad, bad]]))
+
+
+# -- equivalence with the loop reference (tests/clustering_oracle.py) --------
+
+def _random_distances(rng, n, grid):
+    """Symmetric, zero diagonal; on the 0.5 grid most pairs tie, as under sED."""
+    if grid:
+        m = 0.5 * rng.integers(0, 7, size=(n, n))
+    else:
+        m = rng.uniform(0.0, 1.0, size=(n, n))
+    upper = np.triu(m, 1)
+    return upper + upper.T
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["uniform", "grid"])
+@pytest.mark.parametrize("linkage", list(Linkage), ids=lambda lk: lk.value)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_clustering_matches_oracle(linkage, grid, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    vecs = rng.normal(size=(n, 3))
+    assert np.allclose(pairwise_cosine_costs(vecs), oracle.pairwise_cosine_costs(vecs),
+                       rtol=0.0, atol=1e-12)
+    dist = _random_distances(rng, n, grid)
+    dend = hierarchical_cluster(dist, linkage)
+    assert dend.to_dict() == oracle.hierarchical_cluster(dist, linkage).to_dict()
+    top = dend.merges[-1].height
+    for t in [0.0, top + 1.0] + [m.height for m in dend.merges]:
+        assert cut(dend, t).assignment == oracle.cut(dend, t).assignment
+    for crit in Criterion:
+        assert select_threshold(dend, vecs, crit) == \
+            oracle.select_threshold(dend, vecs, crit)
 
 
 # -- cuts ---------------------------------------------------------------------
@@ -159,6 +203,45 @@ def _chain_dendrogram(heights):
         left = 0 if k == 0 else n + k - 1
         dend.merges.append(Merge(left=left, right=k + 1, height=h, size=k + 2))
     return dend
+
+
+def test_cut_deep_chain():
+    # a recursive subtree walk exceeds Python's recursion limit here
+    dend = _chain_dendrogram([0.001 * k for k in range(1, 1500)])
+    assert dend.n_leaves == 1500
+    assert cut(dend, 2.0).n_clusters() == 1
+    assert cut(dend, 0.0).n_clusters() == 1500
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_non_monotone_tree_matches_oracle(seed):
+    # a random merge order with heights drawn apart from it: a merge may sit
+    # below its children, and then the highest merge in a subtree governs it
+    from affgraph.clustering import Merge
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    dend = Dendrogram(n_leaves=n, leaf_ids=[f"p{i}" for i in range(n)])
+    active = {i: 1 for i in range(n)}
+    for k in range(n - 1):
+        left, right = sorted(rng.choice(sorted(active), size=2, replace=False))
+        size = active.pop(left) + active.pop(right)
+        height = 0.1 * int(rng.integers(0, 6))
+        dend.merges.append(Merge(int(left), int(right), height, size))
+        active[n + k] = size
+    vecs = rng.normal(size=(n, 2))
+    for t in {0.0, 0.05, 0.15, 0.25, 0.35, 1.0} | {m.height for m in dend.merges}:
+        assert cut(dend, t).assignment == oracle.cut(dend, t).assignment
+    for crit in Criterion:
+        assert select_threshold(dend, vecs, crit) == \
+            oracle.select_threshold(dend, vecs, crit)
+
+
+def test_select_threshold_rejects_vector_count_mismatch():
+    dend = _chain_dendrogram([0.1, 0.2])
+    with pytest.raises(ValueError):
+        select_threshold(dend, np.ones((2, 2)))
 
 
 def test_cut_examples():

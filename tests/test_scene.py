@@ -94,6 +94,12 @@ def test_depth_sample_positive():
         DepthSample(values=(10.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_depth_sample_rejects_non_finite(bad):
+    with pytest.raises(SceneError):
+        DepthSample(values=(10.0, bad))
+
+
 def test_observation_depth_mask_length_agreement():
     mask = _mask(2, 4, [(slice(0, 1), slice(0, 3))])  # 3 fg pixels
     with pytest.raises(SceneError):
