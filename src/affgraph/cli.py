@@ -53,7 +53,7 @@ def _config(args) -> PipelineConfig:
             cfg = load_config(path)
         except FileNotFoundError as exc:
             raise CliError(EXIT_USAGE, f"config file not found: {path}") from exc
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CliError(EXIT_DATA, f"invalid config {path}: {exc}") from exc
     else:
         cfg = PipelineConfig()
@@ -66,9 +66,16 @@ def _config(args) -> PipelineConfig:
         from .pipeline import PROFILES
 
         cfg.profile = PROFILES[args.profile]
-    if getattr(args, "cut_threshold", None) is not None:
-        raw = args.cut_threshold
-        cfg.cut_threshold = None if raw == "auto" else float(raw)
+    raw = getattr(args, "cut_threshold", None)
+    if raw == "auto":
+        cfg.cut_threshold = None
+    elif raw is not None:
+        try:
+            cfg.cut_threshold = float(raw)
+        except ValueError as exc:
+            raise CliError(
+                EXIT_USAGE, f"--cut-threshold must be a number or 'auto', got {raw!r}"
+            ) from exc
     cfg.train.seed = cfg.seed
     try:
         cfg.validate()
@@ -136,12 +143,18 @@ def cmd_embed(args) -> int:
     records = load_graphlet_corpus(args.corpus)
     if not records:
         raise CliError(EXIT_DATA, f"empty graphlet corpus: {args.corpus}")
-    tokens = []
-    for rec in records:
-        labels, edges = parse_canonical(rec["form"])
-        tokens.append(emb.wl_tokens(labels, edges, cfg.train.wl_depth))
+    ids, tokens = [], []
+    for n, rec in enumerate(records, 1):
+        try:
+            labels, edges = parse_canonical(rec["form"])
+            tokens.append(emb.wl_tokens(labels, edges, cfg.train.wl_depth))
+            ids.append(rec["id"])
+        except KeyError as exc:
+            raise CliError(EXIT_DATA, f"{args.corpus}: record {n} has no {exc} field") from exc
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise CliError(EXIT_DATA, f"{args.corpus}: record {n}: {exc}") from exc
     vocab = emb.build_vocabulary(tokens)
-    table = emb.train([rec["id"] for rec in records], tokens, vocab, cfg.train)
+    table = emb.train(ids, tokens, vocab, cfg.train)
     emb.save_embeddings(table, args.output)
     print(f"{len(records)} embeddings -> {args.output}")
     return EXIT_OK

@@ -115,6 +115,20 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
 
+def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(target, rows, values)`` for a 2-D ``target``, but faster.
+
+    Scatters element-wise into the flat view, numpy's fast 1-D ``ufunc.at``
+    path; every element still receives its values in row order, so each sum
+    is the same.  A ``target`` that has no flat view raises rather than
+    updating a copy.
+    """
+    flat = target.view()
+    flat.shape = (-1,)
+    dim = target.shape[1]
+    np.add.at(flat, (rows[:, None] * dim + np.arange(dim)).ravel(), values.ravel())
+
+
 def train(
     corpus_ids: list[str],
     corpus_tokens: list[Counter],
@@ -148,6 +162,10 @@ def train(
     )
     noise = np.asarray(vocab.counts, dtype=float) ** 0.75
     noise /= noise.sum()
+    # Generator.choice(p=noise) draws exactly this way, minus its per-call
+    # check of p: the same samples, and the same generator state after.
+    cdf = noise.cumsum()
+    cdf /= cdf[-1]
 
     total_steps = cfg.epochs * max(1, (len(pairs) + cfg.batch_size - 1) // cfg.batch_size)
     step = 0
@@ -176,9 +194,10 @@ def train(
                 grad_g = grad_logits @ token_vecs
                 grad_tokens = grad_logits.T @ g
                 token_vecs -= lr * grad_tokens / len(batch)
-                np.add.at(graph_vecs, g_idx, -lr * grad_g / len(batch))
+                _scatter_add(graph_vecs, g_idx, -lr * grad_g / len(batch))
             else:
-                neg_idx = rng.choice(n_vocab, size=(len(batch), cfg.negatives), p=noise)
+                neg_idx = cdf.searchsorted(rng.random((len(batch), cfg.negatives)),
+                                           side="right")
                 t = token_vecs[t_idx]
                 pos_score = _sigmoid(np.einsum("bd,bd->b", g, t))
                 neg = token_vecs[neg_idx]  # (b, k, d)
@@ -192,11 +211,13 @@ def train(
                 grad_t = grad_pos * g
                 grad_neg = neg_score[:, :, None] * g[:, None, :]
                 # batch SGD: average the accumulated per-pair gradients
-                scale = lr / len(batch)
-                np.add.at(graph_vecs, g_idx, -scale * grad_g)
-                np.add.at(token_vecs, t_idx, -scale * grad_t)
-                np.add.at(token_vecs, neg_idx.ravel(),
-                          -scale * grad_neg.reshape(-1, dim))
+                scale = -lr / len(batch)
+                grad_g *= scale
+                grad_t *= scale
+                grad_neg *= scale
+                _scatter_add(graph_vecs, g_idx, grad_g)
+                _scatter_add(token_vecs, t_idx, grad_t)
+                _scatter_add(token_vecs, neg_idx.ravel(), grad_neg)
             epoch_loss += float(loss)
             n_batches += 1
         mean_loss = epoch_loss / max(1, n_batches)

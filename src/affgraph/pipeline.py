@@ -72,6 +72,8 @@ class PipelineConfig:
             raise ValueError(f"unknown calculus {self.calculus!r}")
         if self.mode not in ("embedding", "sed"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.cut_threshold is not None and not math.isfinite(self.cut_threshold):
+            raise ValueError(f"cut_threshold must be finite, got {self.cut_threshold}")
         self.train.validate()
 
 

@@ -94,19 +94,12 @@ class MaskRLE:
     def from_array(cls, arr: np.ndarray) -> "MaskRLE":
         """Encode a boolean (height, width) array."""
         flat = np.asarray(arr, dtype=bool).ravel()
-        runs: list[int] = []
-        fg = False
-        pos = 0
-        n = flat.size
-        while pos < n:
-            end = pos
-            while end < n and flat[end] == fg:
-                end += 1
-            runs.append(end - pos)
-            pos = end
-            fg = not fg
-        if not n:
-            runs = [0]
+        runs = [0]
+        if flat.size:
+            bounds = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+            runs = np.diff(np.concatenate(([0], bounds, [flat.size]))).tolist()
+            if flat[0]:
+                runs.insert(0, 0)  # the first run is background, here empty
         return cls(width=arr.shape[1], height=arr.shape[0], runs=tuple(runs))
 
     def foreground_indices(self) -> np.ndarray:

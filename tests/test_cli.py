@@ -162,3 +162,60 @@ def test_evaluate_non_integer_cluster_is_data_error(tmp_path, capsys):
     assert main(["evaluate", str(clusters), str(truth)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error:") and err.count("\n") == 1
+
+
+@pytest.fixture()
+def two_row_table(tmp_path):
+    embs = tmp_path / "emb.tsv"
+    embs.write_text("g0\t2\t1.0 0.0\ng1\t2\t0.0 1.0\n")
+    return embs
+
+
+@pytest.mark.parametrize("raw", ["abc", "nan", "inf", "-inf", ""])
+def test_bad_cut_threshold_flag_is_usage_error(tmp_path, capsys, two_row_table, raw):
+    code = main(["cluster", str(two_row_table), "-o", str(tmp_path / "c.tsv"),
+                 "--dendrogram", str(tmp_path / "d.json"), f"--cut-threshold={raw}"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "c.tsv").exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", '"nan"', '"inf"', "[1]"])
+def test_bad_cut_threshold_in_config_is_data_error(tmp_path, capsys, two_row_table,
+                                                   value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"cut_threshold": %s}' % value)
+    code = main(["cluster", str(two_row_table), "-o", str(tmp_path / "c.tsv"),
+                 "--dendrogram", str(tmp_path / "d.json"), "--config", str(cfg)])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+
+
+def test_finite_cut_threshold_flag_still_cuts(tmp_path, capsys, two_row_table):
+    code = main(["cluster", str(two_row_table), "-o", str(tmp_path / "c.tsv"),
+                 "--dendrogram", str(tmp_path / "d.json"), "--cut-threshold", "0.5"])
+    assert code == EXIT_OK
+    assert "2 clusters at threshold 0.5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("record", [
+    {"id": "g0"},                                  # no form
+    {"form": "V[entity|anchor]E[]"},               # no id
+    {"id": "g0", "form": "not a form"},
+    {"id": "g0", "form": 7},
+    {"id": "g0", "form": "V[a;b]E[0-x]"},
+    {"id": "g0", "form": "V[a;b]E[0-5]"},          # edge to a missing vertex
+    ["g0"],
+], ids=["no-form", "no-id", "malformed-form", "non-string-form", "bad-edge",
+        "edge-out-of-range", "not-an-object"])
+def test_embed_bad_corpus_record_is_data_error(tmp_path, capsys, record):
+    corpus = tmp_path / "corpus.jsonl"
+    good = {"id": "ok", "form": "V[entity|anchor;entity|partner]E[0-1]"}
+    corpus.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+    code = main(["embed", str(corpus), "-o", str(tmp_path / "emb.tsv")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {corpus}: record 2") and err.count("\n") == 1
+    assert not (tmp_path / "emb.tsv").exists()

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from affgraph.embedding import (
     DivergenceError,
     TrainConfig,
+    _scatter_add,
     build_vocabulary,
     load_embeddings,
     save_embeddings,
@@ -16,6 +17,7 @@ from affgraph.embedding import (
     wl_tokens,
 )
 
+import embedding_oracle
 from conftest import permute_vertices
 
 
@@ -176,3 +178,87 @@ def test_embeddings_round_trip(tmp_path):
     loaded = load_embeddings(str(path))
     assert loaded.graph_ids == table.graph_ids
     np.testing.assert_array_equal(loaded.vectors, table.vectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 12), st.integers(1, 3000),
+       st.integers(0, 100_000))
+def test_scatter_add_matches_add_at(n_rows, dim, n_values, seed):
+    # few target rows and many values: every row is hit again and again
+    rng = np.random.default_rng(seed)
+    target = rng.normal(size=(n_rows, dim))
+    rows = rng.integers(0, n_rows, size=n_values)
+    values = rng.normal(size=(n_values, dim))
+    expected = target.copy()
+    np.add.at(expected, rows, values)
+    _scatter_add(target, rows, values)
+    np.testing.assert_array_equal(target, expected)
+
+
+@pytest.mark.parametrize("view", [
+    lambda a: a.T,
+    lambda a: a[:, :2],
+], ids=["transposed", "column-slice"])
+def test_scatter_add_rejects_target_without_flat_view(view):
+    base = np.zeros((4, 3))
+    with pytest.raises(AttributeError):
+        _scatter_add(view(base), np.array([0, 1]), np.ones((2, view(base).shape[1])))
+    assert not base.any()
+
+
+def _train_or_divergence(fn, *args):
+    try:
+        return fn(*args)
+    except DivergenceError as exc:
+        return str(exc)
+
+
+@st.composite
+def _train_cases(draw):
+    n_graphs = draw(st.integers(1, 8))
+    names = [f"t{i}" for i in range(draw(st.integers(1, 6)))]
+    # token counts up to 20: a batch holds the same rows many times over
+    tokens = [Counter({tok: draw(st.integers(1, 20))
+                       for tok in draw(st.lists(st.sampled_from(names), min_size=1,
+                                                max_size=len(names), unique=True))})
+              for _ in range(n_graphs)]
+    cfg = TrainConfig(
+        embedding_dim=draw(st.integers(1, 16)),
+        learning_rate=draw(st.sampled_from([0.05, 0.3, 1.0])),
+        batch_size=draw(st.integers(1, 64)),
+        negatives=draw(st.integers(1, 6)),
+        epochs=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        full_softmax=draw(st.booleans()),
+        min_lr_factor=draw(st.sampled_from([1e-4, 0.25, 1.0])),
+    )
+    return [f"g{i}" for i in range(n_graphs)], tokens, cfg
+
+
+@settings(max_examples=80, deadline=None)
+@given(_train_cases())
+def test_train_matches_oracle_bitwise(case):
+    ids, tokens, cfg = case
+    vocab = build_vocabulary(tokens)
+    got = _train_or_divergence(train, ids, tokens, vocab, cfg)
+    want = _train_or_divergence(embedding_oracle.train, ids, tokens, vocab, cfg)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.graph_ids == want.graph_ids
+    assert np.array_equal(got.vectors, want.vectors)
+    assert got.loss_history == want.loss_history
+
+
+@pytest.mark.parametrize("full_softmax", [False, True])
+def test_train_matches_oracle_on_ragged_batches(full_softmax):
+    # 6 graphs x 10 token occurrences = 60 pairs: batches of 7 leave a short last one
+    ids, tokens, vocab = _toy_corpus()
+    cfg = TrainConfig(embedding_dim=5, epochs=4, batch_size=7, negatives=3, seed=9,
+                      learning_rate=0.2, full_softmax=full_softmax,
+                      min_lr_factor=0.5)
+    got = train(ids, tokens, vocab, cfg)
+    want = embedding_oracle.train(ids, tokens, vocab, cfg)
+    assert np.array_equal(got.vectors, want.vectors)
+    assert got.loss_history == want.loss_history
+

@@ -84,6 +84,55 @@ def test_mask_rle_round_trip(bits, width):
         mask.foreground_indices(), np.flatnonzero(arr.ravel()))
 
 
+def _rle_runs_oracle(arr: np.ndarray) -> tuple[int, ...]:
+    """Per-pixel loop encoder: alternating background/foreground run lengths."""
+    flat = np.asarray(arr, dtype=bool).ravel()
+    runs: list[int] = []
+    fg = False
+    pos = 0
+    n = flat.size
+    while pos < n:
+        end = pos
+        while end < n and flat[end] == fg:
+            end += 1
+        runs.append(end - pos)
+        pos = end
+        fg = not fg
+    if not n:
+        runs = [0]
+    return tuple(runs)
+
+
+@st.composite
+def _mask_arrays(draw):
+    h, w = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    fill = draw(st.sampled_from(["random", "empty", "full", "foreground-first"]))
+    if fill == "empty":
+        return np.zeros((h, w), dtype=bool)
+    if fill == "full":
+        return np.ones((h, w), dtype=bool)
+    bits = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    arr = np.array(bits, dtype=bool).reshape(h, w)
+    if fill == "foreground-first" and arr.size:
+        arr[0, 0] = True
+    return arr
+
+
+@given(_mask_arrays())
+def test_mask_rle_from_array_matches_loop_encoder(arr):
+    mask = MaskRLE.from_array(arr)
+    assert mask.runs == _rle_runs_oracle(arr)
+    assert all(type(r) is int for r in mask.runs)
+    assert (mask.height, mask.width) == arr.shape
+
+
+def test_mask_rle_from_array_edge_cases():
+    assert MaskRLE.from_array(np.zeros((0, 3), dtype=bool)).runs == (0,)
+    assert MaskRLE.from_array(np.zeros((2, 3), dtype=bool)).runs == (6,)
+    assert MaskRLE.from_array(np.ones((2, 3), dtype=bool)).runs == (0, 6)
+    assert MaskRLE.from_array(np.array([[1, 0, 0, 1]], dtype=bool)).runs == (0, 1, 2, 1)
+
+
 def test_mask_rle_validates_total():
     with pytest.raises(SceneError):
         MaskRLE(width=4, height=2, runs=(3, 2))
