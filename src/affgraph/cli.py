@@ -15,22 +15,11 @@ import numpy as np
 
 from . import clustering as clust
 from . import embedding as emb
+from . import pipeline
 from .evaluation import LabeledCorpus, metrics_report, pca_project, v_measure
-from .graphlet import parse_canonical
-from .pipeline import (
-    PipelineConfig,
-    PipelineError,
-    compute_episodes,
-    compute_frame_relations,
-    export_dendrogram_dot,
-    load_config,
-    run_pipeline,
-    save_graphlet_corpus,
-    scene_graphlets,
-)
-from .scene import SceneError, load_scene
+from .pipeline import PROFILES, PipelineConfig, PipelineError, load_config
+from .scene import SceneError, load_scene, save_scene
 from .synth import ScriptError, SyntheticScript, generate_synthetic
-from .scene import save_scene
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,8 +52,6 @@ def _config(args) -> PipelineConfig:
         if val is not None:
             setattr(cfg, attr, val)
     if getattr(args, "profile", None):
-        from .pipeline import PROFILES
-
         cfg.profile = PROFILES[args.profile]
     raw = getattr(args, "cut_threshold", None)
     if raw == "auto":
@@ -85,11 +72,15 @@ def _config(args) -> PipelineConfig:
 
 
 def _load_scenes(paths: list[str]) -> dict:
-    scenes = {}
+    """Scenes keyed by file basename, in argument order."""
+    seen: dict[str, str] = {}
     for path in paths:
         name = os.path.splitext(os.path.basename(path))[0]
-        scenes[name] = load_scene(path)
-    return scenes
+        if name in seen:
+            raise CliError(EXIT_USAGE, f"scenes {seen[name]} and {path} share the "
+                                       f"name {name!r}; rename one")
+        seen[name] = path
+    return {name: load_scene(path) for name, path in seen.items()}
 
 
 def cmd_validate(args) -> int:
@@ -102,7 +93,7 @@ def cmd_validate(args) -> int:
 def cmd_relations(args) -> int:
     cfg = _config(args)
     scene = load_scene(args.scene)
-    relations = compute_frame_relations(scene, cfg)
+    relations = pipeline.compute_frame_relations(scene, cfg)
     out = {f"{a}|{b}": tokens for (a, b), tokens in sorted(relations.items())}
     json.dump(out, sys.stdout, sort_keys=True)
     print()
@@ -111,16 +102,8 @@ def cmd_relations(args) -> int:
 
 def cmd_episodes(args) -> int:
     cfg = _config(args)
-    scene = load_scene(args.scene)
-    relations = compute_frame_relations(scene, cfg)
-    episodes = compute_episodes(relations, scene, cfg)
-    out = [
-        {"pair": list(ep.pair), "calculus": ep.calculus.value,
-         "relation": ep.relation,
-         "interval": [ep.interval.start, ep.interval.end]}
-        for ep in episodes
-    ]
-    json.dump(out, sys.stdout, sort_keys=True)
+    episodes = pipeline.compute_episodes(load_scene(args.scene), cfg)
+    json.dump(pipeline.episode_records(episodes), sys.stdout, sort_keys=True)
     print()
     return EXIT_OK
 
@@ -128,33 +111,22 @@ def cmd_episodes(args) -> int:
 def cmd_graphlets(args) -> int:
     cfg = _config(args)
     graphlets = []
-    for path in args.scenes:
-        name = os.path.splitext(os.path.basename(path))[0]
-        graphlets.extend(scene_graphlets(name, load_scene(path), cfg))
-    save_graphlet_corpus(graphlets, args.output)
+    for name, scene in _load_scenes(args.scenes).items():
+        graphlets.extend(pipeline.scene_graphlets(name, scene, cfg)[1])
+    pipeline.save_graphlet_corpus(pipeline.graphlet_records(graphlets), args.output)
     print(f"{len(graphlets)} graphlets -> {args.output}")
     return EXIT_OK
 
 
 def cmd_embed(args) -> int:
     cfg = _config(args)
-    from .pipeline import load_graphlet_corpus
-
-    records = load_graphlet_corpus(args.corpus)
+    records = pipeline.load_graphlet_corpus(args.corpus)
     if not records:
         raise CliError(EXIT_DATA, f"empty graphlet corpus: {args.corpus}")
-    ids, tokens = [], []
-    for n, rec in enumerate(records, 1):
-        try:
-            labels, edges = parse_canonical(rec["form"])
-            tokens.append(emb.wl_tokens(labels, edges, cfg.train.wl_depth))
-            ids.append(rec["id"])
-        except KeyError as exc:
-            raise CliError(EXIT_DATA, f"{args.corpus}: record {n} has no {exc} field") from exc
-        except (AttributeError, IndexError, TypeError, ValueError) as exc:
-            raise CliError(EXIT_DATA, f"{args.corpus}: record {n}: {exc}") from exc
-    vocab = emb.build_vocabulary(tokens)
-    table = emb.train(ids, tokens, vocab, cfg.train)
+    try:
+        _, table = pipeline.embed_corpus(records, cfg.train)
+    except ValueError as exc:
+        raise CliError(EXIT_DATA, f"{args.corpus}: {exc}") from exc
     emb.save_embeddings(table, args.output)
     print(f"{len(records)} embeddings -> {args.output}")
     return EXIT_OK
@@ -165,18 +137,13 @@ def cmd_cluster(args) -> int:
     try:
         table = emb.load_embeddings(args.embeddings)
         dist = clust.pairwise_cosine_costs(table.vectors)
-        dend = clust.hierarchical_cluster(dist, cfg.linkage, leaf_ids=table.graph_ids)
-        if cfg.cut_threshold is None:
-            threshold = clust.select_threshold(dend, table.vectors, cfg.criterion)
-        else:
-            threshold = cfg.cut_threshold
-        flat = clust.cut(dend, threshold)
+        dend, threshold, flat = pipeline.cluster_table(
+            dist, table.graph_ids, table.vectors, cfg.linkage, cfg.cut_threshold,
+            cfg.criterion)
     except ValueError as exc:
         raise CliError(EXIT_DATA, f"{args.embeddings}: {exc}") from exc
     clust.export_dendrogram_json(dend, args.dendrogram)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for gid in table.graph_ids:
-            fh.write(f"{gid}\t{flat.assignment[gid]}\n")
+    pipeline.save_clusters(flat, table.graph_ids, args.output)
     print(f"{flat.n_clusters()} clusters at threshold {threshold:g} -> {args.output}")
     return EXIT_OK
 
@@ -184,13 +151,8 @@ def cmd_cluster(args) -> int:
 def cmd_evaluate(args) -> int:
     with open(args.truth, "r", encoding="utf-8") as fh:
         truth = json.load(fh)
-    predicted = {}
     try:
-        with open(args.clusters, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    gid, cid = line.rstrip("\n").split("\t")
-                    predicted[gid] = int(cid)
+        predicted = pipeline.load_clusters(args.clusters).assignment
         h, c, v = v_measure(LabeledCorpus(truth=truth, predicted=predicted))
     except ValueError as exc:
         raise CliError(EXIT_DATA, f"{args.clusters}: {exc}") from exc
@@ -205,7 +167,7 @@ def cmd_run(args) -> int:
     if args.truth:
         with open(args.truth, "r", encoding="utf-8") as fh:
             truth = json.load(fh)
-    report = run_pipeline(scenes, cfg, args.output, groundtruth=truth)
+    report = pipeline.run_pipeline(scenes, cfg, args.output, groundtruth=truth)
     json.dump(report.to_dict(), sys.stdout, sort_keys=True, indent=2)
     print()
     return EXIT_OK
@@ -227,23 +189,30 @@ def cmd_synth(args) -> int:
 
 
 def cmd_export(args) -> int:
-    dend = clust.load_dendrogram_json(args.dendrogram)
+    try:
+        dend = clust.load_dendrogram_json(args.dendrogram)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(EXIT_DATA, f"{args.dendrogram}: not a dendrogram: {exc!r}") from exc
     flat = None
     if args.clusters:
-        assignment = {}
-        with open(args.clusters, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    gid, cid = line.rstrip("\n").split("\t")
-                    assignment[gid] = int(cid)
-        flat = clust.FlatClustering(assignment=assignment)
+        try:
+            flat = pipeline.load_clusters(args.clusters)
+        except ValueError as exc:
+            raise CliError(EXIT_DATA, f"{args.clusters}: {exc}") from exc
+        missing = [gid for gid in dend.leaf_ids if gid not in flat.assignment]
+        if missing:
+            raise CliError(EXIT_DATA, f"{args.clusters}: no cluster for leaf "
+                                      f"{missing[0]!r} of {args.dendrogram}")
     if args.format == "dot":
-        export_dendrogram_dot(dend, flat, args.output)
+        pipeline.export_dendrogram_dot(dend, flat, args.output)
     else:
         clust.export_dendrogram_json(dend, args.output)
     if args.pca and args.embeddings:
-        table = emb.load_embeddings(args.embeddings)
-        proj = pca_project(table.vectors, 2)
+        try:
+            table = emb.load_embeddings(args.embeddings)
+            proj = pca_project(table.vectors, 2)
+        except ValueError as exc:
+            raise CliError(EXIT_DATA, f"{args.embeddings}: {exc}") from exc
         with open(args.pca, "w", encoding="utf-8") as fh:
             for gid, (x, y) in zip(table.graph_ids, proj):
                 fh.write(f"{gid}\t{x!r}\t{y!r}\n")

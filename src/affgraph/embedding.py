@@ -228,7 +228,7 @@ def train(
             )
         if initial_loss is None:
             initial_loss = mean_loss
-        elif mean_loss > initial_loss * 10:
+        elif mean_loss > abs(initial_loss) * 10:
             raise DivergenceError(
                 f"epoch {epoch}: mean loss {mean_loss:.4f} exceeds 10x initial "
                 f"{initial_loss:.4f}; lower the learning rate"

@@ -40,7 +40,6 @@ class DatasetProfile:
     n: int = 3
     noise_ratio: float = 0.01
     alg1_literal: bool = False
-    per_frame_convexity: bool = False
 
 
 PROFILES = {
@@ -132,7 +131,6 @@ def compute_frame_relations(
             if obs is None:
                 continue
             depth_range = None
-            convexity = None
             if obs.mask is not None and obs.depth is not None:
                 owned = smap.owned_mask(ent.id)
                 if owned.any():
@@ -146,18 +144,17 @@ def compute_frame_relations(
                     local_owned = owned[y0:y1, x0:x1]
                     local_depth = smap.depth[y0:y1, x0:x1]
                     deep = deep_region(local_depth, local_owned, prof.thresh_convex)
-                    convexity = object_convexity(
+                    per_frame_conv.setdefault(ent.id, []).append(object_convexity(
                         vals, deep, prof.thresh_convex,
                         noise_ratio=prof.noise_ratio,
                         object_pixel_count=int(local_owned.sum()),
                         alg1_literal=prof.alg1_literal,
-                    )
-                    per_frame_conv.setdefault(ent.id, []).append(convexity)
+                    ))
             frame_states[ent.id] = EntityFrameState(
-                bbox=obs.bbox, depth_range=depth_range, convexity=convexity)
+                bbox=obs.bbox, depth_range=depth_range)
         states[f] = frame_states
 
-    # consolidate convexity per track unless per-frame typing is requested
+    # consolidate convexity per track
     track_types = {
         eid: track_convexity(types) for eid, types in per_frame_conv.items()
     }
@@ -168,7 +165,7 @@ def compute_frame_relations(
         # attach concavity bounds with the consolidated type
         resolved: dict[str, EntityFrameState] = {}
         for eid, st in frame_states.items():
-            conv = st.convexity if cfg.profile.per_frame_convexity else track_types.get(eid)
+            conv = track_types.get(eid)
             bounds = None
             vals = per_frame_vals.get((eid, f))
             if vals is not None and conv is not None:
@@ -202,11 +199,9 @@ def compute_frame_relations(
     return relations
 
 
-def compute_episodes(
-    relations: dict[tuple[str, str], list[tuple[int, str]]],
-    scene: SceneSequence,
-    cfg: PipelineConfig,
-) -> list[Episode]:
+def compute_episodes(scene: SceneSequence, cfg: PipelineConfig) -> list[Episode]:
+    """The scene's relation episodes, pair by pair in sorted pair order."""
+    relations = compute_frame_relations(scene, cfg)
     human_ids = {e.id for e in scene.human_parts()}
     obj_calc = Calculus.DISR if cfg.calculus == "disr" else Calculus.RCC5ON
     episodes: list[Episode] = []
@@ -221,43 +216,111 @@ def compute_episodes(
 
 def scene_graphlets(
     scene_id: str, scene: SceneSequence, cfg: PipelineConfig
-) -> list[AGraphlet]:
-    relations = compute_frame_relations(scene, cfg)
-    episodes = compute_episodes(relations, scene, cfg)
+) -> tuple[list[Episode], list[AGraphlet]]:
+    """The scene's episodes and the interaction graphlets built from them."""
+    episodes = compute_episodes(scene, cfg)
     non_interaction = "NI" if cfg.calculus == "disr" else "DR"
-    return build_agraphlets(
+    return episodes, build_agraphlets(
         scene_id, episodes, temporal_cap=cfg.temporal_cap,
         non_interaction=non_interaction,
     )
+
+
+def episode_records(episodes: list[Episode]) -> list[dict]:
+    return [
+        {"pair": list(ep.pair), "calculus": ep.calculus.value,
+         "relation": ep.relation,
+         "interval": [ep.interval.start, ep.interval.end]}
+        for ep in episodes
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Corpus files
 
 
-def save_graphlet_corpus(graphlets: list[AGraphlet], path: str) -> None:
-    """Line-delimited records: canonical form plus provenance."""
+def graphlet_records(graphlets: list[AGraphlet]) -> list[dict]:
+    """Corpus records: canonical form plus provenance."""
+    return [
+        {
+            "id": g.id,
+            "scene": g.scene_id,
+            "anchor": g.anchor,
+            "partner": g.partner_object,
+            "human_part": g.human_part,
+            "form": canonical_form(g),
+            "episodes": g.episode_ids,
+        }
+        for g in graphlets
+    ]
+
+
+def save_graphlet_corpus(records: list[dict], path: str) -> None:
+    """Line-delimited ``graphlet_records``."""
     with open(path, "w", encoding="utf-8") as fh:
-        for g in graphlets:
-            record = {
-                "id": g.id,
-                "scene": g.scene_id,
-                "anchor": g.anchor,
-                "partner": g.partner_object,
-                "human_part": g.human_part,
-                "form": canonical_form(g),
-                "episodes": g.episode_ids,
-            }
+        for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def load_graphlet_corpus(path: str) -> list[dict]:
-    records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def embed_corpus(
+    records: list[dict], cfg: emb.TrainConfig
+) -> tuple[emb.Vocabulary, emb.EmbeddingTable]:
+    """Tokenise every record's form, index the tokens and train the table; a
+    record without an ``id`` or a well-formed ``form`` raises ValueError."""
+    ids, tokens = [], []
+    for n, rec in enumerate(records, 1):
+        try:
+            labels, edges = parse_canonical(rec["form"])
+            tokens.append(emb.wl_tokens(labels, edges, cfg.wl_depth))
+            ids.append(rec["id"])
+        except KeyError as exc:
+            raise ValueError(f"record {n} has no {exc} field") from exc
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise ValueError(f"record {n}: {exc}") from exc
+    vocab = emb.build_vocabulary(tokens)
+    return vocab, emb.train(ids, tokens, vocab, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Clusters
+
+
+def cluster_table(
+    dist: np.ndarray, leaf_ids: list[str], vectors: Optional[np.ndarray],
+    linkage: clust.Linkage, threshold: Optional[float], criterion: clust.Criterion,
+) -> tuple[clust.Dendrogram, float, clust.FlatClustering]:
+    """Agglomerate ``dist`` and cut at ``threshold``, or, when it is None, at
+    the height ``criterion`` selects on ``vectors``."""
+    dend = clust.hierarchical_cluster(dist, linkage, leaf_ids=leaf_ids)
+    if threshold is None:
+        threshold = clust.select_threshold(dend, vectors, criterion)
+    return dend, threshold, clust.cut(dend, threshold)
+
+
+def save_clusters(flat: clust.FlatClustering, leaf_ids: list[str], path: str) -> None:
+    """One ``id<TAB>cluster`` line per leaf, in ``leaf_ids`` order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for gid in leaf_ids:
+            fh.write(f"{gid}\t{flat.assignment[gid]}\n")
+
+
+def load_clusters(path: str) -> clust.FlatClustering:
+    """Read ``save_clusters`` output; a malformed line raises ``ValueError``."""
+    assignment = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
             if line.strip():
-                records.append(json.loads(line))
-    return records
+                try:
+                    gid, cid = line.rstrip("\n").split("\t")
+                    assignment[gid] = int(cid)
+                except ValueError as exc:
+                    raise ValueError(f"line {n}: {exc}") from exc
+    return clust.FlatClustering(assignment=assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -297,58 +360,38 @@ def run_pipeline(
     os.makedirs(out_dir, exist_ok=True)
     artifacts: dict[str, str] = {}
 
+    def artifact(name: str) -> str:
+        """The path of ``name`` under ``out_dir``, reported under its stem."""
+        path = artifacts[os.path.splitext(name)[0]] = os.path.join(out_dir, name)
+        return path
+
     graphlets: list[AGraphlet] = []
-    episodes_path = os.path.join(out_dir, "episodes.json")
-    all_episodes: dict[str, list] = {}
+    all_episodes: dict[str, list[dict]] = {}
     for scene_id in sorted(scenes):
-        scene = scenes[scene_id]
         try:
-            relations = compute_frame_relations(scene, cfg)
-            episodes = compute_episodes(relations, scene, cfg)
+            episodes, scene_gs = scene_graphlets(scene_id, scenes[scene_id], cfg)
         except Exception as exc:
             raise PipelineError("relations", f"scene {scene_id}: {exc}") from exc
-        all_episodes[scene_id] = [
-            {"pair": list(ep.pair), "calculus": ep.calculus.value,
-             "relation": ep.relation,
-             "interval": [ep.interval.start, ep.interval.end]}
-            for ep in episodes
-        ]
-        non_interaction = "NI" if cfg.calculus == "disr" else "DR"
-        graphlets.extend(build_agraphlets(
-            scene_id, episodes, temporal_cap=cfg.temporal_cap,
-            non_interaction=non_interaction,
-        ))
-    with open(episodes_path, "w", encoding="utf-8") as fh:
+        all_episodes[scene_id] = episode_records(episodes)
+        graphlets.extend(scene_gs)
+    with open(artifact("episodes.json"), "w", encoding="utf-8") as fh:
         json.dump(all_episodes, fh, sort_keys=True)
-    artifacts["episodes"] = episodes_path
 
     if not graphlets:
         raise PipelineError("graphlets", "no interactions found in any scene")
-    corpus_path = os.path.join(out_dir, "graphlets.jsonl")
-    save_graphlet_corpus(graphlets, corpus_path)
-    artifacts["graphlets"] = corpus_path
+    records = graphlet_records(graphlets)
+    save_graphlet_corpus(records, artifact("graphlets.jsonl"))
 
-    ids = [g.id for g in graphlets]
+    ids = [rec["id"] for rec in records]
     if cfg.mode == "embedding":
-        records = load_graphlet_corpus(corpus_path)
-        tokens = []
-        for rec in records:
-            labels, edges = parse_canonical(rec["form"])
-            tokens.append(emb.wl_tokens(labels, edges, cfg.train.wl_depth))
-        vocab = emb.build_vocabulary(tokens)
-        vocab_path = os.path.join(out_dir, "vocabulary.tsv")
-        emb.save_vocabulary(vocab, vocab_path)
-        artifacts["vocabulary"] = vocab_path
         try:
-            table = emb.train([rec["id"] for rec in records], tokens, vocab, cfg.train)
+            vocab, table = embed_corpus(records, cfg.train)
         except emb.DivergenceError as exc:
             raise PipelineError("embed", str(exc)) from exc
-        emb_path = os.path.join(out_dir, "embeddings.tsv")
-        emb.save_embeddings(table, emb_path)
-        artifacts["embeddings"] = emb_path
+        emb.save_vocabulary(vocab, artifact("vocabulary.tsv"))
+        emb.save_embeddings(table, artifact("embeddings.tsv"))
         dist = clust.pairwise_cosine_costs(table.vectors)
-        vectors = table.vectors
-        corpus_ids = table.graph_ids
+        vectors, threshold = table.vectors, cfg.cut_threshold
     else:
         n = len(graphlets)
         dist = np.zeros((n, n))
@@ -356,26 +399,12 @@ def run_pipeline(
             for j in range(i + 1, n):
                 dist[i, j] = dist[j, i] = clust.sed_distance(
                     graphlets[i], graphlets[j], cfg.c_spat, cfg.k_spat)
-        vectors = None
-        corpus_ids = ids
+        vectors, threshold = None, cfg.sed_threshold
 
-    dend = clust.hierarchical_cluster(dist, cfg.linkage, leaf_ids=corpus_ids)
-    dend_path = os.path.join(out_dir, "dendrogram.json")
-    clust.export_dendrogram_json(dend, dend_path)
-    artifacts["dendrogram"] = dend_path
-
-    if cfg.mode == "sed":
-        threshold = cfg.sed_threshold
-    elif cfg.cut_threshold is None:
-        threshold = clust.select_threshold(dend, vectors, cfg.criterion)
-    else:
-        threshold = cfg.cut_threshold
-    flat = clust.cut(dend, threshold)
-    flat_path = os.path.join(out_dir, "clusters.tsv")
-    with open(flat_path, "w", encoding="utf-8") as fh:
-        for gid in corpus_ids:
-            fh.write(f"{gid}\t{flat.assignment[gid]}\n")
-    artifacts["clusters"] = flat_path
+    dend, threshold, flat = cluster_table(
+        dist, ids, vectors, cfg.linkage, threshold, cfg.criterion)
+    clust.export_dendrogram_json(dend, artifact("dendrogram.json"))
+    save_clusters(flat, ids, artifact("clusters.tsv"))
 
     hom = comp = v = None
     if groundtruth:
@@ -387,10 +416,8 @@ def run_pipeline(
             hom, comp, v = v_measure(corpus)
         except ValueError as exc:
             raise PipelineError("evaluate", str(exc)) from exc
-        metrics_path = os.path.join(out_dir, "metrics.txt")
-        with open(metrics_path, "w", encoding="utf-8") as fh:
+        with open(artifact("metrics.txt"), "w", encoding="utf-8") as fh:
             fh.write(metrics_report(hom, comp, v))
-        artifacts["metrics"] = metrics_path
 
     report = RunReport(
         n_graphlets=len(graphlets),

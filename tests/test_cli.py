@@ -219,3 +219,116 @@ def test_embed_bad_corpus_record_is_data_error(tmp_path, capsys, record):
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {corpus}: record 2") and err.count("\n") == 1
     assert not (tmp_path / "emb.tsv").exists()
+
+
+def test_scene_name_clash_is_usage_error(tmp_path, fast_config, capsys):
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        paths.append(str(tmp_path / sub / "s.json"))
+        assert main(["synth", "place-on", "-o", paths[-1], "--seed", "1"]) == EXIT_OK
+    capsys.readouterr()
+    corpus = tmp_path / "corpus.jsonl"
+    for argv in (["graphlets", *paths, "-o", str(corpus)],
+                 ["run", *paths, "-o", str(tmp_path / "out"),
+                  "--config", str(fast_config)]):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert paths[0] in captured.err and paths[1] in captured.err
+    assert not corpus.exists() and not (tmp_path / "out").exists()
+
+
+def test_graphlets_keeps_argument_order(tmp_path, capsys):
+    paths = [str(tmp_path / f"{name}.json") for name in ("zz", "aa")]
+    for seed, path in enumerate(paths):
+        assert main(["synth", "place-on", "-o", path, "--seed", str(seed)]) == EXIT_OK
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["graphlets", *paths, "-o", str(corpus)]) == EXIT_OK
+    scenes = [json.loads(line)["scene"] for line in corpus.read_text().splitlines()]
+    assert scenes == ["zz", "zz", "aa", "aa"]
+    capsys.readouterr()
+
+
+TWO_LEAVES = {"n_leaves": 2, "leaf_ids": ["g0", "g1"], "merges": [[0, 1, 0.5, 2]]}
+
+
+@pytest.mark.parametrize("dend, clusters, bad", [
+    (TWO_LEAVES, "g0\t0\ng1\tx\n", "clusters"),
+    ({k: v for k, v in TWO_LEAVES.items() if k != "n_leaves"}, "g0\t0\ng1\t1\n",
+     "dendrogram"),
+    (TWO_LEAVES, "g0\t0\n", "clusters"),
+], ids=["non-integer-cluster", "no-n-leaves", "missing-leaf"])
+def test_export_bad_input_is_data_error(tmp_path, capsys, dend, clusters, bad):
+    paths = {"dendrogram": tmp_path / "dend.json", "clusters": tmp_path / "c.tsv"}
+    paths["dendrogram"].write_text(json.dumps(dend))
+    paths["clusters"].write_text(clusters)
+    code = main(["export", str(paths["dendrogram"]), "-o", str(tmp_path / "d.dot"),
+                 "--clusters", str(paths["clusters"])])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {paths[bad]}: ") and err.count("\n") == 1
+    assert not (tmp_path / "d.dot").exists()
+
+
+@pytest.mark.parametrize("table", ["g0\t3\t1.0 0.0\ng1\t2\t0.0 1.0\n",
+                                   "g0\t2\t1.0 0.0\ng1\t2\t0.0 1.0\n"],
+                         ids=["short-vector", "too-few-rows"])
+def test_export_bad_pca_table_is_data_error(tmp_path, capsys, table):
+    dend = tmp_path / "dend.json"
+    dend.write_text(json.dumps(TWO_LEAVES))
+    embs = tmp_path / "emb.tsv"
+    embs.write_text(table)
+    code = main(["export", str(dend), "-o", str(tmp_path / "d.dot"),
+                 "--embeddings", str(embs), "--pca", str(tmp_path / "pca.tsv")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {embs}: ") and err.count("\n") == 1
+
+
+def test_removed_per_frame_convexity_field_is_data_error(tmp_path, scene_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": {"per_frame_convexity": True}}))
+    assert main(["relations", str(scene_file), "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+
+
+def test_subcommand_chain_reproduces_run_artifacts(tmp_path, fast_config, capsys):
+    # every subcommand runs the stage function `run` runs, so the chain's
+    # artifacts equal run's byte for byte
+    scenes, truth = [], {}
+    for i, kind in enumerate(["place-on", "put-into", "push-adjacent"]):
+        path, labels = tmp_path / f"scene_{i}.json", tmp_path / f"labels_{i}.json"
+        assert main(["synth", kind, "-o", str(path), "--labels", str(labels),
+                     "--seed", str(10 + i)]) == EXIT_OK
+        scenes.append(str(path))
+        truth.update({f"scene_{i}/{k.replace('|', '/')}": v
+                      for k, v in json.loads(labels.read_text()).items()})
+    truth_path = tmp_path / "truth.json"
+    truth_path.write_text(json.dumps(truth))
+    flags = ["--config", str(fast_config), "--seed", "3", "--cut-threshold", "auto"]
+    out, chain = tmp_path / "run", tmp_path / "chain"
+    chain.mkdir()
+    assert main(["run", *scenes, "-o", str(out), "--truth", str(truth_path),
+                 *flags]) == EXIT_OK
+    assert main(["graphlets", *scenes, "-o", str(chain / "graphlets.jsonl"),
+                 *flags]) == EXIT_OK
+    assert main(["embed", str(chain / "graphlets.jsonl"),
+                 "-o", str(chain / "embeddings.tsv"), *flags]) == EXIT_OK
+    assert main(["cluster", str(chain / "embeddings.tsv"),
+                 "-o", str(chain / "clusters.tsv"),
+                 "--dendrogram", str(chain / "dendrogram.json"), *flags]) == EXIT_OK
+    capsys.readouterr()
+    for name in ("graphlets.jsonl", "embeddings.tsv", "dendrogram.json", "clusters.tsv"):
+        assert (chain / name).read_bytes() == (out / name).read_bytes(), name
+    episodes = json.loads((out / "episodes.json").read_text())
+    assert sorted(episodes) == ["scene_0", "scene_1", "scene_2"]
+    for i, scene in enumerate(scenes):
+        assert main(["episodes", scene, *flags]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert printed == json.dumps(episodes[f"scene_{i}"], sort_keys=True) + "\n"
+        assert printed.rstrip("\n") in (out / "episodes.json").read_text()
+    assert main(["evaluate", str(chain / "clusters.tsv"), str(truth_path)]) == EXIT_OK
+    assert capsys.readouterr().out == (out / "metrics.txt").read_text()

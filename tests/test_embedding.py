@@ -156,6 +156,20 @@ def test_train_divergence_guard():
         train(ids, tokens, vocab, cfg)
 
 
+def test_train_negative_initial_loss_is_not_divergence():
+    # one token: the softmax probability is 1 and the loss -log(1 + 1e-12) < 0,
+    # which a guard scaled by the signed initial loss took for divergence
+    tokens = [Counter(a=3), Counter(a=2)]
+    vocab = build_vocabulary(tokens)
+    cfg = TrainConfig(embedding_dim=4, epochs=3, batch_size=2, seed=0,
+                      learning_rate=0.1, full_softmax=True)
+    table = train(["g0", "g1"], tokens, vocab, cfg)
+    assert len(table.loss_history) == cfg.epochs
+    assert table.loss_history[0] < 0
+    oracle = embedding_oracle.train(["g0", "g1"], tokens, vocab, cfg)
+    assert oracle.loss_history == table.loss_history
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(embedding_dim=0).validate()

@@ -141,7 +141,7 @@ def test_rcc5_on_baseline_calculus(small_corpus):
     scenes, _ = small_corpus
     cfg = _small_cfg(calculus="rcc5_on")
     name = sorted(scenes)[0]
-    gs = scene_graphlets(name, scenes[name], cfg)
+    _, gs = scene_graphlets(name, scenes[name], cfg)
     assert gs
     labels = {lbl for g in gs for lbl in g.label_multiset("spatial")}
     assert any(lbl.startswith("RCC5On:") for lbl in labels)
