@@ -148,9 +148,23 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
+def _load_truth(path: str) -> dict[str, list[str]]:
+    """Groundtruth labels: a JSON object mapping graph ids to lists of strings."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            truth = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(EXIT_DATA, f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(truth, dict):
+        raise CliError(EXIT_DATA, f"{path}: not an object mapping ids to label lists")
+    for gid, labels in truth.items():
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise CliError(EXIT_DATA, f"{path}: labels of {gid!r} are not a list of strings")
+    return truth
+
+
 def cmd_evaluate(args) -> int:
-    with open(args.truth, "r", encoding="utf-8") as fh:
-        truth = json.load(fh)
+    truth = _load_truth(args.truth)
     try:
         predicted = pipeline.load_clusters(args.clusters).assignment
         h, c, v = v_measure(LabeledCorpus(truth=truth, predicted=predicted))
@@ -163,10 +177,7 @@ def cmd_evaluate(args) -> int:
 def cmd_run(args) -> int:
     cfg = _config(args)
     scenes = _load_scenes(args.scenes)
-    truth = None
-    if args.truth:
-        with open(args.truth, "r", encoding="utf-8") as fh:
-            truth = json.load(fh)
+    truth = _load_truth(args.truth) if args.truth else None
     report = pipeline.run_pipeline(scenes, cfg, args.output, groundtruth=truth)
     json.dump(report.to_dict(), sys.stdout, sort_keys=True, indent=2)
     print()

@@ -31,7 +31,6 @@ class ContourNode:
     is_hole: bool
     parent: Optional[int]
     children: list[int] = field(default_factory=list)
-    pixels: Optional[np.ndarray] = None  # boolean grid, None for the root
 
 
 @dataclass
@@ -65,7 +64,9 @@ def contour_hierarchy(grid: np.ndarray, noise_ratio: float = 0.0,
 
     Foreground components are 8-connected, holes (enclosed background) are
     4-connected. Contours with area < noise_ratio * reference_area are pruned
-    (reference defaults to the grid's foreground pixel count).
+    with their subtree (reference defaults to the grid's foreground pixel
+    count). Node ids follow a depth-first walk that visits children in label
+    order, the holes of a component and the components inside a hole alike.
     """
     grid = np.asarray(grid, dtype=bool)
     if grid.size == 0:
@@ -73,95 +74,53 @@ def contour_hierarchy(grid: np.ndarray, noise_ratio: float = 0.0,
     if reference_area is None:
         reference_area = int(grid.sum())
     min_area = noise_ratio * reference_area
-    root = ContourNode(id=0, area=int(grid.size), is_hole=False, parent=None)
-    nodes = {0: root}
-    next_id = 1
 
     fg_labels, n_fg = ndimage.label(grid, structure=_STRUCT8)
     bg_labels, n_bg = ndimage.label(~grid, structure=_STRUCT4)
-    # background components touching the border are outside every contour
-    border = np.zeros_like(grid, dtype=bool)
-    border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
-    outside_bg = set(np.unique(bg_labels[border & ~grid]))
+    # (component, background) label pairs that are 4-neighbours: each label
+    # grid is 0 off its own pixels, so across a foreground/background edge the
+    # sum of the two ends is the label of the end of that kind
+    comp, hole = [], []
+    for a, b in ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, :], np.s_[1:, :])):
+        edge = grid[a] != grid[b]
+        comp.append((fg_labels[a] + fg_labels[b])[edge])
+        hole.append((bg_labels[a] + bg_labels[b])[edge])
+    comp, hole = np.concatenate(comp), np.concatenate(hole)
 
-    fg_ids = range(1, n_fg + 1)
-    dilated = {fid: fg_labels == fid for fid in fg_ids}
+    # Rosenfeld (JACM 1970): one component encloses each hole and touches it;
+    # it is the lowest label among those touching it, since its first pixel
+    # in raster order precedes the hole's and any island's inside the hole
+    owner = np.full(n_bg + 1, n_fg + 1)
+    np.minimum.at(owner, hole, comp)
+    border = np.concatenate((bg_labels[0], bg_labels[-1], bg_labels[:, 0], bg_labels[:, -1]))
+    owner[border] = owner[0] = 0  # no hole: border background and label 0
+    # a component's parent hole: the lowest enclosed hole it touches but does not own
+    island = (owner[hole] != 0) & (owner[hole] != comp)
+    parent = np.full(n_fg + 1, n_bg + 1)
+    np.minimum.at(parent, comp[island], hole[island])
+    parent[parent > n_bg] = 0  # in no hole: a child of the frame
 
-    # holes of a fg component: bg components (not outside) whose adjacent fg
-    # pixels all belong to that component's boundary, i.e. surrounded by it
-    hole_owner: dict[int, int] = {}
-    for bid in range(1, n_bg + 1):
-        if bid in outside_bg:
+    holes_of: list[list[int]] = [[] for _ in range(n_fg + 1)]
+    for b in np.flatnonzero(owner).tolist():
+        holes_of[owner[b]].append(b)
+    comps_in: list[list[int]] = [[] for _ in range(n_bg + 1)]  # [0]: the frame's
+    for f in range(1, n_fg + 1):
+        comps_in[parent[f]].append(f)
+    areas = (np.bincount(fg_labels.ravel(), minlength=n_fg + 1),
+             np.bincount(bg_labels.ravel(), minlength=n_bg + 1))
+
+    nodes = {0: ContourNode(id=0, area=int(grid.size), is_hole=False, parent=None)}
+    stack = [(False, f, 0) for f in reversed(comps_in[0])]
+    while stack:
+        is_hole, label, parent_id = stack.pop()
+        area = int(areas[is_hole][label])
+        if area < min_area:
             continue
-        hole = bg_labels == bid
-        ring = ndimage.binary_dilation(hole, structure=_STRUCT4) & ~hole
-        owners = set(fg_labels[ring & grid])
-        owners.discard(0)
-        if len(owners) == 1:
-            hole_owner[bid] = owners.pop()
-        elif owners:
-            # touched by several components: owned by the one enclosing it
-            # (pick the component whose bounding box contains the hole)
-            for fid in sorted(owners):
-                comp = dilated[fid]
-                rows = np.flatnonzero(comp.any(axis=1))
-                cols = np.flatnonzero(comp.any(axis=0))
-                hrows = np.flatnonzero(hole.any(axis=1))
-                hcols = np.flatnonzero(hole.any(axis=0))
-                if (rows[0] <= hrows[0] and hrows[-1] <= rows[-1]
-                        and cols[0] <= hcols[0] and hcols[-1] <= cols[-1]):
-                    hole_owner[bid] = fid
-                    break
-            else:
-                hole_owner[bid] = sorted(owners)[0]
-
-    # which hole (if any) encloses each fg component
-    comp_parent_hole: dict[int, int] = {}
-    for fid in fg_ids:
-        comp = dilated[fid]
-        ring = ndimage.binary_dilation(comp, structure=_STRUCT4) & ~comp
-        adj_bg = set(bg_labels[ring & ~grid])
-        adj_bg.discard(0)
-        inside = [b for b in adj_bg if b not in outside_bg and hole_owner.get(b) != fid]
-        if inside:
-            comp_parent_hole[fid] = sorted(inside)[0]
-
-    # assemble tree with pruning (pruned nodes drop their whole subtree)
-    fg_node: dict[int, int] = {}
-    bg_node: dict[int, int] = {}
-
-    def add_component(fid: int, parent_node: int) -> None:
-        nonlocal next_id
-        comp = dilated[fid]
-        area = int(comp.sum())
-        if area < min_area:
-            return
-        node = ContourNode(id=next_id, area=area, is_hole=False,
-                           parent=parent_node, pixels=comp)
-        nodes[next_id] = node
-        nodes[parent_node].children.append(next_id)
-        fg_node[fid] = next_id
-        next_id += 1
-        for bid in sorted(b for b, owner in hole_owner.items() if owner == fid):
-            add_hole(bid, node.id)
-
-    def add_hole(bid: int, parent_node: int) -> None:
-        nonlocal next_id
-        hole = bg_labels == bid
-        area = int(hole.sum())
-        if area < min_area:
-            return
-        node = ContourNode(id=next_id, area=area, is_hole=True,
-                           parent=parent_node, pixels=hole)
-        nodes[next_id] = node
-        nodes[parent_node].children.append(next_id)
-        bg_node[bid] = next_id
-        next_id += 1
-        for fid in sorted(f for f, h in comp_parent_hole.items() if h == bid):
-            add_component(fid, node.id)
-
-    for fid in sorted(f for f in fg_ids if f not in comp_parent_hole):
-        add_component(fid, 0)
+        node = ContourNode(id=len(nodes), area=area, is_hole=is_hole, parent=parent_id)
+        nodes[node.id] = node
+        nodes[parent_id].children.append(node.id)
+        kids = comps_in[label] if is_hole else holes_of[label]
+        stack.extend((not is_hole, k, node.id) for k in reversed(kids))
     return ContourTree(nodes=nodes)
 
 

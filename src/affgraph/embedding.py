@@ -253,9 +253,9 @@ def load_embeddings(path: str) -> EmbeddingTable:
             gid, dim, values = line.rstrip("\n").split("\t")
             vec = np.array([float(x) for x in values.split()])
             if len(vec) != int(dim):
-                raise ValueError(f"{path}: vector length mismatch for {gid}")
+                raise ValueError(f"vector length mismatch for {gid}")
             if not np.isfinite(vec).all():
-                raise ValueError(f"{path}: non-finite value in the vector for {gid}")
+                raise ValueError(f"non-finite value in the vector for {gid}")
             ids.append(gid)
             rows.append(vec)
     return EmbeddingTable(graph_ids=ids, vectors=np.vstack(rows))

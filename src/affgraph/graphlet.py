@@ -243,13 +243,8 @@ def canonical_form(g: AGraphlet) -> str:
             branched[v] = n + 1  # individualize
             search(branched)
 
-    search(init)
-    if best:
-        return best[0]
-    # refinement left ties but the search budget ran out before any leaf
-    colors = _refine(labels, adj, init)
-    order = sorted(range(n), key=lambda v: (colors[v], v))
-    return _serialize(order, g.vertex_layers, g.vertex_labels, g.edges)
+    search(init)  # the first descent always reaches a leaf within the budget
+    return best[0]
 
 
 def parse_canonical(form: str) -> tuple[list[str], list[tuple[int, int]]]:

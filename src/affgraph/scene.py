@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -67,7 +66,7 @@ class MaskRLE:
     runs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(r < 0 for r in self.runs):
+        if min(self.runs, default=0) < 0:
             raise SceneError("mask runs must be non-negative")
         if sum(self.runs) != self.width * self.height:
             raise SceneError(
@@ -80,14 +79,7 @@ class MaskRLE:
 
     def to_array(self) -> np.ndarray:
         """Decode to a boolean (height, width) array."""
-        flat = np.zeros(self.width * self.height, dtype=bool)
-        pos = 0
-        fg = False
-        for run in self.runs:
-            if fg:
-                flat[pos : pos + run] = True
-            pos += run
-            fg = not fg
+        flat = np.repeat(np.arange(len(self.runs)) % 2 == 1, self.runs)
         return flat.reshape(self.height, self.width)
 
     @classmethod
@@ -104,17 +96,7 @@ class MaskRLE:
 
     def foreground_indices(self) -> np.ndarray:
         """Flat pixel indices of foreground pixels, in run (row-major) order."""
-        idx: list[np.ndarray] = []
-        pos = 0
-        fg = False
-        for run in self.runs:
-            if fg and run:
-                idx.append(np.arange(pos, pos + run))
-            pos += run
-            fg = not fg
-        if not idx:
-            return np.empty(0, dtype=int)
-        return np.concatenate(idx)
+        return np.flatnonzero(self.to_array())
 
 
 @dataclass(frozen=True)
@@ -124,7 +106,8 @@ class DepthSample:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not all(0 < v < math.inf for v in self.values):
+        values = np.asarray(self.values, dtype=float)
+        if not ((values > 0) & (values < np.inf)).all():
             raise SceneError("depth values must be finite positive millimeters")
 
 
@@ -209,24 +192,38 @@ class SceneSequence:
 # Scene file I/O (UTF-8 JSON; see README for the schema)
 
 
-def _obs_from_dict(entity_id: str, raw: dict) -> EntityObservation:
+_OBS_KEYS = {"frame", "bbox", "score", "mask_rle", "depth_mm"}
+
+
+def _obs_from_dict(entity_id: str, raw: dict, width: int, height: int) -> EntityObservation:
+    if not isinstance(raw, dict):
+        raise SceneError(f"entity {entity_id}: observation is not an object: {raw!r}")
+    unknown = sorted(set(raw) - _OBS_KEYS)
+    if unknown:
+        raise SceneError(f"entity {entity_id}: unknown observation keys {unknown}")
     try:
         frame = int(raw["frame"])
         bb = raw["bbox"]
         bbox = BoundingBox(float(bb[0]), float(bb[1]), float(bb[2]), float(bb[3]))
         score = float(raw["score"])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        runs = _number_list(raw, "mask_rle", int)
+        depth = _number_list(raw, "depth_mm", float)
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise SceneError(f"entity {entity_id}: malformed observation: {exc}") from exc
-    mask = None
-    depth = None
-    if raw.get("mask_rle") is not None:
-        mask = MaskRLE(
-            width=int(raw["_width"]), height=int(raw["_height"]),
-            runs=tuple(int(r) for r in raw["mask_rle"]),
-        )
-    if raw.get("depth_mm") is not None:
-        depth = DepthSample(values=tuple(float(v) for v in raw["depth_mm"]))
-    return EntityObservation(frame=frame, bbox=bbox, score=score, mask=mask, depth=depth)
+    return EntityObservation(
+        frame=frame, bbox=bbox, score=score,
+        mask=None if runs is None else MaskRLE(width=width, height=height, runs=runs),
+        depth=None if depth is None else DepthSample(values=depth))
+
+
+def _number_list(raw: dict, key: str, kind: type) -> Optional[tuple]:
+    """The list under ``key`` converted by ``kind``, or None when absent or null."""
+    values = raw.get(key)
+    if values is None:
+        return None
+    if not isinstance(values, list):
+        raise TypeError(f"{key} must be a list, got {type(values).__name__}")
+    return tuple(map(kind, values))
 
 
 def scene_from_dict(data: dict) -> SceneSequence:
@@ -234,28 +231,28 @@ def scene_from_dict(data: dict) -> SceneSequence:
         width = int(data["width"])
         height = int(data["height"])
         frame_count = int(data["frame_count"])
-        fps = data.get("fps")
+        fps = None if data.get("fps") is None else float(data["fps"])
         entities_raw = data["entities"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SceneError(f"malformed scene header: {exc}") from exc
+    if not isinstance(entities_raw, list):
+        raise SceneError("malformed scene header: entities is not a list")
     entities = []
     for ent_raw in entities_raw:
         try:
             ent_id = str(ent_raw["id"])
             kind = EntityKind(ent_raw["kind"])
-        except (KeyError, ValueError) as exc:
+            observations = ent_raw.get("observations", [])
+        except (KeyError, TypeError, ValueError) as exc:
             raise SceneError(f"malformed entity record: {exc}") from exc
-        obs = []
-        for raw in ent_raw.get("observations", []):
-            raw = dict(raw)
-            raw["_width"] = width
-            raw["_height"] = height
-            obs.append(_obs_from_dict(ent_id, raw))
-        obs.sort(key=lambda o: o.frame)
+        if not isinstance(observations, list):
+            raise SceneError(f"entity {ent_id}: observations is not a list")
+        obs = sorted((_obs_from_dict(ent_id, raw, width, height) for raw in observations),
+                     key=lambda o: o.frame)
         entities.append(Entity(id=ent_id, kind=kind, observations=obs))
     scene = SceneSequence(
         width=width, height=height, frame_count=frame_count,
-        fps=float(fps) if fps is not None else None, entities=entities,
+        fps=fps, entities=entities,
     )
     scene.validate()
     return scene

@@ -332,3 +332,60 @@ def test_subcommand_chain_reproduces_run_artifacts(tmp_path, fast_config, capsys
         assert printed.rstrip("\n") in (out / "episodes.json").read_text()
     assert main(["evaluate", str(chain / "clusters.tsv"), str(truth_path)]) == EXIT_OK
     assert capsys.readouterr().out == (out / "metrics.txt").read_text()
+
+
+@pytest.mark.parametrize("truth", [
+    [1, 2], {"g0": "ab"}, {"g0": [1]}, {"g0": None}, "labels", "{broken",
+], ids=["list", "string-labels", "int-label", "null-labels", "string", "bad-json"])
+def test_bad_truth_file_is_data_error(tmp_path, capsys, scene_file, truth):
+    capsys.readouterr()
+    truth_path = tmp_path / "truth.json"
+    truth_path.write_text(truth if truth == "{broken" else json.dumps(truth))
+    clusters = tmp_path / "clusters.tsv"
+    clusters.write_text("g0\t0\ng1\t1\n")
+    out = tmp_path / "out"
+    for argv in (["evaluate", str(clusters), str(truth_path)],
+                 ["run", str(scene_file), "-o", str(out), "--truth", str(truth_path)]):
+        assert main(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {truth_path}: ")
+        assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("table", [
+    "g0\t3\t1.0 0.0\ng1\t2\t0.0 1.0\n",
+    "g0\t2\tnan 1.0\ng1\t2\t0.0 1.0\n",
+], ids=["short-vector", "nan"])
+def test_bad_table_error_names_the_path_once(tmp_path, capsys, table):
+    embs = tmp_path / "emb.tsv"
+    embs.write_text(table)
+    dend = tmp_path / "d.json"
+    dend.write_text(json.dumps({"n_leaves": 2, "leaf_ids": ["g0", "g1"], "merges": []}))
+    for argv in (["cluster", str(embs), "-o", str(tmp_path / "c.tsv"),
+                  "--dendrogram", str(dend)],
+                 ["export", str(dend), "-o", str(tmp_path / "d.dot"),
+                  "--embeddings", str(embs), "--pca", str(tmp_path / "pca.tsv")]):
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {embs}: ") and err.count(str(embs)) == 1
+
+
+@pytest.mark.parametrize("observation", [
+    {"depth_mm": ["x", 1.0]}, {"mask_rle": ["x"]}, {"mask_rle": 5}, {"depth_mm": 5},
+    {"depth_mm": "12"}, {"depth_mm": [None, 1.0]}, {"mask_rle": [0, 1e400, 6]},
+    [0, [0, 0, 2, 1], 0.5], {"mask": {"runs": [0, 2, 6]}}, {"depth": [10.0, 11.0]},
+], ids=["depth-string", "runs-string", "runs-number", "depth-number", "depth-not-list",
+        "depth-null-entry", "runs-overflow", "list", "unknown-key-mask",
+        "unknown-key-depth"])
+def test_validate_malformed_observation_is_data_error(tmp_path, capsys, observation):
+    obs = observation
+    if isinstance(observation, dict):
+        obs = {"frame": 0, "bbox": [0, 0, 2, 1], "score": 0.5, **observation}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"width": 4, "height": 2, "frame_count": 1, "entities": [
+        {"id": "x", "kind": "object", "observations": [obs]}]}))
+    assert main(["validate", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: entity x: ") and err.count("\n") == 1

@@ -16,6 +16,8 @@ from affgraph.convexity import (
     track_convexity,
 )
 
+from convexity_oracle import contour_hierarchy_oracle
+
 
 def flood_fill_hole_count(grid: np.ndarray) -> int:
     """Oracle: 4-connected background components not reachable from the border."""
@@ -118,6 +120,34 @@ def test_contour_hierarchy_matches_flood_fill(seed):
     grid = rng.random((h, w)) < rng.uniform(0.3, 0.8)
     tree = contour_hierarchy(grid)
     assert tree.hole_count() == flood_fill_hole_count(grid)
+
+
+def _tree_shape(tree):
+    return {i: (n.area, n.is_hole, n.parent, n.children) for i, n in tree.nodes.items()}
+
+
+@st.composite
+def _contour_grids(draw):
+    """Random grids, and concentric square rings (nested holes and islands)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, w = draw(st.integers(1, 28)), draw(st.integers(1, 28))
+    if draw(st.booleans()):
+        return rng.random((h, w)) < draw(st.floats(0.2, 0.9))
+    rows, cols = np.ogrid[:h, :w]
+    cy, cx = draw(st.integers(h // 4, h - 1 - h // 4)), draw(st.integers(w // 4, w - 1 - w // 4))
+    ring = np.maximum(abs(rows - cy), abs(cols - cx)) // draw(st.integers(1, 3))
+    grid = ring % 2 == draw(st.integers(0, 1))
+    return grid ^ (rng.random((h, w)) < draw(st.sampled_from([0.0, 0.01, 0.05])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_contour_grids(), st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+       st.one_of(st.none(), st.integers(1, 400)))
+def test_contour_hierarchy_matches_oracle_builder(grid, noise_ratio, reference_area):
+    # node ids, areas, hole flags, parents and child order all agree
+    tree = contour_hierarchy(grid, noise_ratio, reference_area)
+    oracle = contour_hierarchy_oracle(grid, noise_ratio, reference_area)
+    assert _tree_shape(tree) == _tree_shape(oracle)
 
 
 def test_deep_region_offset_from_dmin():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import affgraph.graphlet as graphlet_mod
 from affgraph.graphlet import (
     ENTITY,
     SPATIAL,
@@ -202,3 +203,28 @@ def test_graphlets_are_object_agnostic():
     # no entity name leaks into the serialization
     for name in ("cup", "bowl", "lh", "rh", "x", "s1", "s2"):
         assert name not in form1.replace("anchor", "").replace("partner", "")
+
+
+@pytest.mark.parametrize("n_spatial", [8, 9])
+def test_canonical_form_search_budget(monkeypatch, n_spatial):
+    # n identical spatial vertices tie under refinement: n! leaves without the
+    # budget, which stops the search after exactly _MAX_LEAVES of them
+    g = AGraphlet(anchor="a", partner_object="b", human_part=None, scene_id="s")
+    v_anchor = g.add_vertex(ENTITY, "anchor")
+    v_partner = g.add_vertex(ENTITY, "partner")
+    for _ in range(n_spatial):
+        v = g.add_vertex(SPATIAL, "DiSR:Sup")
+        g.add_edge(v_anchor, v)
+        g.add_edge(v_partner, v)
+    leaves = []
+    serialize = graphlet_mod._serialize
+    monkeypatch.setattr(graphlet_mod, "_serialize",
+                        lambda *args: leaves.append(1) or serialize(*args))
+    form = canonical_form(g)
+    assert len(leaves) == graphlet_mod._MAX_LEAVES == 10_000
+    labels, edges = parse_canonical(form)
+    assert sorted(labels) == sorted(f"{lay}|{lbl}" for lay, lbl
+                                    in zip(g.vertex_layers, g.vertex_labels))
+    assert len(edges) == len(g.edges)
+    perm = np.random.default_rng(n_spatial).permutation(g.vertex_count()).tolist()
+    assert canonical_form(permute_graphlet(g, perm)) == form

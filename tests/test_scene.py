@@ -1,6 +1,7 @@
 """Scene data model: boxes, masks, tracks, semantic depth maps, file I/O."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +127,57 @@ def test_mask_rle_from_array_matches_loop_encoder(arr):
     assert (mask.height, mask.width) == arr.shape
 
 
+def _to_array_oracle(mask: MaskRLE) -> np.ndarray:
+    """Run-loop decoder: paint each foreground run into a zeroed grid."""
+    flat = np.zeros(mask.width * mask.height, dtype=bool)
+    pos = 0
+    fg = False
+    for run in mask.runs:
+        if fg:
+            flat[pos : pos + run] = True
+        pos += run
+        fg = not fg
+    return flat.reshape(mask.height, mask.width)
+
+
+def _foreground_indices_oracle(mask: MaskRLE) -> np.ndarray:
+    """Run-loop decoder: concatenate the index range of each foreground run."""
+    idx: list[np.ndarray] = []
+    pos = 0
+    fg = False
+    for run in mask.runs:
+        if fg and run:
+            idx.append(np.arange(pos, pos + run))
+        pos += run
+        fg = not fg
+    if not idx:
+        return np.empty(0, dtype=int)
+    return np.concatenate(idx)
+
+
+def _assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+@given(_mask_arrays())
+def test_mask_rle_decoders_match_run_loops(arr):
+    mask = MaskRLE.from_array(arr)
+    _assert_same_array(mask.to_array(), _to_array_oracle(mask))
+    _assert_same_array(mask.foreground_indices(), _foreground_indices_oracle(mask))
+
+
+@pytest.mark.parametrize("runs, width, height", [
+    ((0,), 0, 0), ((), 0, 0), ((6,), 3, 2), ((0, 6), 3, 2), ((0, 1, 2, 1), 4, 1),
+    ((2, 0, 0, 3, 1), 3, 2),
+], ids=["empty", "no-runs", "all-background", "all-foreground", "foreground-first",
+        "empty-runs"])
+def test_mask_rle_decoders_edge_cases(runs, width, height):
+    mask = MaskRLE(width=width, height=height, runs=runs)
+    _assert_same_array(mask.to_array(), _to_array_oracle(mask))
+    _assert_same_array(mask.foreground_indices(), _foreground_indices_oracle(mask))
+
+
 def test_mask_rle_from_array_edge_cases():
     assert MaskRLE.from_array(np.zeros((0, 3), dtype=bool)).runs == (0,)
     assert MaskRLE.from_array(np.zeros((2, 3), dtype=bool)).runs == (6,)
@@ -147,6 +199,19 @@ def test_depth_sample_positive():
 def test_depth_sample_rejects_non_finite(bad):
     with pytest.raises(SceneError):
         DepthSample(values=(10.0, bad))
+
+
+@pytest.mark.parametrize("value", [
+    1.0, 1e308, 5e-324, 0.0, -0.0, -5e-324, -1.0, float("nan"), float("inf"), -float("inf"),
+])
+def test_depth_sample_accepts_finite_positive_only(value):
+    accepted = 0 < value < float("inf")
+    try:
+        DepthSample(values=(10.0, value))
+    except SceneError:
+        assert not accepted
+    else:
+        assert accepted
 
 
 def test_observation_depth_mask_length_agreement():
@@ -299,3 +364,24 @@ def test_scene_validate_frame_bounds_and_duplicates():
         Entity("x", EntityKind.OBJECT), Entity("x", EntityKind.OBJECT)])
     with pytest.raises(SceneError):
         scene.validate()
+
+
+@pytest.mark.parametrize("field", [
+    {"fps": "abc"}, {"entities": 5}, {"entities": ["x"]}, {"entities": [["x", "object"]]},
+    {"entities": [{"id": "x", "kind": "object", "observations": 5}]},
+], ids=["fps-string", "entities-number", "entity-string", "entity-list",
+        "observations-number"])
+def test_malformed_scene_record_is_scene_error(field):
+    with pytest.raises(SceneError):
+        scene_from_dict({"width": 4, "height": 2, "frame_count": 1, "entities": [], **field})
+
+
+def test_readme_scene_example_loads_with_mask_and_depth():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("### Scene JSON", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    scene = scene_from_dict(json.loads(block))
+    observations = [o for e in scene.entities for o in e.observations]
+    assert observations
+    for obs in observations:
+        assert obs.mask is not None and obs.depth is not None
+        assert len(obs.depth.values) == obs.mask.foreground_count > 0
