@@ -53,8 +53,10 @@ def v_measure(corpus: LabeledCorpus) -> tuple[float, float, float]:
         h_class_given_cluster -= p * math.log(c / cluster_counts[cluster])
         h_cluster_given_class -= p * math.log(c / class_counts[label])
 
-    h = 1.0 if h_class == 0 else 1.0 - h_class_given_cluster / h_class
-    c = 1.0 if h_cluster == 0 else 1.0 - h_cluster_given_class / h_cluster
+    # Conditional entropy never exceeds the marginal; clamp the rounding
+    # (independent labels give 1 - x/x = -2e-16) back into [0, 1].
+    h = 1.0 if h_class == 0 else min(1.0, max(0.0, 1.0 - h_class_given_cluster / h_class))
+    c = 1.0 if h_cluster == 0 else min(1.0, max(0.0, 1.0 - h_cluster_given_class / h_cluster))
     v = 0.0 if h + c == 0 else 2.0 * h * c / (h + c)
     return h, c, v
 

@@ -53,6 +53,13 @@ def test_hand_computed_split_class():
     assert v == pytest.approx(2 * h * c / (h + c))
 
 
+def test_independent_labels_score_exactly_zero():
+    # every cluster holds the classes in the same proportion: I(class; cluster)
+    # is 0, and rounding must not push h or c below 0
+    corpus = _corpus(["a", "a", "a", "b", "b", "b"], [0, 1, 1, 0, 1, 1])
+    assert v_measure(corpus) == (0.0, 0.0, 0.0)
+
+
 def _entropy_oracle(xs):
     n = len(xs)
     return -sum((k / n) * math.log(k / n) for k in Counter(xs).values())
