@@ -95,7 +95,7 @@ def cmd_relations(args) -> int:
     scene = load_scene(args.scene)
     relations = pipeline.compute_frame_relations(scene, cfg)
     out = {f"{a}|{b}": tokens for (a, b), tokens in sorted(relations.items())}
-    json.dump(out, sys.stdout, sort_keys=True)
+    sys.stdout.write(json.dumps(out, sort_keys=True))
     print()
     return EXIT_OK
 
@@ -103,7 +103,7 @@ def cmd_relations(args) -> int:
 def cmd_episodes(args) -> int:
     cfg = _config(args)
     episodes = pipeline.compute_episodes(load_scene(args.scene), cfg)
-    json.dump(pipeline.episode_records(episodes), sys.stdout, sort_keys=True)
+    sys.stdout.write(json.dumps(pipeline.episode_records(episodes), sort_keys=True))
     print()
     return EXIT_OK
 
@@ -167,9 +167,12 @@ def cmd_evaluate(args) -> int:
     truth = _load_truth(args.truth)
     try:
         predicted = pipeline.load_clusters(args.clusters).assignment
-        h, c, v = v_measure(LabeledCorpus(truth=truth, predicted=predicted))
     except ValueError as exc:
         raise CliError(EXIT_DATA, f"{args.clusters}: {exc}") from exc
+    try:
+        h, c, v = v_measure(LabeledCorpus(truth=truth, predicted=predicted))
+    except ValueError as exc:  # no truth id names a clustered graph
+        raise CliError(EXIT_DATA, f"{args.truth}: {exc}") from exc
     sys.stdout.write(metrics_report(h, c, v))
     return EXIT_OK
 
@@ -178,7 +181,13 @@ def cmd_run(args) -> int:
     cfg = _config(args)
     scenes = _load_scenes(args.scenes)
     truth = _load_truth(args.truth) if args.truth else None
-    report = pipeline.run_pipeline(scenes, cfg, args.output, groundtruth=truth)
+    try:
+        report = pipeline.run_pipeline(scenes, cfg, args.output, groundtruth=truth)
+    except PipelineError as exc:
+        if exc.stage != "evaluate":
+            raise
+        # no truth id names a graphlet of these scenes
+        raise CliError(EXIT_DATA, f"{args.truth}: {exc}") from exc
     json.dump(report.to_dict(), sys.stdout, sort_keys=True, indent=2)
     print()
     return EXIT_OK
@@ -194,7 +203,7 @@ def cmd_synth(args) -> int:
     if args.labels:
         payload = {f"{a}|{b}": labels for (a, b), labels in sorted(gen.labels.items())}
         with open(args.labels, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            fh.write(json.dumps(payload, sort_keys=True))
     print(f"{args.kind} scene -> {args.output}")
     return EXIT_OK
 
@@ -339,7 +348,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except PipelineError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC if exc.stage in ("embed", "evaluate") else EXIT_DATA
+        return EXIT_NUMERIC if exc.stage == "embed" else EXIT_DATA
     except (emb.DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

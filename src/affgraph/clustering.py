@@ -345,7 +345,7 @@ def sed_distance(
 
 def export_dendrogram_json(dend: Dendrogram, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dend.to_dict(), fh, sort_keys=True)
+        fh.write(json.dumps(dend.to_dict(), sort_keys=True))
 
 
 def load_dendrogram_json(path: str) -> Dendrogram:

@@ -251,7 +251,7 @@ def load_embeddings(path: str) -> EmbeddingTable:
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             gid, dim, values = line.rstrip("\n").split("\t")
-            vec = np.array([float(x) for x in values.split()])
+            vec = np.array(list(map(float, values.split())))
             if len(vec) != int(dim):
                 raise ValueError(f"vector length mismatch for {gid}")
             if not np.isfinite(vec).all():

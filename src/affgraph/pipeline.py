@@ -73,10 +73,19 @@ class PipelineConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.cut_threshold is not None and not math.isfinite(self.cut_threshold):
             raise ValueError(f"cut_threshold must be finite, got {self.cut_threshold}")
+        for name in ("c_spat", "k_spat"):
+            weight = getattr(self, name)
+            if isinstance(weight, bool) or not isinstance(weight, (int, float)) \
+                    or not 0.0 <= weight <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {weight!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         self.train.validate()
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
+    if not isinstance(data, dict):
+        raise ValueError(f"a config is a JSON object, not {type(data).__name__}")
     cfg = PipelineConfig()
     prof = data.get("profile")
     if isinstance(prof, str):
@@ -375,7 +384,7 @@ def run_pipeline(
         all_episodes[scene_id] = episode_records(episodes)
         graphlets.extend(scene_gs)
     with open(artifact("episodes.json"), "w", encoding="utf-8") as fh:
-        json.dump(all_episodes, fh, sort_keys=True)
+        fh.write(json.dumps(all_episodes, sort_keys=True))
 
     if not graphlets:
         raise PipelineError("graphlets", "no interactions found in any scene")

@@ -106,7 +106,9 @@ class DepthSample:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values)
+        if values.ndim != 1 or values.dtype.kind not in "iuf":
+            raise SceneError("depth values must be numbers")
         if not ((values > 0) & (values < np.inf)).all():
             raise SceneError("depth values must be finite positive millimeters")
 
@@ -193,6 +195,25 @@ class SceneSequence:
 
 
 _OBS_KEYS = {"frame", "bbox", "score", "mask_rle", "depth_mm"}
+_INT = frozenset({int})
+_NUMBER = frozenset({int, float})
+
+
+def _require(types: frozenset, key: str, values) -> None:
+    """Raise TypeError unless each value's exact type is in ``types``, so a
+    bool or a numeric string never passes for a number."""
+    if not types.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in types)
+        kind = "integers" if types is _INT else "numbers"
+        raise TypeError(f"{key} must hold JSON {kind}, not {bad!r}")
+
+
+def _list(raw: dict, key: str) -> Optional[list]:
+    """The list under ``key``, or None when absent or null."""
+    values = raw.get(key)
+    if values is not None and not isinstance(values, list):
+        raise TypeError(f"{key} must be a list, got {type(values).__name__}")
+    return values
 
 
 def _obs_from_dict(entity_id: str, raw: dict, width: int, height: int) -> EntityObservation:
@@ -202,38 +223,39 @@ def _obs_from_dict(entity_id: str, raw: dict, width: int, height: int) -> Entity
     if unknown:
         raise SceneError(f"entity {entity_id}: unknown observation keys {unknown}")
     try:
-        frame = int(raw["frame"])
-        bb = raw["bbox"]
-        bbox = BoundingBox(float(bb[0]), float(bb[1]), float(bb[2]), float(bb[3]))
-        score = float(raw["score"])
-        runs = _number_list(raw, "mask_rle", int)
-        depth = _number_list(raw, "depth_mm", float)
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        frame, score = raw["frame"], raw["score"]
+        _require(_INT, "frame", [frame])
+        _require(_NUMBER, "score", [score])
+        bb = _list(raw, "bbox")
+        if bb is None or len(bb) != 4:
+            raise TypeError(f"bbox must be a list of 4 numbers, got {bb!r}")
+        _require(_NUMBER, "bbox", bb)
+        runs = _list(raw, "mask_rle")
+        if runs is not None:
+            _require(_INT, "mask_rle", runs)
+        depth = _list(raw, "depth_mm")
+        return EntityObservation(
+            frame=frame, bbox=BoundingBox(*map(float, bb)), score=float(score),
+            mask=None if runs is None else MaskRLE(width=width, height=height,
+                                                   runs=tuple(runs)),
+            # DepthSample checks the values' types in one numpy pass
+            depth=None if depth is None else DepthSample(values=tuple(depth)))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SceneError(f"entity {entity_id}: malformed observation: {exc}") from exc
-    return EntityObservation(
-        frame=frame, bbox=bbox, score=score,
-        mask=None if runs is None else MaskRLE(width=width, height=height, runs=runs),
-        depth=None if depth is None else DepthSample(values=depth))
-
-
-def _number_list(raw: dict, key: str, kind: type) -> Optional[tuple]:
-    """The list under ``key`` converted by ``kind``, or None when absent or null."""
-    values = raw.get(key)
-    if values is None:
-        return None
-    if not isinstance(values, list):
-        raise TypeError(f"{key} must be a list, got {type(values).__name__}")
-    return tuple(map(kind, values))
+    except SceneError as exc:
+        raise SceneError(f"entity {entity_id}: {exc}") from exc
 
 
 def scene_from_dict(data: dict) -> SceneSequence:
     try:
-        width = int(data["width"])
-        height = int(data["height"])
-        frame_count = int(data["frame_count"])
-        fps = None if data.get("fps") is None else float(data["fps"])
+        width, height, frame_count = data["width"], data["height"], data["frame_count"]
+        _require(_INT, "width, height and frame_count", [width, height, frame_count])
+        fps = data.get("fps")
+        if fps is not None:
+            _require(_NUMBER, "fps", [fps])
+            fps = float(fps)
         entities_raw = data["entities"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SceneError(f"malformed scene header: {exc}") from exc
     if not isinstance(entities_raw, list):
         raise SceneError("malformed scene header: entities is not a list")
@@ -297,7 +319,7 @@ def load_scene(path: str) -> SceneSequence:
 def save_scene(scene: SceneSequence, path: str) -> None:
     """Serialize a scene canonically (sorted keys, fixed separators)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(scene), fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(scene_to_dict(scene), sort_keys=True, separators=(",", ":")))
 
 
 # ---------------------------------------------------------------------------

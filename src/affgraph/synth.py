@@ -81,13 +81,12 @@ def _rect_mask(x0: int, y0: int, x1: int, y1: int) -> MaskRLE:
 
 def _rect_obs(frame: int, x0: int, y0: int, x1: int, y1: int, score: float,
               depth_grid: np.ndarray) -> EntityObservation:
-    mask = _rect_mask(x0, y0, x1, y1)
-    rows, cols = np.unravel_index(mask.foreground_indices(), (HEIGHT, WIDTH))
-    depth = DepthSample(values=tuple(float(depth_grid[r, c]) for r, c in zip(rows, cols)))
+    # the mask's foreground, in run (row-major) order, is exactly this slice
+    depth = DepthSample(values=tuple(depth_grid[y0:y1, x0:x1].ravel().tolist()))
     return EntityObservation(
         frame=frame,
         bbox=BoundingBox(float(x0), float(y0), float(x1), float(y1)),
-        score=score, mask=mask, depth=depth,
+        score=score, mask=_rect_mask(x0, y0, x1, y1), depth=depth,
     )
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config resolution, exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -389,3 +390,63 @@ def test_validate_malformed_observation_is_data_error(tmp_path, capsys, observat
     assert main(["validate", str(path)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error: entity x: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config", [
+    {"mode": "sed", "c_spat": 2}, {"k_spat": "0.5"}, {"seed": "x"}, {"seed": -1},
+    {"seed": True}, [1, 2],
+], ids=["sed-weight-out-of-range", "sed-weight-string", "seed-string", "seed-negative",
+        "seed-bool", "list"])
+def test_bad_config_is_data_error_before_any_scene_is_read(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    # the scene does not exist: reading it first would be a usage error (exit 1)
+    missing = str(tmp_path / "missing.json")
+    for argv in (["run", missing, "-o", str(tmp_path / "out")], ["relations", missing]):
+        assert main([*argv, "--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: invalid config {cfg}: ") and err.count("\n") == 1
+
+
+def test_unmatched_truth_blames_the_truth_file(tmp_path, scene_file, fast_config, capsys):
+    clusters = tmp_path / "cl.tsv"
+    clusters.write_text("g0\t0\ng1\t1\n")
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"zz": ["a"]}))
+    for argv in (["evaluate", str(clusters), str(truth)],
+                 ["run", str(scene_file), "-o", str(tmp_path / "out"), "--truth", str(truth),
+                  "--config", str(fast_config)]):
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {truth}: ") and err.count("\n") == 1
+        assert str(clusters) not in err
+
+
+def test_run_twice_with_one_seed_writes_identical_artifacts(tmp_path, fast_config, capsys):
+    scenes, truth = [], {}
+    for i, kind in enumerate(["put-into", "place-on", "occlude-pass-behind"]):
+        path, labels = tmp_path / f"scene_{i}.json", tmp_path / f"labels_{i}.json"
+        assert main(["synth", kind, "-o", str(path), "--labels", str(labels),
+                     "--seed", str(20 + i)]) == EXIT_OK
+        scenes.append(str(path))
+        truth.update({f"scene_{i}/{k.replace('|', '/')}": v
+                      for k, v in json.loads(labels.read_text()).items()})
+    truth_path = tmp_path / "truth.json"
+    truth_path.write_text(json.dumps(truth))
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main(["run", *scenes, "-o", str(out), "--truth", str(truth_path),
+                     "--config", str(fast_config), "--seed", "5"]) == EXIT_OK
+    capsys.readouterr()
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert {"episodes.json", "graphlets.jsonl", "embeddings.tsv", "dendrogram.json",
+            "clusters.tsv", "metrics.txt", "report.json"} <= set(names)
+    for name in names:
+        first, second = ((out / name).read_bytes() for out in outs)
+        if name == "report.json":  # its artifact paths name the two directories
+            first, second = (json.loads(b) for b in (first, second))
+            for report, out in zip((first, second), outs):
+                report["artifacts"] = {k: os.path.relpath(v, out)
+                                       for k, v in report["artifacts"].items()}
+        assert first == second, name

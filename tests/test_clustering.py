@@ -1,5 +1,6 @@
 """Cosine agglomeration, dendrogram cuts, threshold selection, and sED."""
 
+import json
 import math
 
 import numpy as np
@@ -443,3 +444,23 @@ def test_dendrogram_json_round_trip(tmp_path):
     loaded = load_dendrogram_json(str(path))
     assert loaded.to_dict() == dend.to_dict()
     assert cut(loaded, 0.5).assignment == cut(dend, 0.5).assignment
+
+
+def _export_dendrogram_json_streaming(dend, path):
+    """The streaming writer ``export_dendrogram_json`` used before: ``json.dump``
+    runs the pure-Python encoder, since CPython keeps the C one for ``json.dumps``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(dend.to_dict(), fh, sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_export_dendrogram_json_matches_streaming_writer(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    dist = _random_distances(rng, n, grid=seed % 2 == 1)
+    leaf_ids = [f"scene_{i:03d}/obj_\u00e9/{i}" for i in range(n)]
+    dend = hierarchical_cluster(dist, Linkage.AVERAGE, leaf_ids=leaf_ids)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    export_dendrogram_json(dend, str(new))
+    _export_dendrogram_json_streaming(dend, str(old))
+    assert new.read_bytes() == old.read_bytes()

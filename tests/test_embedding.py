@@ -276,3 +276,16 @@ def test_train_matches_oracle_on_ragged_batches(full_softmax):
     assert np.array_equal(got.vectors, want.vectors)
     assert got.loss_history == want.loss_history
 
+
+
+def test_load_embeddings_reads_values_bit_for_bit(tmp_path):
+    values = [-0.0, 5e-324, -1e308, 0.1, 1 / 3, 2.0 ** -1074 * 3, 123456789.0]
+    path = tmp_path / "emb.tsv"
+    path.write_text(f"g0\t{len(values)}\t{' '.join(map(repr, values))}\n"
+                    f"g1\t{len(values)}\t{' '.join(map(repr, values[::-1]))}\n")
+    loaded = load_embeddings(str(path))
+    assert loaded.vectors.dtype == np.float64
+    assert loaded.vectors.tobytes() == np.array([values, values[::-1]]).tobytes()
+    path.write_text("g0\t2\t1.0 x\n")
+    with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
+        load_embeddings(str(path))

@@ -25,6 +25,7 @@ from affgraph.scene import (
     scene_from_dict,
     scene_to_dict,
 )
+from affgraph.synth import SCRIPT_KINDS, SyntheticScript, generate_synthetic
 
 
 def _box(x0, y0, x1, y1):
@@ -385,3 +386,74 @@ def test_readme_scene_example_loads_with_mask_and_depth():
     for obs in observations:
         assert obs.mask is not None and obs.depth is not None
         assert len(obs.depth.values) == obs.mask.foreground_count > 0
+
+
+def _save_scene_streaming(scene, path):
+    """The streaming writer ``save_scene`` used before: ``json.dump`` runs the
+    pure-Python encoder, since CPython keeps the C one for ``json.dumps``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(scene_to_dict(scene), fh, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("early", [False, True])
+@pytest.mark.parametrize("kind", SCRIPT_KINDS)
+def test_save_scene_matches_streaming_writer(tmp_path, kind, early):
+    scene = generate_synthetic(SyntheticScript(kind=kind, early_release=early),
+                               seed=31).scene
+    paths = [tmp_path / "new.json", tmp_path / "old.json"]
+    save_scene(scene, str(paths[0]))
+    _save_scene_streaming(scene, str(paths[1]))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    # a bare observation (no mask, no depth), a scene without fps and a
+    # non-ASCII id take the writer's remaining branches
+    scene.fps = None
+    scene.entities.append(Entity("ghost-\u00e9", EntityKind.OBJECT, [
+        EntityObservation(frame=0, bbox=_box(1, 2, 3, 4), score=0.25)]))
+    save_scene(scene, str(paths[0]))
+    _save_scene_streaming(scene, str(paths[1]))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    text = paths[0].read_text()
+    assert '"fps":null' in text and '"mask_rle":null' in text and '"depth_mm":null' in text
+
+
+def _scene_with_observation(**fields):
+    obs = {"frame": 0, "bbox": [0, 0, 2, 1], "score": 0.5, **fields}
+    return {"width": 4, "height": 2, "frame_count": 1, "entities": [
+        {"id": "x", "kind": "object", "observations": [obs]}]}
+
+
+@pytest.mark.parametrize("fields", [
+    {"frame": "0"}, {"frame": 0.0}, {"frame": 1.7}, {"frame": True},
+    {"bbox": ["0", "0", "2", "1"]}, {"bbox": [0, 0, 2, True]}, {"bbox": [0, 0, 2]},
+    {"bbox": [0, 0, 2, 1, 1]}, {"bbox": None}, {"score": "0.5"}, {"score": False},
+    {"mask_rle": ["0", "2", "6"]}, {"mask_rle": [0.0, 2, 6]}, {"mask_rle": [False, 2, 6]},
+    {"depth_mm": ["10.5", "11"]}, {"depth_mm": [True]}, {"depth_mm": [[10.5], [11.0]]},
+    {"depth_mm": [[10.5], [11.0, 12.0]]},
+], ids=lambda f: json.dumps(f))
+def test_observation_numbers_must_be_json_numbers(fields):
+    with pytest.raises(SceneError, match="^entity x: "):
+        scene_from_dict(_scene_with_observation(**fields))
+
+
+@pytest.mark.parametrize("header", [
+    {"width": "4"}, {"width": 4.0}, {"height": True}, {"frame_count": "1"},
+    {"frame_count": 1.5}, {"fps": True},
+], ids=lambda f: json.dumps(f))
+def test_header_numbers_must_be_json_numbers(header):
+    with pytest.raises(SceneError, match="^malformed scene header: "):
+        scene_from_dict({**_scene_with_observation(), **header})
+
+
+def test_integers_are_numbers_where_numbers_are_wanted():
+    scene = scene_from_dict({**_scene_with_observation(
+        bbox=[0, 0, 2, 1], score=1, mask_rle=[0, 2, 6], depth_mm=[10, 11.5]), "fps": 30})
+    obs = scene.entities[0].observations[0]
+    assert obs.bbox == _box(0, 0, 2, 1) and obs.score == 1.0 and scene.fps == 30.0
+    assert obs.depth.values == (10, 11.5) and obs.mask.runs == (0, 2, 6)
+
+
+@pytest.mark.parametrize("values", [("10.5",), (None,), (True,), ((1.0,),)],
+                         ids=["string", "null", "bool", "nested"])
+def test_depth_sample_rejects_non_numbers(values):
+    with pytest.raises(SceneError):
+        DepthSample(values=values)

@@ -1,9 +1,16 @@
 """Scripted synthetic scenes: schema validity and relation-key agreement."""
 
+import numpy as np
 import pytest
 
+from affgraph import synth
 from affgraph.pipeline import PipelineConfig, compute_frame_relations
-from affgraph.scene import scene_to_dict
+from affgraph.scene import (
+    BoundingBox,
+    DepthSample,
+    EntityObservation,
+    scene_to_dict,
+)
 from affgraph.synth import (
     SCRIPT_KINDS,
     GeneratedScene,
@@ -74,3 +81,38 @@ def test_infeasible_containment_band_rejected():
     # container depth range must exceed the convexity threshold
     with pytest.raises(ScriptError):
         generate_synthetic(SyntheticScript(kind="put-into"), seed=0, thresh_convex=15.0)
+
+
+def _rect_obs_per_pixel(frame, x0, y0, x1, y1, score, depth_grid):
+    """The ``_rect_obs`` that ``synth`` used before: one depth reading per
+    foreground pixel of the decoded mask, read in a Python loop."""
+    mask = synth._rect_mask(x0, y0, x1, y1)
+    rows, cols = np.unravel_index(mask.foreground_indices(), (synth.HEIGHT, synth.WIDTH))
+    depth = DepthSample(values=tuple(float(depth_grid[r, c]) for r, c in zip(rows, cols)))
+    return EntityObservation(
+        frame=frame,
+        bbox=BoundingBox(float(x0), float(y0), float(x1), float(y1)),
+        score=score, mask=mask, depth=depth,
+    )
+
+
+@pytest.mark.parametrize("early", [False, True])
+@pytest.mark.parametrize("kind", SCRIPT_KINDS)
+def test_scenes_match_per_pixel_depth_oracle(monkeypatch, kind, early):
+    script = SyntheticScript(kind=kind, early_release=early, extra_touch=early)
+    new = generate_synthetic(script, seed=5)
+    monkeypatch.setattr(synth, "_rect_obs", _rect_obs_per_pixel)
+    old = generate_synthetic(script, seed=5)
+    assert scene_to_dict(new.scene) == scene_to_dict(old.scene)
+    values = [v for e in new.scene.entities for o in e.observations for v in o.depth.values]
+    assert values and {type(v) for v in values} == {float}
+
+
+def test_rect_obs_matches_per_pixel_depth_oracle():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        x0, x1 = sorted(rng.choice(synth.WIDTH + 1, size=2, replace=False))
+        y0, y1 = sorted(rng.choice(synth.HEIGHT + 1, size=2, replace=False))
+        grid = rng.uniform(1.0, 50.0, size=(synth.HEIGHT, synth.WIDTH))
+        args = (3, int(x0), int(y0), int(x1), int(y1), 0.5, grid)
+        assert synth._rect_obs(*args) == _rect_obs_per_pixel(*args)
