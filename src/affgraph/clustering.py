@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphlet import AGraphlet
+from .graphlet import SPATIAL, TEMPORAL, AGraphlet
 from .temporal import Calculus
 
 
@@ -294,53 +294,54 @@ def select_threshold(
     return float(best_t)
 
 
-def sed_distance(
-    g_a: AGraphlet, g_b: AGraphlet, c_spat: float = 0.5, k_spat: float = 0.5
-) -> float:
-    """Weighted label-multiset symmetric difference over four vertex classes.
+def sed_matrix(
+    graphlets: list[AGraphlet], c_spat: float = 0.5, k_spat: float = 0.5
+) -> np.ndarray:
+    """All-pairs set edit distance: a weighted label-multiset symmetric
+    difference over four vertex classes.
 
-    Classes: DiSR spatial, temporal attached to DiSR episodes, RCC2 spatial,
-    temporal attached to RCC2 episodes. Temporal weights are the complements
-    of the corresponding spatial weights.
+    Classes, in order, with their weights: spatial vertices not of RCC2 (DiSR,
+    or the RCC5On baseline) ``c_spat``; temporal vertices attached only to
+    those ``1 - c_spat``; RCC2 spatial vertices ``k_spat``; temporal vertices
+    touching an RCC2 spatial vertex ``1 - k_spat``.
+
+    The symmetric difference of two label multisets is the L1 distance
+    between their label-count vectors, so each class is one ``cdist`` over a
+    (graphlets x labels) count matrix.  The weights scale the summed integer
+    distances, added in class order, so every entry equals the per-pair sum.
     """
     if not (0.0 <= c_spat <= 1.0 and 0.0 <= k_spat <= 1.0):
         raise ValueError("weights must be in [0,1]")
-    c_temp = 1.0 - c_spat
-    k_temp = 1.0 - k_spat
+    from scipy.spatial.distance import cdist  # here: it slows `import affgraph` by 0.1 s
 
-    def profile(g: AGraphlet) -> dict[str, list[str]]:
-        classes: dict[str, list[str]] = {
-            "disr_spat": [], "disr_temp": [], "rcc2_spat": [], "rcc2_temp": [],
-        }
-        adj = g.neighbors()
+    columns: list[dict[str, int]] = [{}, {}, {}, {}]  # per class: label -> column
+    cells: list[list[tuple[int, int]]] = [[], [], [], []]  # per class: (graphlet, column)
+    for i, g in enumerate(graphlets):
+        rcc2 = {v for v, calc in g.spatial_calculus.items() if calc is Calculus.RCC2}
+        attached = {w for u, v in g.edges for s, w in ((u, v), (v, u)) if s in rcc2}
         for v, (layer, label) in enumerate(zip(g.vertex_layers, g.vertex_labels)):
-            if layer == "spatial":
-                calc = g.spatial_calculus.get(v, Calculus.DISR)
-                key = "disr_spat" if calc is Calculus.DISR else "rcc2_spat"
-                classes[key].append(label)
-            elif layer == "temporal":
-                calcs = {
-                    g.spatial_calculus.get(u, Calculus.DISR)
-                    for u in adj[v] if g.vertex_layers[u] == "spatial"
-                }
-                # temporal vertices touching an RCC2 episode count as RCC2-attached
-                key = "disr_temp" if calcs == {Calculus.DISR} else "rcc2_temp"
-                classes[key].append(label)
-        return classes
+            if layer == SPATIAL:
+                k = 2 if v in rcc2 else 0
+            elif layer == TEMPORAL:
+                k = 3 if v in attached else 1
+            else:
+                continue
+            cells[k].append((i, columns[k].setdefault(label, len(columns[k]))))
+    n = len(graphlets)
+    dist = np.zeros((n, n))
+    for weight, cols, ij in zip((c_spat, 1.0 - c_spat, k_spat, 1.0 - k_spat),
+                                columns, cells):
+        counts = np.zeros((n, len(cols)))
+        np.add.at(counts, tuple(np.array(ij, dtype=int).reshape(-1, 2).T), 1.0)
+        dist += weight * cdist(counts, counts, "cityblock")
+    return dist
 
-    pa = profile(g_a)
-    pb = profile(g_b)
 
-    def symdiff(xs: list[str], ys: list[str]) -> int:
-        from collections import Counter
-
-        ca, cb = Counter(xs), Counter(ys)
-        return sum(abs(ca[t] - cb[t]) for t in set(ca) | set(cb))
-
-    return (c_spat * symdiff(pa["disr_spat"], pb["disr_spat"])
-            + c_temp * symdiff(pa["disr_temp"], pb["disr_temp"])
-            + k_spat * symdiff(pa["rcc2_spat"], pb["rcc2_spat"])
-            + k_temp * symdiff(pa["rcc2_temp"], pb["rcc2_temp"]))
+def sed_distance(
+    g_a: AGraphlet, g_b: AGraphlet, c_spat: float = 0.5, k_spat: float = 0.5
+) -> float:
+    """``sed_matrix`` of one pair."""
+    return float(sed_matrix([g_a, g_b], c_spat, k_spat)[0, 1])
 
 
 def export_dendrogram_json(dend: Dendrogram, path: str) -> None:

@@ -73,14 +73,30 @@ class PipelineConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.cut_threshold is not None and not math.isfinite(self.cut_threshold):
             raise ValueError(f"cut_threshold must be finite, got {self.cut_threshold}")
-        for name in ("c_spat", "k_spat"):
-            weight = getattr(self, name)
-            if isinstance(weight, bool) or not isinstance(weight, (int, float)) \
-                    or not 0.0 <= weight <= 1.0:
-                raise ValueError(f"{name} must be a number in [0, 1], got {weight!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        prof = self.profile
+        for name, value, top in (("c_spat", self.c_spat, 1.0), ("k_spat", self.k_spat, 1.0),
+                                 ("sed_threshold", self.sed_threshold, math.inf),
+                                 ("thresh_convex", prof.thresh_convex, math.inf),
+                                 ("noise_ratio", prof.noise_ratio, math.inf)):
+            if not (_is_number(value) and math.isfinite(value) and 0.0 <= value <= top):
+                bound = "in [0, 1]" if top == 1.0 else ">= 0"
+                raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+        for name in ("smoothing", "gap_bridge", "temporal_cap", "seed"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 0):
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        if not (_is_int(prof.h) and _is_int(prof.n) and 1 <= prof.n < prof.h):
+            raise ValueError("profile h and n must be integers with 1 <= n < h, "
+                             f"got h={prof.h!r}, n={prof.n!r}")
         self.train.validate()
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -402,12 +418,7 @@ def run_pipeline(
         dist = clust.pairwise_cosine_costs(table.vectors)
         vectors, threshold = table.vectors, cfg.cut_threshold
     else:
-        n = len(graphlets)
-        dist = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist[i, j] = dist[j, i] = clust.sed_distance(
-                    graphlets[i], graphlets[j], cfg.c_spat, cfg.k_spat)
+        dist = clust.sed_matrix(graphlets, cfg.c_spat, cfg.k_spat)
         vectors, threshold = None, cfg.sed_threshold
 
     dend, threshold, flat = cluster_table(

@@ -107,7 +107,9 @@ class DepthSample:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values)
-        if values.ndim != 1 or values.dtype.kind not in "iuf":
+        # numpy reads a bool among numbers as 1; only then look at each value
+        if values.ndim != 1 or values.dtype.kind not in "iuf" \
+                or ((values == 1).any() and bool in map(type, self.values)):
             raise SceneError("depth values must be numbers")
         if not ((values > 0) & (values < np.inf)).all():
             raise SceneError("depth values must be finite positive millimeters")

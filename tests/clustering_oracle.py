@@ -6,6 +6,9 @@ Here the cosine matrix is one ``cosine_cost`` call per pair, agglomeration
 scans every active pair for the minimum key at each step (O(n^3)), ``cut``
 recomputes each subtree's largest internal height recursively, and
 ``select_threshold`` cuts and rescores the whole tree at every candidate.
+``sed_distance`` builds both graphlets' label profiles and counts the
+symmetric difference per pair, where ``sed_matrix`` takes one L1 distance
+over label-count matrices.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from affgraph.clustering import (
     _VAR_FLOOR,
     cosine_cost,
 )
+from affgraph.graphlet import AGraphlet
+from affgraph.temporal import Calculus
 
 
 def pairwise_cosine_costs(vectors: np.ndarray) -> np.ndarray:
@@ -179,3 +184,52 @@ def select_threshold(
             best_score = score
             best_t = t
     return float(best_t)
+
+
+def sed_distance(
+    g_a: AGraphlet, g_b: AGraphlet, c_spat: float = 0.5, k_spat: float = 0.5
+) -> float:
+    """Weighted label-multiset symmetric difference over four vertex classes.
+
+    Classes: DiSR spatial, temporal attached to DiSR episodes, RCC2 spatial,
+    temporal attached to RCC2 episodes. Temporal weights are the complements
+    of the corresponding spatial weights.
+    """
+    if not (0.0 <= c_spat <= 1.0 and 0.0 <= k_spat <= 1.0):
+        raise ValueError("weights must be in [0,1]")
+    c_temp = 1.0 - c_spat
+    k_temp = 1.0 - k_spat
+
+    def profile(g: AGraphlet) -> dict[str, list[str]]:
+        classes: dict[str, list[str]] = {
+            "disr_spat": [], "disr_temp": [], "rcc2_spat": [], "rcc2_temp": [],
+        }
+        adj = g.neighbors()
+        for v, (layer, label) in enumerate(zip(g.vertex_layers, g.vertex_labels)):
+            if layer == "spatial":
+                calc = g.spatial_calculus.get(v, Calculus.DISR)
+                key = "rcc2_spat" if calc is Calculus.RCC2 else "disr_spat"
+                classes[key].append(label)
+            elif layer == "temporal":
+                calcs = {
+                    g.spatial_calculus.get(u, Calculus.DISR)
+                    for u in adj[v] if g.vertex_layers[u] == "spatial"
+                }
+                # temporal vertices touching an RCC2 episode count as RCC2-attached
+                key = "rcc2_temp" if Calculus.RCC2 in calcs else "disr_temp"
+                classes[key].append(label)
+        return classes
+
+    pa = profile(g_a)
+    pb = profile(g_b)
+
+    def symdiff(xs: list[str], ys: list[str]) -> int:
+        from collections import Counter
+
+        ca, cb = Counter(xs), Counter(ys)
+        return sum(abs(ca[t] - cb[t]) for t in set(ca) | set(cb))
+
+    return (c_spat * symdiff(pa["disr_spat"], pb["disr_spat"])
+            + c_temp * symdiff(pa["disr_temp"], pb["disr_temp"])
+            + k_spat * symdiff(pa["rcc2_spat"], pb["rcc2_spat"])
+            + k_temp * symdiff(pa["rcc2_temp"], pb["rcc2_temp"]))

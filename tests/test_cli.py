@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import affgraph
 from affgraph.cli import (
     CONFIG_ENV,
     EXIT_DATA,
@@ -406,6 +409,36 @@ def test_bad_config_is_data_error_before_any_scene_is_read(tmp_path, capsys, con
         assert main([*argv, "--config", str(cfg)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith(f"data error: invalid config {cfg}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config", [
+    {"mode": "sed", "sed_threshold": -1}, {"sed_threshold": "x"},
+    {"sed_threshold": float("nan")}, {"sed_threshold": True}, {"smoothing": -1},
+    {"smoothing": "2"}, {"gap_bridge": -5}, {"gap_bridge": True}, {"temporal_cap": -1},
+    {"temporal_cap": 1.5}, {"profile": {"noise_ratio": float("nan")}},
+    {"profile": {"thresh_convex": -1}}, {"profile": {"thresh_convex": "4"}},
+    {"profile": {"thresh_convex": float("inf")}}, {"profile": {"h": 3, "n": 3}},
+    {"profile": {"h": 5, "n": 0}}, {"profile": {"h": 5.0, "n": 3}},
+    {"profile": {"n": True}},
+], ids=json.dumps)
+def test_bad_pipeline_field_is_data_error_before_any_scene_is_read(tmp_path, capsys,
+                                                                   config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    missing = str(tmp_path / "missing.json")
+    for argv in (["run", missing, "-o", str(tmp_path / "out")], ["relations", missing]):
+        assert main([*argv, "--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: invalid config {cfg}: ") and err.count("\n") == 1
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # sed_matrix loads scipy.spatial when called; at import it slows every command
+    src = os.path.dirname(os.path.dirname(affgraph.__file__))
+    code = "import sys, affgraph.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_unmatched_truth_blames_the_truth_file(tmp_path, scene_file, fast_config, capsys):

@@ -18,9 +18,11 @@ from affgraph.clustering import (
     load_dendrogram_json,
     pairwise_cosine_costs,
     sed_distance,
+    sed_matrix,
     select_threshold,
 )
 from affgraph.graphlet import ENTITY, SPATIAL, TEMPORAL, AGraphlet
+from affgraph.qsr import Rcc5OnRelation
 from affgraph.temporal import Calculus
 
 import clustering_oracle as oracle
@@ -429,6 +431,65 @@ def test_sed_matches_multiset_oracle_and_is_pseudometric(seed):
     assert dab == pytest.approx(sed_distance(gb, ga), abs=1e-12)
     assert sed_distance(ga, ga) == 0.0
     assert dab <= sed_distance(ga, gc) + sed_distance(gc, gb) + 1e-12
+
+
+def _rcc5_on_graphlet(spatial, temporal):
+    """Object-pair episodes under the RCC5On baseline, with temporal vertices
+    linking the first two."""
+    g = AGraphlet(anchor="a", partner_object="b", human_part=None, scene_id="s")
+    va = g.add_vertex(ENTITY, "anchor")
+    vp = g.add_vertex(ENTITY, "partner")
+    vs = []
+    for lbl in spatial:
+        v = g.add_vertex(SPATIAL, lbl)
+        g.spatial_calculus[v] = Calculus.RCC5ON
+        g.add_edge(va, v)
+        g.add_edge(vp, v)
+        vs.append(v)
+    for lbl in temporal:
+        v = g.add_vertex(TEMPORAL, lbl)
+        g.add_edge(vs[0], v)
+        g.add_edge(vs[1], v)
+    return g
+
+
+@pytest.mark.parametrize("c_spat", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("k_spat", [0.0, 0.5])
+def test_sed_weighs_rcc5_on_episodes_by_c_spat(c_spat, k_spat):
+    # RCC5On takes DiSR's place between objects; none of its vertices is RCC2's
+    base = _rcc5_on_graphlet(("RCC5On:PO", "RCC5On:DR"), ("m",))
+    other_spatial = _rcc5_on_graphlet(("RCC5On:PO", "RCC5On:On"), ("m",))
+    other_temporal = _rcc5_on_graphlet(("RCC5On:PO", "RCC5On:DR"), ("o",))
+    assert sed_distance(base, other_spatial, c_spat, k_spat) == c_spat * 2
+    assert sed_distance(base, other_temporal, c_spat, k_spat) == (1.0 - c_spat) * 2
+
+
+def _with_rcc5_on(g, rng):
+    """``g`` with about half its DiSR episodes relabelled as RCC5On ones."""
+    for v, calc in list(g.spatial_calculus.items()):
+        if calc is Calculus.DISR and rng.random() < 0.5:
+            g.spatial_calculus[v] = Calculus.RCC5ON
+            g.vertex_labels[v] = f"RCC5On:{list(Rcc5OnRelation)[rng.integers(7)].value}"
+    return g
+
+
+_weights = st.one_of(st.just(0.5), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 100_000), st.integers(1, 25), _weights, _weights)
+def test_sed_matrix_matches_per_pair_oracle_bit_for_bit(seed, n, c_spat, k_spat):
+    rng = np.random.default_rng(seed)
+    pool = [_with_rcc5_on(random_graphlet(rng), rng) for _ in range(rng.integers(1, n + 1))]
+    gs = [pool[i] for i in rng.integers(len(pool), size=n)]  # with duplicates
+    got = sed_matrix(gs, c_spat, k_spat)
+    want = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            want[i, j] = want[j, i] = oracle.sed_distance(gs[i], gs[j], c_spat, k_spat)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, got.T)
+    assert not got.diagonal().any()
 
 
 # -- persistence --------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from affgraph import embedding as emb
-from affgraph.clustering import Criterion, Linkage
+from affgraph.clustering import Criterion, Linkage, sed_matrix
 from affgraph.graphlet import parse_canonical
 from affgraph.pipeline import (
     PROFILES,
@@ -146,6 +146,14 @@ def test_rcc5_on_baseline_calculus(small_corpus):
     labels = {lbl for g in gs for lbl in g.label_multiset("spatial")}
     assert any(lbl.startswith("RCC5On:") for lbl in labels)
     assert not any(lbl.startswith("DiSR:") for lbl in labels)
+
+
+def test_sed_on_rcc5_on_graphlets_follows_c_spat(small_corpus):
+    # RCC5On takes DiSR's place between objects, and so its weight c_spat
+    scenes, _ = small_corpus
+    cfg = _small_cfg(calculus="rcc5_on")
+    gs = [g for name in sorted(scenes) for g in scene_graphlets(name, scenes[name], cfg)[1]]
+    assert not np.array_equal(sed_matrix(gs, 0.0, 0.5), sed_matrix(gs, 1.0, 0.5))
 
 
 def test_run_pipeline_error_stages(small_corpus, tmp_path):

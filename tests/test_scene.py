@@ -457,3 +457,13 @@ def test_integers_are_numbers_where_numbers_are_wanted():
 def test_depth_sample_rejects_non_numbers(values):
     with pytest.raises(SceneError):
         DepthSample(values=values)
+
+
+@pytest.mark.parametrize("depth", [[True, 11.5], [True, 2], [2, 11.5, True]],
+                         ids=json.dumps)
+def test_bool_among_depth_numbers_is_refused(depth):
+    # numpy reads such a list as numbers, the bool as 1
+    fields = {"mask_rle": [0, len(depth), 8 - len(depth)], "depth_mm": depth}
+    with pytest.raises(SceneError, match="^entity x: depth values must be numbers"):
+        scene_from_dict(_scene_with_observation(**fields))
+    assert DepthSample(values=(1, 1.0, 11.5)).values == (1, 1.0, 11.5)
