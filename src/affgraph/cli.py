@@ -37,6 +37,7 @@ class CliError(Exception):
 
 def _config(args) -> PipelineConfig:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
+    cfg = None
     if path:
         try:
             cfg = load_config(path)
@@ -44,31 +45,20 @@ def _config(args) -> PipelineConfig:
             raise CliError(EXIT_USAGE, f"config file not found: {path}") from exc
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CliError(EXIT_DATA, f"invalid config {path}: {exc}") from exc
-    else:
-        cfg = PipelineConfig()
-    # individual flags override the config file
-    for attr in ("calculus", "mode", "smoothing", "gap_bridge", "seed"):
-        val = getattr(args, attr, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    if getattr(args, "profile", None):
-        cfg.profile = PROFILES[args.profile]
-    raw = getattr(args, "cut_threshold", None)
-    if raw == "auto":
-        cfg.cut_threshold = None
-    elif raw is not None:
+    flags = {key: value for key, value in vars(args).items()  # they override the file
+             if key in PipelineConfig.__dataclass_fields__ and value is not None}
+    raw = flags.get("cut_threshold")
+    if raw not in (None, "auto"):
         try:
-            cfg.cut_threshold = float(raw)
+            flags["cut_threshold"] = float(raw)
         except ValueError as exc:
             raise CliError(
                 EXIT_USAGE, f"--cut-threshold must be a number or 'auto', got {raw!r}"
             ) from exc
-    cfg.train.seed = cfg.seed
     try:
-        cfg.validate()
+        return pipeline.config_from_dict(flags, cfg)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
-    return cfg
 
 
 def _load_scenes(paths: list[str]) -> dict:
@@ -242,7 +232,7 @@ def cmd_export(args) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="pipeline config file (JSON)")
-    p.add_argument("--profile", choices=["cad-like", "wnp-like", "load-like"])
+    p.add_argument("--profile", choices=sorted(PROFILES))
     p.add_argument("--calculus", choices=["disr", "rcc5_on"])
     p.add_argument("--mode", choices=["embedding", "sed"])
     p.add_argument("--smoothing", type=int)

@@ -89,10 +89,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.embedding_dim <= 0 or self.batch_size <= 0 or self.epochs <= 0:
             raise ValueError("embedding_dim, batch_size, epochs must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.wl_depth < 0:
-            raise ValueError("wl_depth must be >= 0")
+        if not (self.learning_rate > 0 and 0 <= self.min_lr_factor <= 1):
+            raise ValueError("learning_rate must be positive, min_lr_factor in [0, 1]")
+        if self.wl_depth < 0 or self.negatives < 0:
+            raise ValueError("wl_depth and negatives must be >= 0")
         if self.negatives <= 0 and not self.full_softmax:
             raise ValueError("negatives must be positive")
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -67,61 +67,68 @@ class PipelineConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.calculus not in ("disr", "rcc5_on"):
-            raise ValueError(f"unknown calculus {self.calculus!r}")
-        if self.mode not in ("embedding", "sed"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.cut_threshold is not None and not math.isfinite(self.cut_threshold):
-            raise ValueError(f"cut_threshold must be finite, got {self.cut_threshold}")
-        prof = self.profile
-        for name, value, top in (("c_spat", self.c_spat, 1.0), ("k_spat", self.k_spat, 1.0),
-                                 ("sed_threshold", self.sed_threshold, math.inf),
-                                 ("thresh_convex", prof.thresh_convex, math.inf),
-                                 ("noise_ratio", prof.noise_ratio, math.inf)):
-            if not (_is_number(value) and math.isfinite(value) and 0.0 <= value <= top):
-                bound = "in [0, 1]" if top == 1.0 else ">= 0"
-                raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
-        for name in ("smoothing", "gap_bridge", "temporal_cap", "seed"):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= 0):
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-        if not (_is_int(prof.h) and _is_int(prof.n) and 1 <= prof.n < prof.h):
-            raise ValueError("profile h and n must be integers with 1 <= n < h, "
-                             f"got h={prof.h!r}, n={prof.n!r}")
+        """Check the type and range of every field, training's included."""
+        for obj in (self, self.profile, self.train):
+            hints = get_type_hints(type(obj))
+            for f in fields(obj):
+                value, hint = getattr(obj, f.name), hints[f.name]
+                kinds = get_args(hint) or (hint,)  # Optional[X] is X or None
+                if not any(_has_type(value, kind) for kind in kinds):
+                    want = " or ".join(_TYPE_NAMES.get(k, k.__name__) for k in kinds)
+                    raise ValueError(f"{f.name} must be {want}, got {value!r}")
+                low, high = _RANGES.get(f.name, (None, None))
+                if low is not None and not low <= value <= high:
+                    raise ValueError(f"{f.name} must be in [{low}, {high}], got {value!r}")
+                if f.name in _CHOICES and value not in _CHOICES[f.name]:
+                    raise ValueError(f"unknown {f.name} {value!r}")
+        if self.profile.n >= self.profile.h:
+            raise ValueError("profile h and n must satisfy 1 <= n < h, "
+                             f"got h={self.profile.h}, n={self.profile.n}")
         self.train.validate()
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# Inclusive bounds; TrainConfig.validate checks the training fields but the seed.
+_RANGES = {name: (0, math.inf) for name in (
+    "sed_threshold", "thresh_convex", "noise_ratio", "smoothing", "gap_bridge",
+    "temporal_cap", "seed")}
+_RANGES.update(c_spat=(0, 1), k_spat=(0, 1), n=(1, math.inf))
+_CHOICES = {"calculus": ("disr", "rcc5_on"), "mode": ("embedding", "sed")}
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               type(None): "null"}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _has_type(value, kind: type) -> bool:
+    """A bool is never a number, and a float field takes a finite int or float."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= float(np.finfo(float).max)
+    return isinstance(value, kind)
 
 
-def config_from_dict(data: dict) -> PipelineConfig:
+def config_from_dict(data: dict, base: Optional[PipelineConfig] = None) -> PipelineConfig:
+    """``base`` (by default the default config) with the fields ``data`` sets;
+    training takes its seed from ``seed``. An unknown key, or a value of the
+    wrong type or range, raises KeyError, TypeError or ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"a config is a JSON object, not {type(data).__name__}")
-    cfg = PipelineConfig()
-    prof = data.get("profile")
+    changes = dict(data)
+    prof = changes.get("profile")
     if isinstance(prof, str):
-        cfg.profile = PROFILES[prof]
+        changes["profile"] = replace(PROFILES[prof])
     elif isinstance(prof, dict):
-        cfg.profile = DatasetProfile(**prof)
-    for key in ("calculus", "mode", "smoothing", "gap_bridge", "temporal_cap",
-                "sed_threshold", "c_spat", "k_spat", "seed"):
-        if key in data:
-            setattr(cfg, key, data[key])
-    if "linkage" in data:
-        cfg.linkage = clust.Linkage(data["linkage"])
-    if "criterion" in data:
-        cfg.criterion = clust.Criterion(data["criterion"])
-    if "cut_threshold" in data:
-        raw = data["cut_threshold"]
-        cfg.cut_threshold = None if raw in (None, "auto") else float(raw)
-    if "train" in data:
-        cfg.train = emb.TrainConfig(**data["train"])
-    cfg.train.seed = cfg.seed
+        changes["profile"] = DatasetProfile(**prof)
+    if changes.get("cut_threshold") == "auto":
+        changes["cut_threshold"] = None
+    for key, enum in (("linkage", clust.Linkage), ("criterion", clust.Criterion)):
+        if key in changes:
+            changes[key] = enum(changes[key])
+    train = changes.pop("train", {})
+    if not isinstance(train, dict) or "seed" in train:
+        raise ValueError(f"train must be an object without a seed, got {train!r}")
+    cfg = replace(base or PipelineConfig(), **changes)
+    cfg.train = replace(cfg.train, **train, seed=cfg.seed)
     cfg.validate()
     return cfg
 

@@ -162,6 +162,8 @@ class SceneSequence:
     entities: list[Entity] = field(default_factory=list)
 
     def validate(self) -> None:
+        if self.fps is not None and not 0 < self.fps < np.inf:
+            raise SceneError(f"fps must be a finite number > 0 or null, got {self.fps}")
         seen: set[str] = set()
         for ent in self.entities:
             if ent.id in seen:
@@ -257,7 +259,7 @@ def scene_from_dict(data: dict) -> SceneSequence:
             _require(_NUMBER, "fps", [fps])
             fps = float(fps)
         entities_raw = data["entities"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise SceneError(f"malformed scene header: {exc}") from exc
     if not isinstance(entities_raw, list):
         raise SceneError("malformed scene header: entities is not a list")

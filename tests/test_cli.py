@@ -483,3 +483,30 @@ def test_run_twice_with_one_seed_writes_identical_artifacts(tmp_path, fast_confi
                 report["artifacts"] = {k: os.path.relpath(v, out)
                                        for k, v in report["artifacts"].items()}
         assert first == second, name
+
+
+@pytest.mark.parametrize("config", [
+    {"train": {"epochs": 1.5}}, {"train": {"embedding_dim": True}},
+    {"train": {"negatives": 2.5}}, {"train": {"learning_rate": float("nan")}},
+    {"train": {"full_softmax": "yes"}}, {"train": {"seed": 3}}, {"profile": 5},
+    {"cut_threshold": True}, {"cut_threshold": "0.5"}, {"cut_treshold": 0.5},
+], ids=json.dumps)
+def test_mistyped_or_unknown_config_field_is_data_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    missing = str(tmp_path / "missing.json")
+    for argv in (["run", missing, "-o", str(tmp_path / "out")], ["relations", missing]):
+        assert main([*argv, "--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: invalid config {cfg}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--smoothing", "-2"],
+                                  ["--gap-bridge", "-1"], ["--cut-threshold", "inf"]])
+def test_bad_flag_over_a_valid_config_is_usage_error(tmp_path, capsys, fast_config, flag):
+    missing = str(tmp_path / "missing.json")
+    for argv in (["run", missing, "-o", str(tmp_path / "out")], ["relations", missing]):
+        assert main([*argv, "--config", str(fast_config), *flag]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.json" not in err  # refused before any scene is read

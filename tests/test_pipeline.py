@@ -2,16 +2,21 @@
 
 import filecmp
 import json
+import math
 import os
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affgraph import embedding as emb
 from affgraph.clustering import Criterion, Linkage, sed_matrix
 from affgraph.graphlet import parse_canonical
 from affgraph.pipeline import (
     PROFILES,
+    DatasetProfile,
     PipelineConfig,
     PipelineError,
     config_from_dict,
@@ -183,3 +188,123 @@ def test_export_dendrogram_dot(small_corpus, tmp_path):
     assert text.rstrip().endswith("}")
     for gid in dend.leaf_ids:
         assert gid in text
+
+
+# -- config: named profiles, bases, fuzzing ------------------------------------
+
+def test_named_profile_is_a_copy(monkeypatch):
+    monkeypatch.setitem(PROFILES, "wnp-like", replace(PROFILES["wnp-like"]))
+    config_from_dict({"profile": "wnp-like"}).profile.thresh_convex = 9.0
+    assert config_from_dict({"profile": "wnp-like"}).profile.thresh_convex == 0.3
+    assert PROFILES["wnp-like"].thresh_convex == 0.3
+
+
+def test_config_over_a_base_keeps_the_base_and_reseeds_training():
+    base = config_from_dict({"seed": 2, "mode": "sed", "train": {"epochs": 3}})
+    cfg = config_from_dict({"seed": 4}, base)
+    assert (cfg.mode, cfg.train.epochs, cfg.seed, cfg.train.seed) == ("sed", 3, 4, 4)
+    assert (base.seed, base.train.seed) == (2, 2)
+
+
+_INTS = {"smoothing": 0, "gap_bridge": 0, "temporal_cap": 0, "seed": 0, "h": 2,
+         "n": 1, "embedding_dim": 1, "batch_size": 1, "wl_depth": 0, "negatives": 0,
+         "epochs": 1}  # lowest allowed value
+_FLOATS = {"sed_threshold": (0, math.inf), "c_spat": (0, 1), "k_spat": (0, 1),
+           "thresh_convex": (0, math.inf), "noise_ratio": (0, math.inf),
+           "learning_rate": (0, math.inf), "min_lr_factor": (0, 1)}
+
+# valid values of each field, bar the odd draw that breaks n < h, negatives > 0
+# or learning_rate > 0 ...
+_VALID = {
+    **{name: st.integers(low, low + 30) for name, low in _INTS.items()},
+    **{name: st.integers(0, 1) | st.floats(low, min(high, 10.0))
+       for name, (low, high) in _FLOATS.items()},
+    "calculus": st.sampled_from(["disr", "rcc5_on"]),
+    "mode": st.sampled_from(["embedding", "sed"]),
+    "linkage": st.sampled_from([m.value for m in Linkage]),
+    "criterion": st.sampled_from([m.value for m in Criterion]),
+    "cut_threshold": st.none() | st.just("auto") | st.floats(0.0, 1.0),
+    "alg1_literal": st.booleans(), "full_softmax": st.booleans(),
+}
+# ... and any JSON value, usually the wrong type or out of range
+_ANY = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from(["auto", "x", "0.5", "disr", "sed", "average", "bic", *PROFILES]),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=3), st.none()),
+)
+
+
+def _object_of(cls):
+    """A JSON object setting valid values on any subset of ``cls``'s fields."""
+    return st.fixed_dictionaries({}, optional={
+        f.name: _VALID[f.name] for f in fields(cls) if f.name in _VALID})
+
+
+@st.composite
+def _configs(draw):
+    """A valid config object, or one with one key set to any JSON value (an
+    unknown key among them), or a value that is no object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_ANY)
+    data = draw(_object_of(PipelineConfig))
+    data["profile"] = draw(st.sampled_from(sorted(PROFILES)) | _object_of(DatasetProfile))
+    data["train"] = draw(_object_of(emb.TrainConfig).map(
+        lambda train: {k: v for k, v in train.items() if k != "seed"}))
+    if draw(st.booleans()):
+        cls, target = draw(st.sampled_from([(PipelineConfig, data),
+                                            (emb.TrainConfig, data["train"])]
+                                           + [(DatasetProfile, data["profile"])]
+                                           * isinstance(data["profile"], dict)))
+        key = draw(st.sampled_from([f.name for f in fields(cls)] + ["cut_treshold"]))
+        target[key] = draw(_ANY)
+    return data
+
+
+def _assert_well_typed(cfg):
+    assert isinstance(cfg.profile, DatasetProfile)
+    assert isinstance(cfg.train, emb.TrainConfig)
+    assert isinstance(cfg.linkage, Linkage) and isinstance(cfg.criterion, Criterion)
+    assert cfg.calculus in ("disr", "rcc5_on") and cfg.mode in ("embedding", "sed")
+    assert cfg.cut_threshold is None or (
+        type(cfg.cut_threshold) in (int, float) and math.isfinite(cfg.cut_threshold))
+    for obj in (cfg, cfg.profile, cfg.train):
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if f.name in _INTS:
+                assert type(value) is int and value >= _INTS[f.name], f.name
+            elif f.name in _FLOATS:
+                low, high = _FLOATS[f.name]
+                assert type(value) in (int, float) and math.isfinite(value), f.name
+                assert low <= value <= high, f.name
+    assert type(cfg.profile.alg1_literal) is bool and type(cfg.train.full_softmax) is bool
+    assert cfg.profile.n < cfg.profile.h
+    assert cfg.train.learning_rate > 0
+    assert cfg.train.negatives > 0 or cfg.train.full_softmax
+    assert cfg.train.seed == cfg.seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+def test_config_from_dict_returns_a_valid_config_or_a_data_error(data):
+    try:
+        cfg = config_from_dict(data)
+    except (KeyError, TypeError, ValueError):  # the errors the CLI reports as exit 2
+        return
+    _assert_well_typed(cfg)
+    for key in ("calculus", "mode", "smoothing", "gap_bridge", "temporal_cap",
+                "sed_threshold", "c_spat", "k_spat", "seed"):
+        if key in data:
+            assert getattr(cfg, key) == data[key]
+    for key, value in data.get("train", {}).items():
+        assert getattr(cfg.train, key) == value
+
+
+def test_readme_config_example_is_a_complete_valid_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("### Config file (JSON)", 1)[1].split("```json\n", 1)[1]
+    data = json.loads(block.split("```", 1)[0])
+    cfg = config_from_dict(data)
+    assert cfg.train.seed == cfg.seed == data["seed"]
+    # the example names every field, training's seed excepted
+    assert set(data) == {f.name for f in fields(PipelineConfig)}
+    assert set(data["train"]) == {f.name for f in fields(emb.TrainConfig)} - {"seed"}

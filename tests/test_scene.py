@@ -467,3 +467,14 @@ def test_bool_among_depth_numbers_is_refused(depth):
     with pytest.raises(SceneError, match="^entity x: depth values must be numbers"):
         scene_from_dict(_scene_with_observation(**fields))
     assert DepthSample(values=(1, 1.0, 11.5)).values == (1, 1.0, 11.5)
+
+
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), -1, 0, 0.0])
+def test_fps_must_be_finite_and_positive(fps):
+    with pytest.raises(SceneError, match="^fps must be a finite number > 0 or null"):
+        scene_from_dict({**_scene_with_observation(), "fps": fps})
+
+
+def test_positive_or_null_fps_is_kept():
+    for fps in (None, 0.5, 30):
+        assert scene_from_dict({**_scene_with_observation(), "fps": fps}).fps == fps
