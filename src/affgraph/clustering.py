@@ -84,12 +84,28 @@ class Dendrogram:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Dendrogram":
-        return cls(
+        """Read ``to_dict`` output; anything but a well-formed merge tree
+        raises KeyError, TypeError or ValueError."""
+        dend = cls(
             n_leaves=int(data["n_leaves"]),
             leaf_ids=list(data["leaf_ids"]),
             merges=[Merge(int(l), int(r), float(h), int(s))
                     for l, r, h, s in data["merges"]],
         )
+        if len(dend.leaf_ids) != dend.n_leaves:
+            raise ValueError(f"{len(dend.leaf_ids)} leaf ids for {dend.n_leaves} leaves")
+        sizes, merged = [1] * dend.n_leaves, set()
+        for i, m in enumerate(dend.merges):
+            for child in (m.left, m.right):
+                if not 0 <= child < len(sizes) or child in merged:
+                    raise ValueError(f"merge {i}: child {child} is not an unmerged node")
+                merged.add(child)
+            if not math.isfinite(m.height):
+                raise ValueError(f"merge {i}: height {m.height} is not finite")
+            if m.size != sizes[m.left] + sizes[m.right]:
+                raise ValueError(f"merge {i}: size {m.size} is not the sum of its children's")
+            sizes.append(m.size)
+        return dend
 
 
 def pairwise_cosine_costs(vectors: np.ndarray) -> np.ndarray:

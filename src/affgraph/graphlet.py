@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 from .temporal import Calculus, Episode, allen
@@ -96,70 +97,44 @@ def build_agraphlets(
     """
     disr_by_pair: dict[tuple[str, str], list[Episode]] = {}
     rcc2_by_pair: dict[tuple[str, str], list[Episode]] = {}
-    for ep in episodes:
-        if ep.calculus is Calculus.RCC2:
-            rcc2_by_pair.setdefault(ep.pair, []).append(ep)
-        else:  # DiSR or the RCC5(+On) baseline calculus
-            disr_by_pair.setdefault(ep.pair, []).append(ep)
+    for ep in episodes:  # DiSR or the RCC5(+On) baseline calculus, or RCC2
+        by_pair = rcc2_by_pair if ep.calculus is Calculus.RCC2 else disr_by_pair
+        by_pair.setdefault(ep.pair, []).append(ep)
 
     graphlets: list[AGraphlet] = []
     for (anchor, partner), disr_eps in sorted(disr_by_pair.items()):
         if not any(ep.relation != non_interaction for ep in disr_eps):
             continue
-        # pick the human part with the most C frames against the anchor
-        best_part: Optional[str] = None
-        best_c_frames = -1
-        for (a, part), rcc2_eps in sorted(rcc2_by_pair.items()):
-            if a != anchor:
-                continue
-            c_frames = sum(
-                ep.interval.end - ep.interval.start + 1
-                for ep in rcc2_eps if ep.relation == "C"
-            )
-            if c_frames > best_c_frames:
-                best_c_frames = c_frames
-                best_part = part
-        human_eps = rcc2_by_pair.get((anchor, best_part), []) if best_part else []
-
-        g = AGraphlet(anchor=anchor, partner_object=partner,
-                      human_part=best_part if human_eps else None, scene_id=scene_id)
+        # the human part with the most C frames against the anchor, first on ties
+        parts = sorted(part for a, part in rcc2_by_pair if a == anchor)
+        human = max(parts, default=None, key=lambda part: sum(
+            ep.interval.end - ep.interval.start + 1
+            for ep in rcc2_by_pair[(anchor, part)] if ep.relation == "C"))
+        g = AGraphlet(anchor=anchor, partner_object=partner, human_part=human,
+                      scene_id=scene_id)
         v_anchor = g.add_vertex(ENTITY, ROLE_ANCHOR)
         v_partner = g.add_vertex(ENTITY, ROLE_PARTNER)
-        v_human = g.add_vertex(ENTITY, ROLE_HUMAN) if human_eps else None
+        spatial = [(ep, v_partner) for ep in sorted(disr_eps, key=_episode_sort_key)]
+        if human is not None:
+            v_human = g.add_vertex(ENTITY, ROLE_HUMAN)
+            spatial += [(ep, v_human) for ep in
+                        sorted(rcc2_by_pair[(anchor, human)], key=_episode_sort_key)]
 
         included: list[tuple[Episode, int]] = []
-        for ep in sorted(disr_eps, key=_episode_sort_key):
+        for ep, other in spatial:
             v = g.add_vertex(SPATIAL, f"{ep.calculus.value}:{ep.relation}")
             g.add_edge(v_anchor, v)
-            g.add_edge(v_partner, v)
+            g.add_edge(other, v)
             g.spatial_calculus[v] = ep.calculus
             g.episode_ids.append(_episode_id(ep))
             included.append((ep, v))
-        for ep in sorted(human_eps, key=_episode_sort_key):
-            v = g.add_vertex(SPATIAL, f"{ep.calculus.value}:{ep.relation}")
-            g.add_edge(v_anchor, v)
-            if v_human is not None:
-                g.add_edge(v_human, v)
-            g.spatial_calculus[v] = Calculus.RCC2
-            g.episode_ids.append(_episode_id(ep))
-            included.append((ep, v))
 
-        candidates = []
-        for i in range(len(included)):
-            for j in range(i + 1, len(included)):
-                ep_i, v_i = included[i]
-                ep_j, v_j = included[j]
-                gap = _pair_gap(ep_i, ep_j)
-                candidates.append((gap, i, j))
-        candidates.sort()
-        for gap, i, j in candidates[:temporal_cap]:
-            ep_i, v_i = included[i]
-            ep_j, v_j = included[j]
+        # closest in time first; a stable sort keeps index order among equal gaps
+        near = sorted(combinations(included, 2), key=lambda p: _pair_gap(p[0][0], p[1][0]))
+        for pair in near[:temporal_cap]:
             # canonical direction: earlier-starting episode first
-            if _episode_sort_key(ep_j) < _episode_sort_key(ep_i):
-                ep_i, v_i, ep_j, v_j = ep_j, v_j, ep_i, v_i
-            rel = allen(ep_i.interval, ep_j.interval)
-            v = g.add_vertex(TEMPORAL, rel.value)
+            (ep_i, v_i), (ep_j, v_j) = sorted(pair, key=lambda iv: _episode_sort_key(iv[0]))
+            v = g.add_vertex(TEMPORAL, allen(ep_i.interval, ep_j.interval).value)
             g.add_edge(v_i, v)
             g.add_edge(v_j, v)
         graphlets.append(g)

@@ -110,15 +110,19 @@ def _has_type(value, kind: type) -> bool:
 def config_from_dict(data: dict, base: Optional[PipelineConfig] = None) -> PipelineConfig:
     """``base`` (by default the default config) with the fields ``data`` sets;
     training takes its seed from ``seed``. An unknown key, or a value of the
-    wrong type or range, raises KeyError, TypeError or ValueError."""
+    wrong type or range, raises TypeError or ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"a config is a JSON object, not {type(data).__name__}")
     changes = dict(data)
+    _known_keys("at the top level", PipelineConfig, changes)
     prof = changes.get("profile")
     if isinstance(prof, str):
+        if prof not in PROFILES:
+            raise ValueError(f"profile {prof!r} is not a named profile "
+                             f"({', '.join(sorted(PROFILES))})")
         changes["profile"] = replace(PROFILES[prof])
     elif isinstance(prof, dict):
-        changes["profile"] = DatasetProfile(**prof)
+        changes["profile"] = DatasetProfile(**_known_keys("in profile", DatasetProfile, prof))
     if changes.get("cut_threshold") == "auto":
         changes["cut_threshold"] = None
     for key, enum in (("linkage", clust.Linkage), ("criterion", clust.Criterion)):
@@ -128,9 +132,19 @@ def config_from_dict(data: dict, base: Optional[PipelineConfig] = None) -> Pipel
     if not isinstance(train, dict) or "seed" in train:
         raise ValueError(f"train must be an object without a seed, got {train!r}")
     cfg = replace(base or PipelineConfig(), **changes)
-    cfg.train = replace(cfg.train, **train, seed=cfg.seed)
+    cfg.train = replace(cfg.train, seed=cfg.seed,
+                        **_known_keys("in train", emb.TrainConfig, train))
     cfg.validate()
     return cfg
+
+
+def _known_keys(section: str, cls: type, data: dict) -> dict:
+    """``data``, once every key names a field of ``cls``."""
+    names = {f.name for f in fields(cls)}
+    unknown = [key for key in data if key not in names]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} {section}")
+    return data
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -146,88 +160,73 @@ def compute_frame_relations(
     scene: SceneSequence, cfg: PipelineConfig
 ) -> dict[tuple[str, str], list[tuple[int, str]]]:
     """Per-frame relation tokens for every ordered object pair (DiSR or the
-    RCC5(+On) baseline) and every (object, human_part) pair (RCC2)."""
+    RCC5(+On) baseline) and every (object, human_part) pair (RCC2).
+
+    One pass over the frames builds each frame's ownership map once and takes
+    each visible object's owned depths once; the per-frame convexity types
+    are consolidated per track before any pair is scored."""
     prof = cfg.profile
-    states: dict[int, dict[str, EntityFrameState]] = {}
+    at = {ent.id: {obs.frame: obs for obs in ent.observations} for ent in scene.entities}
+    objects = [ent.id for ent in scene.objects()]
+    humans = [ent.id for ent in scene.human_parts()]
+
+    # frame -> object id -> (observation, ascending owned depths or None)
+    visible: list[dict[str, tuple]] = []
     per_frame_conv: dict[str, list[ConvexityType]] = {}
-    per_frame_vals: dict[tuple[str, int], np.ndarray] = {}
-
-    objects = scene.objects()
-    humans = scene.human_parts()
-
     for f in range(scene.frame_count):
         smap = build_semantic_depth_map(scene, f)
-        frame_states: dict[str, EntityFrameState] = {}
-        for ent in objects:
-            obs = ent.observation_at(f)
+        seen: dict[str, tuple] = {}
+        visible.append(seen)
+        for eid in objects:
+            obs = at[eid].get(f)
             if obs is None:
                 continue
-            depth_range = None
-            if obs.mask is not None and obs.depth is not None:
-                owned = smap.owned_mask(ent.id)
-                if owned.any():
-                    vals = smap.owned_depths(ent.id)
-                    depth_range = (float(vals[0]), float(vals[-1]))
-                    per_frame_vals[(ent.id, f)] = vals
-                    x0 = max(0, int(math.floor(obs.bbox.xmin)))
-                    x1 = min(scene.width, int(math.ceil(obs.bbox.xmax)))
-                    y0 = max(0, int(math.floor(obs.bbox.ymin)))
-                    y1 = min(scene.height, int(math.ceil(obs.bbox.ymax)))
-                    local_owned = owned[y0:y1, x0:x1]
-                    local_depth = smap.depth[y0:y1, x0:x1]
-                    deep = deep_region(local_depth, local_owned, prof.thresh_convex)
-                    per_frame_conv.setdefault(ent.id, []).append(object_convexity(
-                        vals, deep, prof.thresh_convex,
-                        noise_ratio=prof.noise_ratio,
-                        object_pixel_count=int(local_owned.sum()),
-                        alg1_literal=prof.alg1_literal,
-                    ))
-            frame_states[ent.id] = EntityFrameState(
-                bbox=obs.bbox, depth_range=depth_range)
-        states[f] = frame_states
+            vals = None  # an object without a mask owns no pixel
+            if obs.depth is not None and (owned := smap.owned_mask(eid)).any():
+                vals = np.sort(smap.depth[owned])
+                x0 = max(0, int(math.floor(obs.bbox.xmin)))
+                x1 = min(scene.width, int(math.ceil(obs.bbox.xmax)))
+                y0 = max(0, int(math.floor(obs.bbox.ymin)))
+                y1 = min(scene.height, int(math.ceil(obs.bbox.ymax)))
+                local_owned = owned[y0:y1, x0:x1]
+                deep = deep_region(smap.depth[y0:y1, x0:x1], local_owned, prof.thresh_convex)
+                per_frame_conv.setdefault(eid, []).append(object_convexity(
+                    vals, deep, prof.thresh_convex,
+                    noise_ratio=prof.noise_ratio,
+                    object_pixel_count=int(local_owned.sum()),
+                    alg1_literal=prof.alg1_literal,
+                ))
+            seen[eid] = (obs, vals)
 
-    # consolidate convexity per track
-    track_types = {
-        eid: track_convexity(types) for eid, types in per_frame_conv.items()
-    }
+    track_types = {eid: track_convexity(types) for eid, types in per_frame_conv.items()}
 
     relations: dict[tuple[str, str], list[tuple[int, str]]] = {}
-    for f in range(scene.frame_count):
-        frame_states = states[f]
-        # attach concavity bounds with the consolidated type
-        resolved: dict[str, EntityFrameState] = {}
-        for eid, st in frame_states.items():
+    for f, seen in enumerate(visible):
+        states = {}
+        for eid, (obs, vals) in seen.items():
             conv = track_types.get(eid)
-            bounds = None
-            vals = per_frame_vals.get((eid, f))
-            if vals is not None and conv is not None:
-                bounds = convexity_depth(vals, conv, prof.h, prof.n)
-            resolved[eid] = EntityFrameState(
-                bbox=st.bbox, depth_range=st.depth_range,
-                concavity_bounds=bounds, convexity=conv)
-
-        ids = sorted(resolved)
+            states[eid] = EntityFrameState(
+                bbox=obs.bbox, convexity=conv,
+                depth_range=None if vals is None else (float(vals[0]), float(vals[-1])),
+                concavity_bounds=None if vals is None
+                else convexity_depth(vals, conv, prof.h, prof.n))
+        ids = sorted(states)
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
                 if cfg.calculus == "disr":
-                    rel_ab, rel_ba = disr(PairFrameContext(resolved[a], resolved[b]))
-                    tok_ab, tok_ba = rel_ab.value, rel_ba.value
+                    rel_ab, rel_ba = disr(PairFrameContext(states[a], states[b]))
                 else:
-                    tok_ab = rcc5_on(resolved[a].bbox, resolved[b].bbox).value
-                    tok_ba = rcc5_on(resolved[b].bbox, resolved[a].bbox).value
-                relations.setdefault((a, b), []).append((f, tok_ab))
-                relations.setdefault((b, a), []).append((f, tok_ba))
+                    rel_ab = rcc5_on(states[a].bbox, states[b].bbox)
+                    rel_ba = rcc5_on(states[b].bbox, states[a].bbox)
+                relations.setdefault((a, b), []).append((f, rel_ab.value))
+                relations.setdefault((b, a), []).append((f, rel_ba.value))
 
-        for ent in objects:
-            obs_o = ent.observation_at(f)
-            if obs_o is None:
-                continue
+        for eid, (obs_o, _) in seen.items():
             for part in humans:
-                obs_h = part.observation_at(f)
-                if obs_h is None:
-                    continue
-                rel = rcc2(obs_o.mask, obs_h.mask, obs_o.bbox, obs_h.bbox)
-                relations.setdefault((ent.id, part.id), []).append((f, rel.value))
+                obs_h = at[part].get(f)
+                if obs_h is not None:
+                    rel = rcc2(obs_o.mask, obs_h.mask, obs_o.bbox, obs_h.bbox)
+                    relations.setdefault((eid, part), []).append((f, rel.value))
     return relations
 
 

@@ -162,6 +162,9 @@ class SceneSequence:
     entities: list[Entity] = field(default_factory=list)
 
     def validate(self) -> None:
+        if not (self.width >= 1 and self.height >= 1 and self.frame_count >= 0):
+            raise SceneError("width and height must be >= 1 and frame_count >= 0, got "
+                             f"{self.width}, {self.height} and {self.frame_count}")
         if self.fps is not None and not 0 < self.fps < np.inf:
             raise SceneError(f"fps must be a finite number > 0 or null, got {self.fps}")
         seen: set[str] = set()
@@ -421,36 +424,20 @@ def build_semantic_depth_map(scene: SceneSequence, frame: int) -> SemanticDepthM
         raise ValueError(f"frame {frame} outside [0, {scene.frame_count})")
     owner = np.full((scene.height, scene.width), -1, dtype=int)
     depth = np.zeros((scene.height, scene.width), dtype=float)
-    entity_ids: list[str] = []
-    claims = []
-    for ent in scene.objects():
-        obs = ent.observation_at(frame)
-        if obs is None or obs.mask is None:
-            continue
-        claims.append((-obs.score, ent.id, ent, obs))
-    claims.sort()
-    # paint lowest priority first so stronger claims overwrite
-    for neg_score, ent_id, ent, obs in reversed(claims):
-        if ent_id not in entity_ids:
-            entity_ids.append(ent_id)
-        idx = entity_ids.index(ent_id)
-        rows_cols = np.unravel_index(
-            obs.mask.foreground_indices(), (scene.height, scene.width)
-        )
-        owner[rows_cols] = idx
-        if obs.depth is not None:
-            depth[rows_cols] = np.asarray(obs.depth.values, dtype=float)
-        else:
-            depth[rows_cols] = 0.0
+    claims = sorted((-obs.score, ent.id, obs) for ent in scene.objects()
+                    if (obs := ent.observation_at(frame)) is not None and obs.mask is not None)
+    claims.reverse()  # paint lowest priority first so stronger claims overwrite
+    entity_ids = [ent_id for _, ent_id, _ in claims]
+    for idx, (_, _, obs) in enumerate(claims):
+        pixels = obs.mask.to_array()
+        owner[pixels] = idx
+        depth[pixels] = 0.0 if obs.depth is None else obs.depth.values
     for ent in scene.human_parts():
         obs = ent.observation_at(frame)
-        if obs is None or obs.mask is None:
-            continue
-        rows_cols = np.unravel_index(
-            obs.mask.foreground_indices(), (scene.height, scene.width)
-        )
-        owner[rows_cols] = -1
-        depth[rows_cols] = 0.0
+        if obs is not None and obs.mask is not None:
+            pixels = obs.mask.to_array()
+            owner[pixels] = -1
+            depth[pixels] = 0.0
     return SemanticDepthMap(entity_ids=entity_ids, owner=owner, depth=depth)
 
 

@@ -510,3 +510,60 @@ def test_bad_flag_over_a_valid_config_is_usage_error(tmp_path, capsys, fast_conf
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "missing.json" not in err  # refused before any scene is read
+
+
+def test_unknown_profile_name_lists_the_named_profiles(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": "nope"}))
+    assert main(["relations", str(tmp_path / "missing.json"), "--config", str(cfg)]) \
+        == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: invalid config {cfg}: profile 'nope' is not a named profile "
+        "(cad-like, load-like, wnp-like)\n")
+
+
+@pytest.mark.parametrize("config, section", [
+    ({"epochz": 3}, "at the top level"),
+    ({"profile": {"thresh_convex": 2.0, "epochz": 3}}, "in profile"),
+    ({"train": {"epochs": 3, "epochz": 3}}, "in train"),
+], ids=["top", "profile", "train"])
+def test_unknown_config_key_is_named_with_its_section(tmp_path, capsys, config, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["relations", str(tmp_path / "missing.json"), "--config", str(cfg)]) \
+        == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: invalid config {cfg}: unknown key 'epochz' {section}\n")
+
+
+@pytest.mark.parametrize("dend", [
+    {"n_leaves": 3, "leaf_ids": ["a", "b"], "merges": [[0, 1, 0.5, 2], [2, 3, 1.0, 3]]},
+    {"n_leaves": 3, "leaf_ids": ["a", "b", "c"], "merges": [[0, 7, 0.5, 2]]},
+    {"n_leaves": 3, "leaf_ids": ["a", "b", "c"], "merges": [[0, 3, 0.5, 2]]},
+    {"n_leaves": 3, "leaf_ids": ["a", "b", "c"], "merges": [[0, 1, 0.5, 2], [1, 2, 1.0, 2]]},
+    {**TWO_LEAVES, "merges": [[-1, 1, 0.5, 2]]},
+    {**TWO_LEAVES, "merges": [[0, 1, float("nan"), 2]]},
+    {**TWO_LEAVES, "merges": [[0, 1, float("inf"), 2]]},
+    {**TWO_LEAVES, "merges": [[0, 1, 0.5, 3]]},
+], ids=["leaf-ids-short", "child-out-of-range", "child-is-own-node", "child-merged-twice",
+        "negative-child", "nan-height", "infinite-height", "wrong-size"])
+def test_export_malformed_dendrogram_is_data_error(tmp_path, capsys, dend):
+    path, out = tmp_path / "dend.json", tmp_path / "d.dot"
+    path.write_text(json.dumps(dend))
+    assert main(["export", str(path), "-o", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: not a dendrogram: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header", [{"width": -5}, {"width": 0}, {"height": 0},
+                                    {"frame_count": -1}], ids=json.dumps)
+def test_scene_with_out_of_range_header_is_data_error(tmp_path, capsys, header):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"width": 5, "height": 4, "frame_count": 3, "entities": [],
+                                **header}))
+    for command in ("validate", "relations"):
+        assert main([command, str(path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: width and height must be >= 1") \
+            and err.count("\n") == 1

@@ -507,6 +507,21 @@ def test_dendrogram_json_round_trip(tmp_path):
     assert cut(loaded, 0.5).assignment == cut(dend, 0.5).assignment
 
 
+@pytest.mark.parametrize("linkage", list(Linkage))
+def test_exported_dendrograms_load(tmp_path, linkage):
+    """Every tree the agglomeration writes passes ``Dendrogram.from_dict``'s
+    checks, tied costs included."""
+    rng = np.random.default_rng(11)
+    path = tmp_path / "dend.json"
+    for n in (2, 3, 9):
+        dist = rng.integers(0, 3, size=(n, n)).astype(float)  # many tied costs
+        dist = dist + dist.T
+        np.fill_diagonal(dist, 0.0)
+        dend = hierarchical_cluster(dist, linkage, leaf_ids=[f"g{i}" for i in range(n)])
+        export_dendrogram_json(dend, str(path))
+        assert load_dendrogram_json(str(path)).to_dict() == dend.to_dict()
+
+
 def _export_dendrogram_json_streaming(dend, path):
     """The streaming writer ``export_dendrogram_json`` used before: ``json.dump``
     runs the pure-Python encoder, since CPython keeps the C one for ``json.dumps``."""

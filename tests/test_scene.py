@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from affgraph.scene import (
     BoundingBox,
@@ -478,3 +478,68 @@ def test_fps_must_be_finite_and_positive(fps):
 def test_positive_or_null_fps_is_kept():
     for fps in (None, 0.5, 30):
         assert scene_from_dict({**_scene_with_observation(), "fps": fps}).fps == fps
+
+
+@pytest.mark.parametrize("header", [{"width": -5}, {"width": 0}, {"height": 0},
+                                    {"frame_count": -1}], ids=json.dumps)
+def test_scene_header_must_be_in_range(header):
+    with pytest.raises(SceneError, match="^width and height must be >= 1"):
+        scene_from_dict({"width": 5, "height": 4, "frame_count": 3, "entities": [], **header})
+    assert scene_from_dict({"width": 1, "height": 1, "frame_count": 0,
+                            "entities": []}).frame_count == 0
+
+
+# JSON-like values, kept small so that no draw names a large grid
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids,
+                                                             max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _scene_dicts(draw):
+    """A scene object that is valid but for its header's ranges, with one value
+    sometimes set to any JSON value (an unknown key among them), or a value
+    that is no object."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(_JSON)
+    w, h, frames = draw(st.integers(-1, 5)), draw(st.integers(-1, 5)), draw(st.integers(-1, 4))
+    data = {"width": w, "height": h, "frame_count": frames,
+            "fps": draw(st.none() | st.floats(1, 60)), "entities": []}
+    targets = [data]
+    for _ in range(draw(st.integers(0, 3))):
+        entity = {"id": draw(st.sampled_from("abcdefgh")),
+                  "kind": draw(st.sampled_from(["object", "human_part"])),
+                  "observations": []}
+        for frame in sorted(draw(st.sets(st.integers(0, max(frames - 1, 0)), max_size=3))):
+            x0, y0 = draw(st.integers(0, max(w - 1, 0))), draw(st.integers(0, max(h - 1, 0)))
+            obs = {"frame": frame, "score": draw(st.floats(0, 1)),
+                   "bbox": [x0, y0, draw(st.integers(x0 + 1, max(w, x0 + 1))),
+                            draw(st.integers(y0 + 1, max(h, y0 + 1)))]}
+            if w > 0 and h > 0 and draw(st.booleans()):
+                pixels = draw(st.lists(st.booleans(), min_size=w * h, max_size=w * h))
+                obs["mask_rle"] = list(MaskRLE.from_array(np.reshape(pixels, (h, w))).runs)
+                if draw(st.booleans()):
+                    obs["depth_mm"] = draw(st.lists(
+                        st.floats(1, 2000), min_size=sum(pixels), max_size=sum(pixels)))
+            entity["observations"].append(obs)
+            targets.append(obs)
+        data["entities"].append(entity)
+        targets.append(entity)
+    if draw(st.booleans()):
+        target = draw(st.sampled_from(targets))
+        target[draw(st.sampled_from(sorted(target) + ["unknown"]))] = draw(_JSON)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scene_dicts())
+def test_scene_from_dict_returns_a_valid_scene_or_a_scene_error(data):
+    try:
+        scene = scene_from_dict(data)
+    except SceneError:
+        return
+    scene.validate()
+    assert scene.width >= 1 and scene.height >= 1 and scene.frame_count >= 0
+    assert scene_to_dict(scene_from_dict(scene_to_dict(scene))) == scene_to_dict(scene)
