@@ -18,7 +18,7 @@ from . import embedding as emb
 from . import pipeline
 from .evaluation import LabeledCorpus, metrics_report, pca_project, v_measure
 from .pipeline import PROFILES, PipelineConfig, PipelineError, load_config
-from .scene import SceneError, load_scene, save_scene
+from .scene import SceneError, load_scene, refuse_json_constant, save_scene
 from .synth import ScriptError, SyntheticScript, generate_synthetic
 
 EXIT_OK = 0
@@ -110,10 +110,10 @@ def cmd_graphlets(args) -> int:
 
 def cmd_embed(args) -> int:
     cfg = _config(args)
-    records = pipeline.load_graphlet_corpus(args.corpus)
-    if not records:
-        raise CliError(EXIT_DATA, f"empty graphlet corpus: {args.corpus}")
     try:
+        records = pipeline.load_graphlet_corpus(args.corpus)
+        if not records:
+            raise CliError(EXIT_DATA, f"empty graphlet corpus: {args.corpus}")
         _, table = pipeline.embed_corpus(records, cfg.train)
     except ValueError as exc:
         raise CliError(EXIT_DATA, f"{args.corpus}: {exc}") from exc
@@ -142,8 +142,8 @@ def _load_truth(path: str) -> dict[str, list[str]]:
     """Groundtruth labels: a JSON object mapping graph ids to lists of strings."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            truth = json.load(fh)
-        except json.JSONDecodeError as exc:
+            truth = json.load(fh, parse_constant=refuse_json_constant)
+        except ValueError as exc:
             raise CliError(EXIT_DATA, f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(truth, dict):
         raise CliError(EXIT_DATA, f"{path}: not an object mapping ids to label lists")
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
         label = "data error" if exc.code == EXIT_DATA else "error"
         print(f"{label}: {exc}", file=sys.stderr)
         return exc.code
-    except (SceneError, ScriptError, json.JSONDecodeError) as exc:
+    except (SceneError, ScriptError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FileNotFoundError as exc:

@@ -11,6 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .graphlet import SPATIAL, TEMPORAL, AGraphlet
+from .scene import refuse_json_constant
 from .temporal import Calculus
 
 
@@ -85,11 +86,23 @@ class Dendrogram:
     @classmethod
     def from_dict(cls, data: dict) -> "Dendrogram":
         """Read ``to_dict`` output; anything but a well-formed merge tree
-        raises KeyError, TypeError or ValueError."""
+        raises KeyError, TypeError or ValueError.  Counts, node ids and sizes
+        must be ints and heights ints or floats, never bools, and leaf ids
+        strings: nothing is converted, so nothing is truncated."""
+        def exact(what: str, value, *types: type):
+            if type(value) not in types:
+                names = " or ".join(t.__name__ for t in types)
+                raise TypeError(f"{what} {value!r} is not {names}")
+            return value
+
+        leaf_ids = exact("leaf_ids", data["leaf_ids"], list)
+        for leaf in leaf_ids:
+            exact("leaf id", leaf, str)
         dend = cls(
-            n_leaves=int(data["n_leaves"]),
-            leaf_ids=list(data["leaf_ids"]),
-            merges=[Merge(int(l), int(r), float(h), int(s))
+            n_leaves=exact("n_leaves", data["n_leaves"], int),
+            leaf_ids=leaf_ids,
+            merges=[Merge(exact("child", l, int), exact("child", r, int),
+                          float(exact("height", h, int, float)), exact("size", s, int))
                     for l, r, h, s in data["merges"]],
         )
         if len(dend.leaf_ids) != dend.n_leaves:
@@ -367,4 +380,4 @@ def export_dendrogram_json(dend: Dendrogram, path: str) -> None:
 
 def load_dendrogram_json(path: str) -> Dendrogram:
     with open(path, "r", encoding="utf-8") as fh:
-        return Dendrogram.from_dict(json.load(fh))
+        return Dendrogram.from_dict(json.load(fh, parse_constant=refuse_json_constant))

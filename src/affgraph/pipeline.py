@@ -29,7 +29,7 @@ from .qsr import (
     rcc2,
     rcc5_on,
 )
-from .scene import SceneSequence, build_semantic_depth_map
+from .scene import SceneSequence, build_semantic_depth_map, refuse_json_constant
 from .temporal import Calculus, Episode, extract_episodes
 
 
@@ -149,7 +149,7 @@ def _known_keys(section: str, cls: type, data: dict) -> dict:
 
 def load_config(path: str) -> PipelineConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+        return config_from_dict(json.load(fh, parse_constant=refuse_json_constant))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +294,18 @@ def save_graphlet_corpus(records: list[dict], path: str) -> None:
 
 
 def load_graphlet_corpus(path: str) -> list[dict]:
+    """Read ``save_graphlet_corpus`` output, skipping blank lines; bytes that
+    are not UTF-8, or a line that is not JSON, raise ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        lines = fh.readlines()  # UnicodeDecodeError is a ValueError
+    records = []
+    for n, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                records.append(json.loads(line, parse_constant=refuse_json_constant))
+            except ValueError as exc:
+                raise ValueError(f"line {n}: {exc}") from exc
+    return records
 
 
 def embed_corpus(

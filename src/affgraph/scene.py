@@ -14,6 +14,12 @@ class SceneError(Exception):
     """Raised on schema or invariant violations in scene data."""
 
 
+def refuse_json_constant(name: str):
+    """``parse_constant`` hook of every JSON reader: ``NaN``, ``Infinity`` and
+    ``-Infinity`` are not JSON, so a file holding one is refused as it is read."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 class EntityKind(str, Enum):
     OBJECT = "object"
     HUMAN_PART = "human_part"
@@ -317,9 +323,11 @@ def load_scene(path: str) -> SceneSequence:
     """Load and validate a scene file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=refuse_json_constant)
         except json.JSONDecodeError as exc:
             raise SceneError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:
+            raise SceneError(f"{path}: invalid JSON: {exc}") from exc
     return scene_from_dict(data)
 
 

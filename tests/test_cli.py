@@ -388,8 +388,10 @@ def test_validate_malformed_observation_is_data_error(tmp_path, capsys, observat
     if isinstance(observation, dict):
         obs = {"frame": 0, "bbox": [0, 0, 2, 1], "score": 0.5, **observation}
     path = tmp_path / "scene.json"
+    # json.dumps writes 1e400 as the token Infinity, which the reader refuses as it
+    # parses; the JSON number 1e400 reads as inf and reaches the runs check
     path.write_text(json.dumps({"width": 4, "height": 2, "frame_count": 1, "entities": [
-        {"id": "x", "kind": "object", "observations": [obs]}]}))
+        {"id": "x", "kind": "object", "observations": [obs]}]}).replace("Infinity", "1e400"))
     assert main(["validate", str(path)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error: entity x: ") and err.count("\n") == 1
@@ -439,6 +441,92 @@ def test_import_leaves_scipy_spatial_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout == "False\n"
+
+
+def _modules_after(code: str) -> list[str]:
+    """Names of the loaded modules after ``code`` runs in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(affgraph.__file__))
+    code += "\nimport sys; print('\\n'.join(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    return out.stdout.split()
+
+
+def test_import_loads_no_scipy_module():
+    # scipy.ndimage (contour_hierarchy) and scipy.spatial (sed_matrix) load on
+    # their first call; at import they would slow every command by ~0.5 s
+    assert [m for m in _modules_after("import affgraph.cli")
+            if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_cluster_evaluate_export_leave_scipy_ndimage_unloaded(tmp_path):
+    (tmp_path / "emb.tsv").write_text("g0\t2\t1.0 0.0\ng1\t2\t0.9 0.1\ng2\t2\t0.0 1.0\n")
+    (tmp_path / "truth.json").write_text(json.dumps({"g0": ["a"], "g1": ["a"], "g2": ["b"]}))
+    calls = [["cluster", "emb.tsv", "-o", "c.tsv", "--dendrogram", "d.json",
+              "--cut-threshold", "auto"],
+             ["evaluate", "c.tsv", "truth.json"],
+             ["export", "d.json", "-o", "d.dot", "--clusters", "c.tsv",
+              "--embeddings", "emb.tsv", "--pca", "pca.tsv"]]
+    code = (f"import os; os.chdir({str(tmp_path)!r}); from affgraph.cli import main\n"
+            f"assert all(main(argv) == 0 for argv in {calls!r})")
+    assert "scipy.ndimage" not in _modules_after(code)
+    assert (tmp_path / "d.dot").exists() and (tmp_path / "pca.tsv").exists()
+
+
+@pytest.mark.parametrize("reader, text", [
+    ("scene", '{"width": 5, "height": 4, "frame_count": 3, "fps": NaN, "entities": []}'),
+    ("config", '{"sed_threshold": NaN}'),
+    ("truth", '{"g0": ["a"], "g1": NaN}'),
+    ("dendrogram", '{"n_leaves": 2, "leaf_ids": ["g0", "g1"], "merges": [[0, 1, NaN, 2]]}'),
+    ("corpus", '{"id": "g0", "form": "V[entity|anchor;entity|partner]E[0-1]", "w": NaN}'),
+], ids=lambda v: v if v.isidentifier() else None)
+def test_nan_token_is_a_data_error_in_every_json_reader(tmp_path, capsys, reader, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    (tmp_path / "c.tsv").write_text("g0\t0\ng1\t1\n")
+    argv = {
+        "scene": ["validate", str(path)],
+        "config": ["relations", str(tmp_path / "missing.json"), "--config", str(path)],
+        "truth": ["evaluate", str(tmp_path / "c.tsv"), str(path)],
+        "dendrogram": ["export", str(path), "-o", str(tmp_path / "d.dot")],
+        "corpus": ["embed", str(path), "-o", str(tmp_path / "e.tsv")],
+    }[reader]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "NaN is not a JSON number" in err
+
+
+@pytest.mark.parametrize("dend", [
+    {**TWO_LEAVES, "leaf_ids": ["g0", ["g1"]]},
+    {**TWO_LEAVES, "leaf_ids": ["g0", 1]},
+    {**TWO_LEAVES, "leaf_ids": "ab"},
+    {**TWO_LEAVES, "n_leaves": 2.0},
+    {**TWO_LEAVES, "n_leaves": True},
+    {**TWO_LEAVES, "merges": [[0, 1.9, 0.5, 2]]},
+    {**TWO_LEAVES, "merges": [["0", 1, 0.5, 2]]},
+    {**TWO_LEAVES, "merges": [[0, True, 0.5, 2]]},
+    {**TWO_LEAVES, "merges": [[0, 1, "0.5", 2]]},
+    {**TWO_LEAVES, "merges": [[0, 1, False, 2]]},
+    {**TWO_LEAVES, "merges": [[0, 1, 0.5, 2.0]]},
+], ids=["list-leaf-id", "int-leaf-id", "string-leaf-ids", "float-n-leaves",
+        "bool-n-leaves", "fractional-child", "string-child", "bool-child",
+        "string-height", "bool-height", "float-size"])
+def test_export_mistyped_dendrogram_is_data_error(tmp_path, capsys, dend):
+    path, out = tmp_path / "dend.json", tmp_path / "d.dot"
+    path.write_text(json.dumps(dend))
+    assert main(["export", str(path), "-o", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: not a dendrogram: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_dendrogram_with_an_integer_height_still_loads(tmp_path, capsys):
+    path, out = tmp_path / "dend.json", tmp_path / "d.dot"
+    path.write_text(json.dumps({**TWO_LEAVES, "merges": [[0, 1, 1, 2]]}))
+    assert main(["export", str(path), "-o", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert 'label="g1"' in out.read_text()
 
 
 def test_unmatched_truth_blames_the_truth_file(tmp_path, scene_file, fast_config, capsys):

@@ -5,8 +5,11 @@ from collections import deque
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from affgraph.convexity import (
+    _STRUCT4,
+    _STRUCT8,
     ConcavityBounds,
     ConvexityType,
     contour_hierarchy,
@@ -148,6 +151,13 @@ def test_contour_hierarchy_matches_oracle_builder(grid, noise_ratio, reference_a
     tree = contour_hierarchy(grid, noise_ratio, reference_area)
     oracle = contour_hierarchy_oracle(grid, noise_ratio, reference_area)
     assert _tree_shape(tree) == _tree_shape(oracle)
+
+
+def test_structuring_elements_are_scipys():
+    # written out so that importing the module does not load scipy.ndimage
+    assert np.array_equal(_STRUCT4, ndimage.generate_binary_structure(2, 1))
+    assert _STRUCT4.dtype == bool
+    assert np.array_equal(_STRUCT8, np.ones((3, 3)))
 
 
 def test_deep_region_offset_from_dmin():
