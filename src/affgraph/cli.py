@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -61,8 +62,26 @@ def _config(args) -> PipelineConfig:
         raise CliError(EXIT_USAGE, str(exc)) from exc
 
 
-def _load_scenes(paths: list[str]) -> dict:
-    """Scenes keyed by file basename, in argument order."""
+class _SceneFiles(Mapping):
+    """Scene files by name; each lookup reads and validates its file, so a
+    caller that takes one scene at a time holds one parsed scene at a time."""
+
+    def __init__(self, paths: dict[str, str]):
+        self._paths = paths
+
+    def __getitem__(self, name: str):
+        return load_scene(self._paths[name])
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
+def _load_scenes(paths: list[str]) -> _SceneFiles:
+    """Scenes keyed by file basename, in argument order, read on lookup; a
+    basename clash is refused before any file is read."""
     seen: dict[str, str] = {}
     for path in paths:
         name = os.path.splitext(os.path.basename(path))[0]
@@ -70,7 +89,7 @@ def _load_scenes(paths: list[str]) -> dict:
             raise CliError(EXIT_USAGE, f"scenes {seen[name]} and {path} share the "
                                        f"name {name!r}; rename one")
         seen[name] = path
-    return {name: load_scene(path) for name, path in seen.items()}
+    return _SceneFiles(seen)
 
 
 def cmd_validate(args) -> int:
@@ -100,9 +119,10 @@ def cmd_episodes(args) -> int:
 
 def cmd_graphlets(args) -> int:
     cfg = _config(args)
+    scenes = _load_scenes(args.scenes)
     graphlets = []
-    for name, scene in _load_scenes(args.scenes).items():
-        graphlets.extend(pipeline.scene_graphlets(name, scene, cfg)[1])
+    for name in scenes:  # not .items(): it would hold a scene while reading the next
+        graphlets.extend(pipeline.scene_graphlets(name, scenes[name], cfg)[1])
     pipeline.save_graphlet_corpus(pipeline.graphlet_records(graphlets), args.output)
     print(f"{len(graphlets)} graphlets -> {args.output}")
     return EXIT_OK
@@ -122,6 +142,12 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
+def _table_error(path: str, exc: ValueError) -> CliError:
+    """A data error that names ``path`` and, for a malformed row, its line."""
+    line = f"line {exc.line}: " if isinstance(exc, emb.RowError) else ""
+    return CliError(EXIT_DATA, f"{path}: {line}{exc}")
+
+
 def cmd_cluster(args) -> int:
     cfg = _config(args)
     try:
@@ -131,7 +157,7 @@ def cmd_cluster(args) -> int:
             dist, table.graph_ids, table.vectors, cfg.linkage, cfg.cut_threshold,
             cfg.criterion)
     except ValueError as exc:
-        raise CliError(EXIT_DATA, f"{args.embeddings}: {exc}") from exc
+        raise _table_error(args.embeddings, exc) from exc
     clust.export_dendrogram_json(dend, args.dendrogram)
     pipeline.save_clusters(flat, table.graph_ids, args.output)
     print(f"{flat.n_clusters()} clusters at threshold {threshold:g} -> {args.output}")
@@ -222,7 +248,7 @@ def cmd_export(args) -> int:
             table = emb.load_embeddings(args.embeddings)
             proj = pca_project(table.vectors, 2)
         except ValueError as exc:
-            raise CliError(EXIT_DATA, f"{args.embeddings}: {exc}") from exc
+            raise _table_error(args.embeddings, exc) from exc
         with open(args.pca, "w", encoding="utf-8") as fh:
             for gid, (x, y) in zip(table.graph_ids, proj):
                 fh.write(f"{gid}\t{x!r}\t{y!r}\n")

@@ -101,6 +101,16 @@ class DivergenceError(RuntimeError):
     """Raised when the training loss blows up past the divergence guard."""
 
 
+class RowError(ValueError):
+    """A malformed row of an embedding table. The message is the problem as
+    found (a conversion error keeps Python's own text), and ``line`` is the
+    row's 1-based line, which the CLI prints before it."""
+
+    def __init__(self, line: int, detail: str):
+        super().__init__(detail)
+        self.line = line
+
+
 @dataclass
 class EmbeddingTable:
     graph_ids: list[str]
@@ -246,16 +256,26 @@ def save_embeddings(table: EmbeddingTable, path: str) -> None:
 
 
 def load_embeddings(path: str) -> EmbeddingTable:
+    """Read ``save_embeddings`` output, skipping blank lines; a malformed row
+    raises ``RowError``."""
     ids: list[str] = []
     rows: list[np.ndarray] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            gid, dim, values = line.rstrip("\n").split("\t")
-            vec = np.array(list(map(float, values.split())))
-            if len(vec) != int(dim):
-                raise ValueError(f"vector length mismatch for {gid}")
-            if not np.isfinite(vec).all():
-                raise ValueError(f"non-finite value in the vector for {gid}")
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            try:
+                if len(fields) != 3:
+                    raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
+                gid, dim, values = fields
+                vec = np.array(list(map(float, values.split())))
+                if len(vec) != int(dim):
+                    raise ValueError(f"vector length mismatch for {gid}")
+                if not np.isfinite(vec).all():
+                    raise ValueError(f"non-finite value in the vector for {gid}")
+            except ValueError as exc:
+                raise RowError(n, str(exc)) from exc
             ids.append(gid)
             rows.append(vec)
     return EmbeddingTable(graph_ids=ids, vectors=np.vstack(rows))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, get_args, get_type_hints
 
@@ -376,7 +377,7 @@ class RunReport:
     homogeneity: Optional[float]
     completeness: Optional[float]
     v_measure: Optional[float]
-    artifacts: dict[str, str] = field(default_factory=dict)
+    artifacts: dict[str, str] = field(default_factory=dict)  # stem -> out_dir-relative path
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -389,32 +390,39 @@ class PipelineError(RuntimeError):
 
 
 def run_pipeline(
-    scenes: dict[str, SceneSequence],
+    scenes: Mapping[str, SceneSequence],
     cfg: PipelineConfig,
     out_dir: str,
     groundtruth: Optional[dict[str, list[str]]] = None,
 ) -> RunReport:
-    """Run every stage, writing each intermediate artifact under ``out_dir``."""
+    """Run every stage, writing each intermediate artifact under ``out_dir``.
+
+    Scenes are looked up one at a time, and each is dropped before the next
+    lookup, so a mapping that reads on lookup holds one parsed scene at a time.
+    A lookup's own error (a missing or malformed scene) propagates as it is,
+    and ``out_dir`` is created only once every scene has been processed."""
     cfg.validate()
     if not scenes:
         raise PipelineError("input", "no scenes provided")
-    os.makedirs(out_dir, exist_ok=True)
     artifacts: dict[str, str] = {}
 
     def artifact(name: str) -> str:
-        """The path of ``name`` under ``out_dir``, reported under its stem."""
-        path = artifacts[os.path.splitext(name)[0]] = os.path.join(out_dir, name)
-        return path
+        """The path of ``name`` under ``out_dir``; the report records ``name``."""
+        artifacts[os.path.splitext(name)[0]] = name
+        return os.path.join(out_dir, name)
 
     graphlets: list[AGraphlet] = []
     all_episodes: dict[str, list[dict]] = {}
     for scene_id in sorted(scenes):
+        scene = scenes[scene_id]
         try:
-            episodes, scene_gs = scene_graphlets(scene_id, scenes[scene_id], cfg)
+            episodes, scene_gs = scene_graphlets(scene_id, scene, cfg)
         except Exception as exc:
             raise PipelineError("relations", f"scene {scene_id}: {exc}") from exc
+        del scene
         all_episodes[scene_id] = episode_records(episodes)
         graphlets.extend(scene_gs)
+    os.makedirs(out_dir, exist_ok=True)
     with open(artifact("episodes.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(all_episodes, sort_keys=True))
 

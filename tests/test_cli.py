@@ -1,13 +1,16 @@
 """Command-line interface: subcommands, config resolution, exit codes."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import affgraph
+from affgraph import cli, pipeline
 from affgraph.cli import (
     CONFIG_ENV,
     EXIT_DATA,
@@ -655,3 +658,101 @@ def test_scene_with_out_of_range_header_is_data_error(tmp_path, capsys, header):
         err = capsys.readouterr().err
         assert err.startswith("data error: width and height must be >= 1") \
             and err.count("\n") == 1
+
+
+def test_cluster_skips_a_blank_line_in_the_table(tmp_path, capsys):
+    embs = tmp_path / "emb.tsv"
+    embs.write_text("g0\t2\t1.0 0.0\n\ng1\t2\t0.0 1.0\n")
+    assert main(["cluster", str(embs), "-o", str(tmp_path / "c.tsv"),
+                 "--dendrogram", str(tmp_path / "d.json"), "--cut-threshold", "0.5"]) \
+        == EXIT_OK
+    assert "2 clusters at threshold 0.5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("g1\t2", "expected 3 tab-separated fields, got 2"),
+    ("g1\t2\t0.0 x", "could not convert string to float: 'x'"),
+], ids=["short-row", "bad-value"])
+def test_cluster_bad_row_names_its_line(tmp_path, capsys, row, problem):
+    embs = tmp_path / "emb.tsv"
+    embs.write_text(f"g0\t2\t1.0 0.0\n\n{row}\n")
+    assert main(["cluster", str(embs), "-o", str(tmp_path / "c.tsv"),
+                 "--dendrogram", str(tmp_path / "d.json")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {embs}: line 3: {problem}\n"
+    assert not (tmp_path / "c.tsv").exists()
+
+
+def test_report_is_independent_of_the_output_path(tmp_path, scene_file, fast_config,
+                                                  capsys):
+    outs = [tmp_path / "o", tmp_path / "a" / "much_longer_output_directory"]
+    stdouts = []
+    for out in outs:
+        assert main(["run", str(scene_file), "-o", str(out),
+                     "--config", str(fast_config)]) == EXIT_OK
+        stdouts.append(capsys.readouterr().out)
+    assert stdouts[0] == stdouts[1]
+    assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+    artifacts = json.loads(stdouts[0])["artifacts"]
+    assert artifacts["clusters"] == "clusters.tsv"
+    assert all((outs[1] / name).is_file() for name in artifacts.values())
+
+
+@pytest.mark.parametrize("command", ["run", "graphlets"])
+def test_scenes_are_read_one_at_a_time(tmp_path, fast_config, monkeypatch, capsys,
+                                       command):
+    paths = []
+    for seed, kind in enumerate(["place-on", "put-into", "place-on"]):
+        paths.append(str(tmp_path / f"s{seed}.json"))
+        assert main(["synth", kind, "-o", paths[-1], "--seed", str(seed)]) == EXIT_OK
+    reads = []  # a weak reference to every scene read so far
+    held = {}  # when each hook ran, how many scenes read before it were alive
+
+    def alive(when: str) -> None:
+        gc.collect()
+        held[when] = sum(ref() is not None for ref in reads)
+
+    def load_scene(path):
+        alive(f"read {len(reads)}")
+        scene = real_load(path)
+        reads.append(weakref.ref(scene))
+        return scene
+
+    def hook(name):
+        real = getattr(pipeline, name)
+
+        def entered(*args, **kwargs):
+            alive(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, entered)
+
+    real_load = cli.load_scene
+    monkeypatch.setattr(cli, "load_scene", load_scene)
+    hook("save_graphlet_corpus")
+    hook("embed_corpus")
+    out = str(tmp_path / ("out" if command == "run" else "corpus.jsonl"))
+    argv = [command, *paths, "-o", out, "--config", str(fast_config)]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert len(reads) == 3
+    want = {f"read {k}": 0 for k in range(3)} | {"save_graphlet_corpus": 0}
+    if command == "run":
+        want["embed_corpus"] = 0
+    assert held == want
+
+
+@pytest.mark.parametrize("command", ["run", "graphlets"])
+@pytest.mark.parametrize("bad, code, prefix", [
+    ("malformed", EXIT_DATA, "data error: "), ("missing", EXIT_USAGE, "error: ")])
+def test_bad_last_scene_fails_with_one_line_and_no_output(
+        tmp_path, scene_file, fast_config, capsys, command, bad, code, prefix):
+    last = tmp_path / "zz_last.json"  # last in argument order and in name order
+    if bad == "malformed":
+        last.write_text("{broken")
+    out = tmp_path / ("out" if command == "run" else "corpus.jsonl")
+    assert main([command, str(scene_file), str(last), "-o", str(out),
+                 "--config", str(fast_config)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    assert str(last) in captured.err
+    assert not out.exists()
