@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _HASH_ABOVE = 4096  # token strings longer than this are digest-compressed
+_NEG_BLOCK = 64  # rows per negative-sampling block: no (batch, k, dim) array is held
 
 
 def _compress(token: str) -> str:
@@ -161,15 +162,16 @@ def train(
     graph_vecs = (rng.random((n_graphs, dim)) - 0.5) / dim
     token_vecs = np.zeros((n_vocab, dim))
 
-    pairs = np.array(
-        [
-            (gi, vocab.index[tok])
-            for gi, tokens in enumerate(corpus_tokens)
-            for tok, count in sorted(tokens.items())
-            for _ in range(count)
-        ],
-        dtype=np.int64,
-    )
+    # one (graph, token) row per token occurrence, in sorted token order
+    tok_ids, counts, sizes = [], [], []
+    for tokens in corpus_tokens:
+        items = sorted(tokens.items())
+        tok_ids += [vocab.index[tok] for tok, _ in items]
+        counts += [count for _, count in items]
+        sizes.append(len(items))
+    pairs = np.repeat(np.column_stack([np.repeat(np.arange(n_graphs), sizes),
+                                       np.array(tok_ids, dtype=np.int64)]),
+                      counts, axis=0)
     noise = np.asarray(vocab.counts, dtype=float) ** 0.75
     noise /= noise.sum()
     # Generator.choice(p=noise) draws exactly this way, minus its per-call
@@ -210,24 +212,30 @@ def train(
                                            side="right")
                 t = token_vecs[t_idx]
                 pos_score = _sigmoid(np.einsum("bd,bd->b", g, t))
-                neg = token_vecs[neg_idx]  # (b, k, d)
-                neg_score = _sigmoid(np.einsum("bd,bkd->bk", g, neg))
+                grad_pos = (pos_score - 1.0)[:, None]  # d/d(g.t)
+                grad_g = grad_pos * t
+                neg_score = np.empty(neg_idx.shape)
+                # every block reads token_vecs before any of them is updated
+                blocks = [slice(i, i + _NEG_BLOCK) for i in range(0, len(batch), _NEG_BLOCK)]
+                for rows in blocks:
+                    neg = token_vecs[neg_idx[rows]]  # (rows, k, d)
+                    neg_score[rows] = _sigmoid(np.einsum("bd,bkd->bk", g[rows], neg))
+                    grad_g[rows] += np.einsum("bk,bkd->bd", neg_score[rows], neg)
                 loss = float(
                     -np.mean(np.log(pos_score + 1e-12)
                              + np.sum(np.log(1.0 - neg_score + 1e-12), axis=1))
                 )
-                grad_pos = (pos_score - 1.0)[:, None]  # d/d(g.t)
-                grad_g = grad_pos * t + np.einsum("bk,bkd->bd", neg_score, neg)
                 grad_t = grad_pos * g
-                grad_neg = neg_score[:, :, None] * g[:, None, :]
                 # batch SGD: average the accumulated per-pair gradients
                 scale = -lr / len(batch)
                 grad_g *= scale
                 grad_t *= scale
-                grad_neg *= scale
                 _scatter_add(graph_vecs, g_idx, grad_g)
                 _scatter_add(token_vecs, t_idx, grad_t)
-                _scatter_add(token_vecs, neg_idx.ravel(), grad_neg)
+                for rows in blocks:  # block order keeps the oracle's row order
+                    grad_neg = neg_score[rows, :, None] * g[rows, None, :]
+                    grad_neg *= scale
+                    _scatter_add(token_vecs, neg_idx[rows].ravel(), grad_neg)
             epoch_loss += float(loss)
             n_batches += 1
         mean_loss = epoch_loss / max(1, n_batches)
@@ -278,6 +286,8 @@ def load_embeddings(path: str) -> EmbeddingTable:
                 raise RowError(n, str(exc)) from exc
             ids.append(gid)
             rows.append(vec)
+    if not rows:
+        raise ValueError("no embedding rows")
     return EmbeddingTable(graph_ids=ids, vectors=np.vstack(rows))
 
 

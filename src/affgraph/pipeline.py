@@ -312,13 +312,17 @@ def load_graphlet_corpus(path: str) -> list[dict]:
 def embed_corpus(
     records: list[dict], cfg: emb.TrainConfig
 ) -> tuple[emb.Vocabulary, emb.EmbeddingTable]:
-    """Tokenise every record's form, index the tokens and train the table; a
-    record without an ``id`` or a well-formed ``form`` raises ValueError."""
-    ids, tokens = [], []
+    """Tokenise each distinct form once (equal forms share one ``Counter``), index
+    the tokens and train; a record without an ``id`` or a well-formed ``form``
+    raises ValueError."""
+    ids, tokens, by_form = [], [], {}
     for n, rec in enumerate(records, 1):
         try:
-            labels, edges = parse_canonical(rec["form"])
-            tokens.append(emb.wl_tokens(labels, edges, cfg.wl_depth))
+            form = rec["form"]
+            labels, edges = parse_canonical(form)  # a str from here on
+            if form not in by_form:
+                by_form[form] = emb.wl_tokens(labels, edges, cfg.wl_depth)
+            tokens.append(by_form[form])
             ids.append(rec["id"])
         except KeyError as exc:
             raise ValueError(f"record {n} has no {exc} field") from exc

@@ -1,5 +1,6 @@
 """WL token extraction and graph-vector training."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affgraph.embedding import (
+    _NEG_BLOCK,
     DivergenceError,
     TrainConfig,
     _scatter_add,
@@ -276,6 +278,38 @@ def test_train_matches_oracle_on_ragged_batches(full_softmax):
     assert np.array_equal(got.vectors, want.vectors)
     assert got.loss_history == want.loss_history
 
+
+@pytest.mark.parametrize("batch_size", [40, 150])
+def test_train_matches_oracle_across_negative_blocks(batch_size):
+    # 40 rows fit in one negative-sampling block; 150 rows end in a short block
+    assert batch_size < _NEG_BLOCK or batch_size % _NEG_BLOCK
+    rng = np.random.default_rng(11)
+    tokens = [Counter({f"t{j}": int(c) for j, c in enumerate(rng.integers(0, 5, 20)) if c})
+              for _ in range(8)]
+    ids, vocab = [f"g{i}" for i in range(8)], build_vocabulary(tokens)
+    assert sum(sum(c.values()) for c in tokens) > 2 * batch_size
+    cfg = TrainConfig(embedding_dim=12, epochs=3, batch_size=batch_size, negatives=4,
+                      seed=5, learning_rate=0.3)
+    got = train(ids, tokens, vocab, cfg)
+    want = embedding_oracle.train(ids, tokens, vocab, cfg)
+    assert np.array_equal(got.vectors, want.vectors)
+    assert got.loss_history == want.loss_history
+
+
+def test_train_holds_no_full_negative_array():
+    # 800 pairs, so the first batch is full; one (batch, negatives, dim)
+    # float64 array would be 10.5 MB
+    tokens = [Counter({f"t{j}": 1 for j in range(i, i + 100)}) for i in range(8)]
+    cfg = TrainConfig(embedding_dim=64, epochs=1, batch_size=512, negatives=40, seed=0)
+    full = cfg.batch_size * cfg.negatives * cfg.embedding_dim * 8
+    vocab = build_vocabulary(tokens)
+    tracemalloc.start()
+    try:
+        train([f"g{i}" for i in range(8)], tokens, vocab, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full
 
 
 def test_load_embeddings_reads_values_bit_for_bit(tmp_path):

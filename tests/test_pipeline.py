@@ -20,7 +20,9 @@ from affgraph.pipeline import (
     PipelineConfig,
     PipelineError,
     config_from_dict,
+    embed_corpus,
     export_dendrogram_dot,
+    graphlet_records,
     load_config,
     load_graphlet_corpus,
     run_pipeline,
@@ -105,11 +107,7 @@ def test_run_pipeline_writes_artifacts_and_is_deterministic(small_corpus, tmp_pa
         assert p1.exists(), name
         assert filecmp.cmp(str(p1), str(p2), shallow=False), name
     assert (tmp_path / "run1" / "report.json").exists()
-    # report fields agree apart from the artifact paths, which embed out_dir
-    d1, d2 = report1.to_dict(), report2.to_dict()
-    d1.pop("artifacts")
-    d2.pop("artifacts")
-    assert d1 == d2
+    assert report1.to_dict() == report2.to_dict()
     assert report1.n_graphlets == 10  # each interacting pair, both directions
     assert report1.v_measure is not None
 
@@ -131,6 +129,27 @@ def test_embedding_stage_reproducible_from_corpus_file(small_corpus, tmp_path):
     saved = emb.load_embeddings(str(out / "embeddings.tsv"))
     assert saved.graph_ids == table.graph_ids
     np.testing.assert_array_equal(saved.vectors, table.vectors)
+
+
+def test_embed_corpus_tokenises_each_distinct_form_once(small_corpus, monkeypatch):
+    scenes, _ = small_corpus
+    cfg = _small_cfg()
+    records = [rec for sid in sorted(scenes)
+               for rec in graphlet_records(scene_graphlets(sid, scenes[sid], cfg)[1])]
+    forms = {rec["form"] for rec in records}
+    assert len(forms) < len(records)
+    per_record = [emb.wl_tokens(*parse_canonical(rec["form"]), cfg.train.wl_depth)
+                  for rec in records]
+    calls, wl_tokens = [], emb.wl_tokens
+    monkeypatch.setattr(emb, "wl_tokens", lambda *a: calls.append(a) or wl_tokens(*a))
+    vocab, table = embed_corpus(records, cfg.train)
+    assert len(calls) == len(forms)
+    want_vocab = emb.build_vocabulary(per_record)
+    want = emb.train([rec["id"] for rec in records], per_record, want_vocab, cfg.train)
+    assert vocab == want_vocab
+    assert table.graph_ids == want.graph_ids
+    assert table.vectors.tobytes() == want.vectors.tobytes()
+    assert table.loss_history == want.loss_history
 
 
 def test_run_pipeline_sed_mode(small_corpus, tmp_path):
