@@ -225,6 +225,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if bool(args.pca) != bool(args.embeddings):
+        raise CliError(EXIT_USAGE, "--pca and --embeddings must be given together")
     try:
         dend = clust.load_dendrogram_json(args.dendrogram)
     except (KeyError, TypeError, ValueError) as exc:
@@ -243,7 +245,7 @@ def cmd_export(args) -> int:
         pipeline.export_dendrogram_dot(dend, flat, args.output)
     else:
         clust.export_dendrogram_json(dend, args.output)
-    if args.pca and args.embeddings:
+    if args.pca:
         try:
             table = emb.load_embeddings(args.embeddings)
             proj = pca_project(table.vectors, 2)
@@ -359,7 +361,7 @@ def main(argv=None) -> int:
     except (SceneError, ScriptError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PipelineError as exc:

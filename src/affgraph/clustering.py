@@ -50,32 +50,6 @@ class Dendrogram:
     merges: list[Merge] = field(default_factory=list)
     leaf_ids: list[str] = field(default_factory=list)
 
-    def root(self) -> int:
-        return self.n_leaves + len(self.merges) - 1
-
-    def children(self, node: int) -> Optional[tuple[int, int]]:
-        if node < self.n_leaves:
-            return None
-        m = self.merges[node - self.n_leaves]
-        return m.left, m.right
-
-    def height(self, node: int) -> float:
-        if node < self.n_leaves:
-            return 0.0
-        return self.merges[node - self.n_leaves].height
-
-    def leaves_under(self, node: int) -> list[int]:
-        stack = [node]
-        out: list[int] = []
-        while stack:
-            cur = stack.pop()
-            kids = self.children(cur)
-            if kids is None:
-                out.append(cur)
-            else:
-                stack.extend(kids)
-        return sorted(out)
-
     def to_dict(self) -> dict:
         return {
             "n_leaves": self.n_leaves,

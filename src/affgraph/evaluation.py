@@ -87,15 +87,6 @@ def pca_project(vectors: np.ndarray, k: int) -> np.ndarray:
     return proj
 
 
-def explained_variance_ratio(vectors: np.ndarray) -> np.ndarray:
-    x = np.asarray(vectors, dtype=float)
-    centered = x - x.mean(axis=0)
-    _, s, _ = np.linalg.svd(centered, full_matrices=False)
-    var = s ** 2
-    total = var.sum()
-    return var / total if total > 0 else var
-
-
 def metrics_report(h: float, c: float, v: float) -> str:
     return (f"homogeneity  {h:.4f}\n"
             f"completeness {c:.4f}\n"

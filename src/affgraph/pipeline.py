@@ -490,12 +490,13 @@ def export_dendrogram_dot(
     lines = ["graph dendrogram {", "  node [shape=box];"]
     for leaf in range(dend.n_leaves):
         gid = dend.leaf_ids[leaf]
+        label = gid.replace("\\", "\\\\").replace('"', '\\"')  # a DOT quoted string
         color = ""
         if flat is not None:
             cluster = flat.assignment[gid]
             color = (f', style=filled, fillcolor="{palette[cluster % len(palette)]}"'
-                     f', label="{gid}\\ncluster {cluster}"')
-        lines.append(f'  n{leaf} [label="{gid}"{color}];')
+                     f', label="{label}\\ncluster {cluster}"')
+        lines.append(f'  n{leaf} [label="{label}"{color}];')
     for mi, m in enumerate(dend.merges):
         node = dend.n_leaves + mi
         lines.append(f'  n{node} [shape=point, label="", xlabel="{m.height:.4f}"];')

@@ -1,4 +1,4 @@
-"""Scene/track data model: RLE masks, track association, semantic depth maps."""
+"""Scene/track data model: RLE masks, semantic depth maps, scene file I/O."""
 
 from __future__ import annotations
 
@@ -40,23 +40,12 @@ class BoundingBox:
         if not (self.ymin < self.ymax):
             raise SceneError(f"bbox requires ymin < ymax, got {self.ymin} >= {self.ymax}")
 
-    @property
-    def area(self) -> float:
-        return (self.xmax - self.xmin) * (self.ymax - self.ymin)
-
     def intersection_area(self, other: "BoundingBox") -> float:
         w = min(self.xmax, other.xmax) - max(self.xmin, other.xmin)
         h = min(self.ymax, other.ymax) - max(self.ymin, other.ymin)
         if w <= 0 or h <= 0:
             return 0.0
         return w * h
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes, in [0, 1]."""
-    inter = a.intersection_area(b)
-    union = a.area + b.area - inter
-    return inter / union if union > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -99,10 +88,6 @@ class MaskRLE:
             if flat[0]:
                 runs.insert(0, 0)  # the first run is background, here empty
         return cls(width=arr.shape[1], height=arr.shape[0], runs=tuple(runs))
-
-    def foreground_indices(self) -> np.ndarray:
-        """Flat pixel indices of foreground pixels, in run (row-major) order."""
-        return np.flatnonzero(self.to_array())
 
 
 @dataclass(frozen=True)
@@ -275,7 +260,10 @@ def scene_from_dict(data: dict) -> SceneSequence:
     entities = []
     for ent_raw in entities_raw:
         try:
-            ent_id = str(ent_raw["id"])
+            ent_id = ent_raw["id"]
+            # graphlet ids join scene/anchor/partner with "/"
+            if type(ent_id) is not str or "/" in ent_id:
+                raise TypeError(f"entity id {ent_id!r} is not a JSON string without '/'")
             kind = EntityKind(ent_raw["kind"])
             observations = ent_raw.get("observations", [])
         except (KeyError, TypeError, ValueError) as exc:
@@ -338,58 +326,6 @@ def save_scene(scene: SceneSequence, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Track association
-
-
-def associate_tracks(
-    detections: dict[int, list[EntityObservation]],
-    iou_threshold: float,
-    width: int = 0,
-    height: int = 0,
-    frame_count: Optional[int] = None,
-    kind: EntityKind = EntityKind.OBJECT,
-) -> SceneSequence:
-    """Greedy highest-IoU-first association of per-frame detections into tracks.
-
-    A detection joins the existing track whose last observation has the highest
-    bbox IoU >= ``iou_threshold``; otherwise it starts a new track. A track
-    receives at most one detection per frame.
-    """
-    if not (0.0 < iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold must be in (0,1], got {iou_threshold}")
-    tracks: list[list[EntityObservation]] = []
-    for frame in sorted(detections):
-        dets = detections[frame]
-        candidates = []
-        for di, det in enumerate(dets):
-            for ti, track in enumerate(tracks):
-                score = iou(det.bbox, track[-1].bbox)
-                if score >= iou_threshold:
-                    candidates.append((-score, di, ti))
-        candidates.sort()
-        used_dets: set[int] = set()
-        used_tracks: set[int] = set()
-        for neg, di, ti in candidates:
-            if di in used_dets or ti in used_tracks:
-                continue
-            tracks[ti].append(dets[di])
-            used_dets.add(di)
-            used_tracks.add(ti)
-        for di, det in enumerate(dets):
-            if di not in used_dets:
-                tracks.append([det])
-    entities = [
-        Entity(id=f"track_{i}", kind=kind, observations=obs) for i, obs in enumerate(tracks)
-    ]
-    max_frame = max((o.frame for t in tracks for o in t), default=-1)
-    return SceneSequence(
-        width=width, height=height,
-        frame_count=frame_count if frame_count is not None else max_frame + 1,
-        entities=entities,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Semantic depth map
 
 
@@ -404,15 +340,6 @@ class SemanticDepthMap:
     entity_ids: list[str]
     owner: np.ndarray
     depth: np.ndarray
-
-    def owned_depths(self, entity_id: str) -> np.ndarray:
-        """Depth values of pixels owned by the entity, ascending."""
-        try:
-            idx = self.entity_ids.index(entity_id)
-        except ValueError:
-            return np.empty(0)
-        vals = self.depth[self.owner == idx]
-        return np.sort(vals)
 
     def owned_mask(self, entity_id: str) -> np.ndarray:
         try:
@@ -448,12 +375,3 @@ def build_semantic_depth_map(scene: SceneSequence, frame: int) -> SemanticDepthM
             depth[pixels] = 0.0
     return SemanticDepthMap(entity_ids=entity_ids, owner=owner, depth=depth)
 
-
-def object_depth_summary(
-    depth_map: SemanticDepthMap, entity_id: str
-) -> tuple[float, float, np.ndarray]:
-    """(dmin, dmax, ascending depth values) over pixels owned by the entity."""
-    vals = depth_map.owned_depths(entity_id)
-    if vals.size == 0:
-        raise SceneError(f"entity {entity_id} owns no pixels in this frame (fully occluded)")
-    return float(vals[0]), float(vals[-1]), vals

@@ -8,7 +8,9 @@ recomputes each subtree's largest internal height recursively, and
 ``select_threshold`` cuts and rescores the whole tree at every candidate.
 ``sed_distance`` builds both graphlets' label profiles and counts the
 symmetric difference per pair, where ``sed_matrix`` takes one L1 distance
-over label-count matrices.
+over label-count matrices.  ``root``, ``children``, ``height`` and
+``leaves_under`` walk a ``Dendrogram``'s merge tree for these references and
+for the tests.
 """
 
 from __future__ import annotations
@@ -29,6 +31,36 @@ from affgraph.clustering import (
 )
 from affgraph.graphlet import AGraphlet
 from affgraph.temporal import Calculus
+
+
+def root(dend: Dendrogram) -> int:
+    return dend.n_leaves + len(dend.merges) - 1
+
+
+def children(dend: Dendrogram, node: int) -> Optional[tuple[int, int]]:
+    if node < dend.n_leaves:
+        return None
+    m = dend.merges[node - dend.n_leaves]
+    return m.left, m.right
+
+
+def height(dend: Dendrogram, node: int) -> float:
+    if node < dend.n_leaves:
+        return 0.0
+    return dend.merges[node - dend.n_leaves].height
+
+
+def leaves_under(dend: Dendrogram, node: int) -> list[int]:
+    stack = [node]
+    out: list[int] = []
+    while stack:
+        cur = stack.pop()
+        kids = children(dend, cur)
+        if kids is None:
+            out.append(cur)
+        else:
+            stack.extend(kids)
+    return sorted(out)
 
 
 def pairwise_cosine_costs(vectors: np.ndarray) -> np.ndarray:
@@ -103,25 +135,25 @@ def cut(dend: Dendrogram, threshold: float) -> FlatClustering:
         raise ValueError("threshold must be >= 0")
 
     def max_internal(node: int) -> float:
-        kids = dend.children(node)
+        kids = children(dend, node)
         if kids is None:
             return -math.inf
-        return max(dend.height(node), max_internal(kids[0]), max_internal(kids[1]))
+        return max(height(dend, node), max_internal(kids[0]), max_internal(kids[1]))
 
     clusters: list[list[int]] = []
 
     def walk(node: int) -> None:
         if max_internal(node) < threshold:
-            clusters.append(dend.leaves_under(node))
+            clusters.append(leaves_under(dend, node))
             return
-        kids = dend.children(node)
+        kids = children(dend, node)
         if kids is None:
             clusters.append([node])
             return
         walk(kids[0])
         walk(kids[1])
 
-    walk(dend.root())
+    walk(root(dend))
     clusters.sort(key=lambda leaves: leaves[0])
     assignment: dict[str, int] = {}
     for ci, leaves in enumerate(clusters):

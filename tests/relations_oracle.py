@@ -66,7 +66,7 @@ def build_semantic_depth_map(scene: SceneSequence, frame: int) -> SemanticDepthM
             entity_ids.append(ent_id)
         idx = entity_ids.index(ent_id)
         rows_cols = np.unravel_index(
-            obs.mask.foreground_indices(), (scene.height, scene.width)
+            np.flatnonzero(obs.mask.to_array()), (scene.height, scene.width)
         )
         owner[rows_cols] = idx
         if obs.depth is not None:
@@ -78,7 +78,7 @@ def build_semantic_depth_map(scene: SceneSequence, frame: int) -> SemanticDepthM
         if obs is None or obs.mask is None:
             continue
         rows_cols = np.unravel_index(
-            obs.mask.foreground_indices(), (scene.height, scene.width)
+            np.flatnonzero(obs.mask.to_array()), (scene.height, scene.width)
         )
         owner[rows_cols] = -1
         depth[rows_cols] = 0.0
@@ -109,7 +109,7 @@ def compute_frame_relations(
             if obs.mask is not None and obs.depth is not None:
                 owned = smap.owned_mask(ent.id)
                 if owned.any():
-                    vals = smap.owned_depths(ent.id)
+                    vals = np.sort(smap.depth[owned])
                     depth_range = (float(vals[0]), float(vals[-1]))
                     per_frame_vals[(ent.id, f)] = vals
                     x0 = max(0, int(math.floor(obs.bbox.xmin)))

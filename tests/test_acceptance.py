@@ -25,6 +25,7 @@ from affgraph.qsr import DisrRelation, PairFrameContext, disr
 from affgraph.synth import SyntheticScript, generate_synthetic
 from affgraph.temporal import AllenRelation, Interval, allen, allen_converse
 
+from clustering_oracle import leaves_under
 from conftest import permute_vertices, random_graphlet
 from test_convexity import flood_fill_hole_count
 from test_evaluation import _v_oracle
@@ -203,7 +204,7 @@ def test_agglomeration_matches_naive_reference_50_instances():
         oracle = _naive_merge_sequence(dist)
         for k, merge in enumerate(dend.merges):
             assert merge.height == pytest.approx(oracle[k][0], abs=1e-9)
-            assert sorted(dend.leaves_under(dend.n_leaves + k)) == oracle[k][1]
+            assert sorted(leaves_under(dend, dend.n_leaves + k)) == oracle[k][1]
 
 
 # -- criterion: V-measure matches brute-force conditional entropies ----------

@@ -757,3 +757,39 @@ def test_bad_last_scene_fails_with_one_line_and_no_output(
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
     assert str(last) in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{dir}"], ["synth", "place-on", "-o", "{dir}"],
+    ["graphlets", "{scene}", "-o", "{dir}"], ["relations", "{scene}", "--config", "{dir}"],
+], ids=["validate", "synth-output", "graphlets-output", "config"])
+def test_directory_path_is_a_usage_error(tmp_path, scene_file, capsys, argv):
+    capsys.readouterr()
+    assert main([a.format(dir=tmp_path, scene=scene_file) for a in argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_entity_id_with_a_slash_is_a_data_error(tmp_path, capsys):
+    # "a/b"+"c" and "a"+"b/c" would both be the graphlet id collide/a/b/c
+    scene = tmp_path / "collide.json"
+    scene.write_text(json.dumps({"width": 4, "height": 2, "frame_count": 1, "entities": [
+        {"id": eid, "kind": "object", "observations": []} for eid in ["a/b", "c", "a", "b/c"]]}))
+    out = tmp_path / "corpus.jsonl"
+    assert main(["graphlets", str(scene), "-o", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1 and "'a/b'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--pca", "--embeddings"])
+def test_export_takes_pca_and_embeddings_together(tmp_path, capsys, flag):
+    dend = tmp_path / "dend.json"
+    dend.write_text(json.dumps(TWO_LEAVES))
+    out = tmp_path / "d.dot"
+    assert main(["export", str(dend), "-o", str(out), flag,
+                 str(tmp_path / "x.tsv")]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --pca and --embeddings must be given together\n"
+    assert not out.exists()

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from affgraph.evaluation import (
     LabeledCorpus,
-    explained_variance_ratio,
     metrics_report,
     pca_project,
     v_measure,
@@ -179,15 +178,6 @@ def test_pca_validates_arguments():
         pca_project(x, 4)
     with pytest.raises(ValueError):
         pca_project(np.zeros((2, 3)), 2)
-
-
-def test_explained_variance_ratio_sums_to_one():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(20, 4))
-    ratio = explained_variance_ratio(x)
-    assert ratio.shape == (4,)
-    assert ratio.sum() == pytest.approx(1.0)
-    assert all(r1 >= r2 for r1, r2 in zip(ratio, ratio[1:]))
 
 
 def test_metrics_report_format():

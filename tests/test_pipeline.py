@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import os
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,7 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affgraph import embedding as emb
-from affgraph.clustering import Criterion, Linkage, sed_matrix
+from affgraph.clustering import (
+    Criterion,
+    Dendrogram,
+    FlatClustering,
+    Linkage,
+    Merge,
+    sed_matrix,
+)
 from affgraph.graphlet import parse_canonical
 from affgraph.pipeline import (
     PROFILES,
@@ -207,6 +215,24 @@ def test_export_dendrogram_dot(small_corpus, tmp_path):
     assert text.rstrip().endswith("}")
     for gid in dend.leaf_ids:
         assert gid in text
+
+
+DOT_QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+@pytest.mark.parametrize("clustered", [False, True])
+def test_export_dendrogram_dot_escapes_leaf_ids(tmp_path, clustered):
+    ids = ['a"b', "c\\", 'd\\"e']
+    dend = Dendrogram(n_leaves=3, leaf_ids=ids,
+                      merges=[Merge(0, 1, 0.25, 2), Merge(2, 3, 0.5, 3)])
+    flat = FlatClustering({gid: i for i, gid in enumerate(ids)}) if clustered else None
+    path = tmp_path / "dend.dot"
+    export_dendrogram_dot(dend, flat, str(path))
+    text = path.read_text()
+    for line in text.splitlines():  # every '"' opens or closes a quoted string
+        assert '"' not in DOT_QUOTED.sub("", line), line
+    labels = {re.sub(r"\\(.)", r"\1", q[1:-1]) for q in DOT_QUOTED.findall(text)}
+    assert set(ids) <= labels
 
 
 # -- config: named profiles, bases, fuzzing ------------------------------------

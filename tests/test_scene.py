@@ -1,4 +1,4 @@
-"""Scene data model: boxes, masks, tracks, semantic depth maps, file I/O."""
+"""Scene data model: boxes, masks, semantic depth maps, file I/O."""
 
 import json
 from pathlib import Path
@@ -16,11 +16,8 @@ from affgraph.scene import (
     MaskRLE,
     SceneError,
     SceneSequence,
-    associate_tracks,
     build_semantic_depth_map,
-    iou,
     load_scene,
-    object_depth_summary,
     save_scene,
     scene_from_dict,
     scene_to_dict,
@@ -46,31 +43,6 @@ def test_bbox_rejects_degenerate():
         BoundingBox(0, 5, 5, 5)
 
 
-def test_iou_identity_and_disjoint():
-    b = _box(0, 0, 10, 10)
-    assert iou(b, b) == 1.0
-    assert iou(b, _box(20, 20, 30, 30)) == 0.0
-
-
-def test_iou_hand_computed_third():
-    # [0,0,10,10] vs [5,0,15,10]: intersection 50, union 150
-    a = _box(0, 0, 10, 10)
-    b = _box(5, 0, 15, 10)
-    assert iou(a, b) == pytest.approx(50 / 150)
-    assert iou(b, a) == pytest.approx(50 / 150)
-
-
-@given(st.tuples(st.integers(0, 20), st.integers(0, 20),
-                 st.integers(1, 20), st.integers(1, 20)),
-       st.tuples(st.integers(0, 20), st.integers(0, 20),
-                 st.integers(1, 20), st.integers(1, 20)))
-def test_iou_symmetric_bounded(p, q):
-    a = _box(p[0], p[1], p[0] + p[2], p[1] + p[3])
-    b = _box(q[0], q[1], q[0] + q[2], q[1] + q[3])
-    assert iou(a, b) == iou(b, a)
-    assert 0.0 <= iou(a, b) <= 1.0
-
-
 @given(st.lists(st.booleans(), min_size=0, max_size=60),
        st.integers(1, 12))
 def test_mask_rle_round_trip(bits, width):
@@ -83,7 +55,7 @@ def test_mask_rle_round_trip(bits, width):
     np.testing.assert_array_equal(mask.to_array(), arr)
     assert mask.foreground_count == int(arr.sum())
     np.testing.assert_array_equal(
-        mask.foreground_indices(), np.flatnonzero(arr.ravel()))
+        np.flatnonzero(mask.to_array()), np.flatnonzero(arr.ravel()))
 
 
 def _rle_runs_oracle(arr: np.ndarray) -> tuple[int, ...]:
@@ -165,7 +137,7 @@ def _assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
 def test_mask_rle_decoders_match_run_loops(arr):
     mask = MaskRLE.from_array(arr)
     _assert_same_array(mask.to_array(), _to_array_oracle(mask))
-    _assert_same_array(mask.foreground_indices(), _foreground_indices_oracle(mask))
+    _assert_same_array(np.flatnonzero(mask.to_array()), _foreground_indices_oracle(mask))
 
 
 @pytest.mark.parametrize("runs, width, height", [
@@ -176,7 +148,7 @@ def test_mask_rle_decoders_match_run_loops(arr):
 def test_mask_rle_decoders_edge_cases(runs, width, height):
     mask = MaskRLE(width=width, height=height, runs=runs)
     _assert_same_array(mask.to_array(), _to_array_oracle(mask))
-    _assert_same_array(mask.foreground_indices(), _foreground_indices_oracle(mask))
+    _assert_same_array(np.flatnonzero(mask.to_array()), _foreground_indices_oracle(mask))
 
 
 def test_mask_rle_from_array_edge_cases():
@@ -220,55 +192,6 @@ def test_observation_depth_mask_length_agreement():
     with pytest.raises(SceneError):
         EntityObservation(frame=0, bbox=_box(0, 0, 3, 1), score=0.9,
                           mask=mask, depth=DepthSample(values=(5.0, 6.0)))
-
-
-def test_track_association_identity_and_disjoint():
-    def det(box):
-        return EntityObservation(frame=0, bbox=box, score=0.9)
-
-    same = {0: [det(_box(0, 0, 10, 10))], 1: [det(_box(0, 0, 10, 10))]}
-    scene = associate_tracks(
-        {f: [EntityObservation(frame=f, bbox=o.bbox, score=0.9) for o in v]
-         for f, v in same.items()}, 0.5)
-    assert len(scene.entities) == 1
-    assert len(scene.entities[0].observations) == 2
-
-    disjoint = {
-        0: [EntityObservation(frame=0, bbox=_box(0, 0, 10, 10), score=0.9)],
-        1: [EntityObservation(frame=1, bbox=_box(30, 30, 40, 40), score=0.9)],
-    }
-    scene = associate_tracks(disjoint, 0.5)
-    assert len(scene.entities) == 2
-
-
-def test_track_association_iou_third_splits():
-    # IoU 1/3 < 0.5 starts a new track
-    dets = {
-        0: [EntityObservation(frame=0, bbox=_box(0, 0, 10, 10), score=0.9)],
-        1: [EntityObservation(frame=1, bbox=_box(5, 0, 15, 10), score=0.9)],
-    }
-    assert len(associate_tracks(dets, 0.5).entities) == 2
-    # the same pair associates at a permissive threshold
-    assert len(associate_tracks(dets, 1 / 3).entities) == 1
-
-
-def test_track_association_deterministic():
-    rng = np.random.default_rng(3)
-    dets = {}
-    for f in range(6):
-        obs = []
-        for _ in range(4):
-            x = float(rng.integers(0, 30))
-            y = float(rng.integers(0, 30))
-            obs.append(EntityObservation(
-                frame=f, bbox=_box(x, y, x + 10, y + 10),
-                score=float(rng.uniform(0.5, 1.0))))
-        dets[f] = obs
-    a = associate_tracks(dets, 0.5)
-    b = associate_tracks(dets, 0.5)
-    assert [e.id for e in a.entities] == [e.id for e in b.entities]
-    assert [[o.bbox for o in e.observations] for e in a.entities] == \
-           [[o.bbox for o in e.observations] for e in b.entities]
 
 
 def _scene_with_overlap(score_a=0.9, score_b=0.7, human=False):
@@ -324,11 +247,11 @@ def test_object_depth_summary_brute_force_oracle():
     mask_a = scene.entity("a").observations[0].mask.to_array()
     mask_b = scene.entity("b").observations[0].mask.to_array()
     b_only = mask_b & ~mask_a
-    dmin, dmax, vals = object_depth_summary(smap, "b")
+    # the owned depths, ascending, as ``compute_frame_relations`` takes them
+    vals = np.sort(smap.depth[smap.owned_mask("b")])
+    dmin, dmax = float(vals[0]), float(vals[-1])
     assert (dmin, dmax) == (20.0, 20.0)
     assert len(vals) == int(b_only.sum())
-    with pytest.raises(SceneError):
-        object_depth_summary(smap, "ghost")
 
 
 def test_scene_round_trip(tmp_path):
@@ -433,6 +356,14 @@ def _scene_with_observation(**fields):
 def test_observation_numbers_must_be_json_numbers(fields):
     with pytest.raises(SceneError, match="^entity x: "):
         scene_from_dict(_scene_with_observation(**fields))
+
+
+@pytest.mark.parametrize("ent_id", [5, None, True, ["a"], "a/b", "/"], ids=json.dumps)
+def test_entity_id_must_be_a_string_without_a_slash(ent_id):
+    data = _scene_with_observation()
+    data["entities"][0]["id"] = ent_id
+    with pytest.raises(SceneError, match="^malformed entity record: entity id "):
+        scene_from_dict(data)
 
 
 @pytest.mark.parametrize("header", [

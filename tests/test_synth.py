@@ -87,7 +87,8 @@ def _rect_obs_per_pixel(frame, x0, y0, x1, y1, score, depth_grid):
     """The ``_rect_obs`` that ``synth`` used before: one depth reading per
     foreground pixel of the decoded mask, read in a Python loop."""
     mask = synth._rect_mask(x0, y0, x1, y1)
-    rows, cols = np.unravel_index(mask.foreground_indices(), (synth.HEIGHT, synth.WIDTH))
+    rows, cols = np.unravel_index(np.flatnonzero(mask.to_array()),
+                                  (synth.HEIGHT, synth.WIDTH))
     depth = DepthSample(values=tuple(float(depth_grid[r, c]) for r, c in zip(rows, cols)))
     return EntityObservation(
         frame=frame,
