@@ -192,9 +192,6 @@ class FlatClustering:
     def n_clusters(self) -> int:
         return len(set(self.assignment.values()))
 
-    def labels_for(self, ids: list[str]) -> list[int]:
-        return [self.assignment[i] for i in ids]
-
 
 def _effective_heights(dend: Dendrogram) -> list[float]:
     """Per node, the largest merge height in its subtree (-inf for a leaf)."""

@@ -67,11 +67,6 @@ class AGraphlet:
             if abs(du - dv) != 1:
                 raise ValueError(f"edge ({u},{v}) joins non-adjacent layers")
 
-    def label_multiset(self, layer: str) -> list[str]:
-        return sorted(
-            lbl for lay, lbl in zip(self.vertex_layers, self.vertex_labels) if lay == layer
-        )
-
 
 def _episode_sort_key(ep: Episode) -> tuple:
     return (ep.interval.start, ep.calculus.value, ep.relation, ep.interval.end)

@@ -494,8 +494,8 @@ def export_dendrogram_dot(
         color = ""
         if flat is not None:
             cluster = flat.assignment[gid]
-            color = (f', style=filled, fillcolor="{palette[cluster % len(palette)]}"'
-                     f', label="{label}\\ncluster {cluster}"')
+            label += f"\\ncluster {cluster}"
+            color = f', style=filled, fillcolor="{palette[cluster % len(palette)]}"'
         lines.append(f'  n{leaf} [label="{label}"{color}];')
     for mi, m in enumerate(dend.merges):
         node = dend.n_leaves + mi

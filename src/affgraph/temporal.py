@@ -48,27 +48,6 @@ class AllenRelation(str, Enum):
     EQUALS = "="
 
 
-_CONVERSE = {
-    AllenRelation.BEFORE: AllenRelation.AFTER,
-    AllenRelation.AFTER: AllenRelation.BEFORE,
-    AllenRelation.MEETS: AllenRelation.MET_BY,
-    AllenRelation.MET_BY: AllenRelation.MEETS,
-    AllenRelation.OVERLAPS: AllenRelation.OVERLAPPED_BY,
-    AllenRelation.OVERLAPPED_BY: AllenRelation.OVERLAPS,
-    AllenRelation.STARTS: AllenRelation.STARTED_BY,
-    AllenRelation.STARTED_BY: AllenRelation.STARTS,
-    AllenRelation.DURING: AllenRelation.CONTAINS,
-    AllenRelation.CONTAINS: AllenRelation.DURING,
-    AllenRelation.FINISHES: AllenRelation.FINISHED_BY,
-    AllenRelation.FINISHED_BY: AllenRelation.FINISHES,
-    AllenRelation.EQUALS: AllenRelation.EQUALS,
-}
-
-
-def allen_converse(rel: AllenRelation) -> AllenRelation:
-    return _CONVERSE[rel]
-
-
 def allen(a: Interval, b: Interval) -> AllenRelation:
     """Unique Allen relation under discrete inclusive-interval semantics.
 

@@ -9,8 +9,9 @@ recomputes each subtree's largest internal height recursively, and
 ``sed_distance`` builds both graphlets' label profiles and counts the
 symmetric difference per pair, where ``sed_matrix`` takes one L1 distance
 over label-count matrices.  ``root``, ``children``, ``height`` and
-``leaves_under`` walk a ``Dendrogram``'s merge tree for these references and
-for the tests.
+``leaves_under`` walk a ``Dendrogram``'s merge tree, and ``labels_for`` lists a
+``FlatClustering``'s labels in a given id order, for these references and for
+the tests.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ def leaves_under(dend: Dendrogram, node: int) -> list[int]:
         else:
             stack.extend(kids)
     return sorted(out)
+
+
+def labels_for(flat: FlatClustering, ids: list[str]) -> list[int]:
+    """The cluster of each id, in the order of ``ids``."""
+    return [flat.assignment[i] for i in ids]
 
 
 def pairwise_cosine_costs(vectors: np.ndarray) -> np.ndarray:
@@ -210,7 +216,7 @@ def select_threshold(
     ids = dend.leaf_ids
     for t in candidates:
         flat = cut(dend, t)
-        labels = flat.labels_for(ids)
+        labels = labels_for(flat, ids)
         score = _criterion_score(np.asarray(vectors, dtype=float), labels, criterion)
         if score < best_score - 1e-12:
             best_score = score

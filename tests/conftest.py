@@ -43,6 +43,11 @@ def random_graphlet(rng: np.random.Generator, max_spatial: int = 4,
     return g
 
 
+def label_multiset(g: AGraphlet, layer: str) -> list[str]:
+    """The sorted labels of ``g``'s vertices in ``layer``."""
+    return sorted(lbl for lay, lbl in zip(g.vertex_layers, g.vertex_labels) if lay == layer)
+
+
 def permute_vertices(labels: list[str], edges: list[tuple[int, int]],
                      perm: list[int]) -> tuple[list[str], list[tuple[int, int]]]:
     """Relabel vertex ids: vertex v becomes perm[v]."""

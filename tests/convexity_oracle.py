@@ -3,7 +3,8 @@
 It masks and dilates the full grid once per background and once per
 foreground component, settles a hole touched by several components with a
 bounding-box containment search, and assembles the tree by mutual recursion.
-Kept as an independent oracle for the one-pass builder.
+Kept as an independent oracle for the one-pass builder, with the tests'
+``children_of`` walker.
 """
 
 from __future__ import annotations
@@ -123,3 +124,8 @@ def contour_hierarchy_oracle(grid: np.ndarray, noise_ratio: float = 0.0,
     for fid in sorted(f for f in fg_ids if f not in comp_parent_hole):
         add_component(fid, 0)
     return ContourTree(nodes=nodes)
+
+
+def children_of(tree: ContourTree, node_id: int) -> list[ContourNode]:
+    """The nodes of ``node_id``'s children, in order."""
+    return [tree.nodes[c] for c in tree.nodes[node_id].children]

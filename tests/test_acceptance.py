@@ -23,14 +23,14 @@ from affgraph.graphlet import canonical_form, parse_canonical
 from affgraph.pipeline import PipelineConfig, load_graphlet_corpus, run_pipeline
 from affgraph.qsr import DisrRelation, PairFrameContext, disr
 from affgraph.synth import SyntheticScript, generate_synthetic
-from affgraph.temporal import AllenRelation, Interval, allen, allen_converse
+from affgraph.temporal import AllenRelation, Interval, allen
 
 from clustering_oracle import leaves_under
 from conftest import permute_vertices, random_graphlet
 from test_convexity import flood_fill_hole_count
 from test_evaluation import _v_oracle
 from test_qsr import CONVERSE, _state
-from test_temporal import _holds
+from test_temporal import _holds, allen_converse
 
 
 # -- criterion: Allen relations are jointly exhaustive and pairwise disjoint --

@@ -446,25 +446,36 @@ def _modules_after(code: str) -> list[str]:
     return out.stdout.split()
 
 
+def _scipy_modules(names: list[str]) -> list[str]:
+    return [m for m in names if m == "scipy" or m.startswith("scipy.")]
+
+
 def test_import_loads_no_scipy_module():
-    # scipy.ndimage (contour_hierarchy) and scipy.spatial (sed_matrix) load on
-    # their first call; at import they would slow every command by ~0.5 s
-    assert [m for m in _modules_after("import affgraph.cli")
-            if m == "scipy" or m.startswith("scipy.")] == []
+    # only sed_matrix's first call loads a scipy module (scipy.spatial); at
+    # import it would slow every command's start-up
+    assert _scipy_modules(_modules_after("import affgraph.cli")) == []
 
 
-def test_cluster_evaluate_export_leave_scipy_ndimage_unloaded(tmp_path):
+def test_every_command_but_sed_loads_no_scipy_module(tmp_path):
     (tmp_path / "emb.tsv").write_text("g0\t2\t1.0 0.0\ng1\t2\t0.9 0.1\ng2\t2\t0.0 1.0\n")
     (tmp_path / "truth.json").write_text(json.dumps({"g0": ["a"], "g1": ["a"], "g2": ["b"]}))
-    calls = [["cluster", "emb.tsv", "-o", "c.tsv", "--dendrogram", "d.json",
+    (tmp_path / "cfg.json").write_text(json.dumps({"train": FAST_TRAIN}))
+    calls = [["synth", "place-on", "-o", "s.json", "--seed", "1"],
+             ["relations", "s.json"], ["episodes", "s.json"],
+             ["graphlets", "s.json", "-o", "g.jsonl"],
+             ["run", "s.json", "-o", "out", "--config", "cfg.json"],
+             ["cluster", "emb.tsv", "-o", "c.tsv", "--dendrogram", "d.json",
               "--cut-threshold", "auto"],
              ["evaluate", "c.tsv", "truth.json"],
              ["export", "d.json", "-o", "d.dot", "--clusters", "c.tsv",
               "--embeddings", "emb.tsv", "--pca", "pca.tsv"]]
-    code = (f"import os; os.chdir({str(tmp_path)!r}); from affgraph.cli import main\n"
-            f"assert all(main(argv) == 0 for argv in {calls!r})")
-    assert "scipy.ndimage" not in _modules_after(code)
-    assert (tmp_path / "d.dot").exists() and (tmp_path / "pca.tsv").exists()
+    code = (f"import contextlib, io, os; os.chdir({str(tmp_path)!r})\n"
+            "from affgraph.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert [main(argv) for argv in {calls!r}] == [0] * {len(calls)}")
+    assert _scipy_modules(_modules_after(code)) == []
+    for name in ("g.jsonl", "out/report.json", "d.dot", "pca.tsv"):
+        assert (tmp_path / name).exists()
 
 
 @pytest.mark.parametrize("reader, text", [

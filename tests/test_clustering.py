@@ -26,7 +26,7 @@ from affgraph.qsr import Rcc5OnRelation
 from affgraph.temporal import Calculus
 
 import clustering_oracle as oracle
-from clustering_oracle import leaves_under
+from clustering_oracle import labels_for, leaves_under
 from conftest import random_graphlet
 
 
@@ -277,8 +277,8 @@ def test_cut_nesting(seed):
     dend = hierarchical_cluster(dist)
     ids = dend.leaf_ids
     t1, t2 = sorted(rng.uniform(0.0, 1.2, size=2))
-    fine = cut(dend, t1).labels_for(ids)
-    coarse = cut(dend, t2).labels_for(ids)
+    fine = labels_for(cut(dend, t1), ids)
+    coarse = labels_for(cut(dend, t2), ids)
     mapping = {}
     for f, c in zip(fine, coarse):
         assert mapping.setdefault(f, c) == c
@@ -318,7 +318,7 @@ def test_select_threshold_recovers_five_groups():
     t = select_threshold(dend, vecs, Criterion.BIC)
     flat = cut(dend, t)
     assert flat.n_clusters() == 5
-    labels = flat.labels_for(dend.leaf_ids)
+    labels = labels_for(flat, dend.leaf_ids)
     for g in range(5):
         assert len({labels[g * 20 + i] for i in range(20)}) == 1
 

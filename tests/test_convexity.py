@@ -8,18 +8,17 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from affgraph.convexity import (
-    _STRUCT4,
-    _STRUCT8,
     ConcavityBounds,
     ConvexityType,
     contour_hierarchy,
     convexity_depth,
     deep_region,
+    label_components,
     object_convexity,
     track_convexity,
 )
 
-from convexity_oracle import contour_hierarchy_oracle
+from convexity_oracle import children_of, contour_hierarchy_oracle
 
 
 def flood_fill_hole_count(grid: np.ndarray) -> int:
@@ -60,9 +59,9 @@ def test_contour_hierarchy_solid_square():
     grid = np.zeros((8, 8), dtype=bool)
     grid[2:6, 2:6] = True
     tree = contour_hierarchy(grid)
-    kids = tree.children_of(0)
+    kids = children_of(tree, 0)
     assert len(kids) == 1 and not kids[0].is_hole
-    assert tree.children_of(kids[0].id) == []
+    assert children_of(tree, kids[0].id) == []
     assert tree.hole_count() == 0
 
 
@@ -71,9 +70,9 @@ def test_contour_hierarchy_ring():
     grid[2:8, 2:8] = True
     grid[4:6, 4:6] = False
     tree = contour_hierarchy(grid)
-    kids = tree.children_of(0)
+    kids = children_of(tree, 0)
     assert len(kids) == 1
-    inner = tree.children_of(kids[0].id)
+    inner = children_of(tree, kids[0].id)
     assert len(inner) == 1 and inner[0].is_hole
     assert tree.hole_count() == 1
 
@@ -84,9 +83,9 @@ def test_contour_hierarchy_ring_plus_blob():
     grid[4:7, 4:7] = False  # hole in the ring
     grid[3:6, 11:14] = True  # separate solid blob
     tree = contour_hierarchy(grid)
-    kids = tree.children_of(0)
+    kids = children_of(tree, 0)
     assert len(kids) == 2
-    hole_kids = [tree.children_of(k.id) for k in kids]
+    hole_kids = [children_of(tree, k.id) for k in kids]
     assert sorted(len(k) for k in hole_kids) == [0, 1]
     assert tree.hole_count() == flood_fill_hole_count(grid) == 1
 
@@ -98,11 +97,11 @@ def test_contour_hierarchy_nested_island():
     grid[3:9, 3:9] = False
     grid[5:7, 5:7] = True
     tree = contour_hierarchy(grid)
-    outer = tree.children_of(0)
+    outer = children_of(tree, 0)
     assert len(outer) == 1
-    hole = tree.children_of(outer[0].id)
+    hole = children_of(tree, outer[0].id)
     assert len(hole) == 1 and hole[0].is_hole
-    island = tree.children_of(hole[0].id)
+    island = children_of(tree, hole[0].id)
     assert len(island) == 1 and not island[0].is_hole
 
 
@@ -153,11 +152,40 @@ def test_contour_hierarchy_matches_oracle_builder(grid, noise_ratio, reference_a
     assert _tree_shape(tree) == _tree_shape(oracle)
 
 
-def test_structuring_elements_are_scipys():
-    # written out so that importing the module does not load scipy.ndimage
-    assert np.array_equal(_STRUCT4, ndimage.generate_binary_structure(2, 1))
-    assert _STRUCT4.dtype == bool
-    assert np.array_equal(_STRUCT8, np.ones((3, 3)))
+def _assert_labels_are_scipys(grid):
+    fg, n_fg, bg, n_bg = label_components(grid)
+    ref_fg, ref_n_fg = ndimage.label(grid, structure=np.ones((3, 3)))
+    ref_bg, ref_n_bg = ndimage.label(~grid, structure=ndimage.generate_binary_structure(2, 1))
+    assert (n_fg, n_bg) == (ref_n_fg, ref_n_bg)
+    for got, ref in ((fg, ref_fg), (bg, ref_bg)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_contour_grids())
+def test_label_components_matches_scipy(grid):
+    _assert_labels_are_scipys(grid)
+
+
+def _serpentine(n: int) -> np.ndarray:
+    """One 8-connected path that snakes down an n x n grid, every 4th row a pass."""
+    grid = np.zeros((n, n), dtype=bool)
+    grid[::4] = True
+    for r in range(0, n - 4, 4):
+        grid[r:r + 5, n - 1 if r % 8 == 0 else 0] = True
+    return grid
+
+
+@pytest.mark.parametrize("grid", [
+    np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool),
+    (np.arange(17) % 3 == 0)[None, :], (np.arange(17) % 3 == 0)[:, None],
+    np.ones((6, 9), dtype=bool), np.zeros((6, 9), dtype=bool),
+    np.indices((9, 12)).sum(axis=0) % 2 == 0,
+    _serpentine(301), ~_serpentine(301),
+], ids=["1x1-true", "1x1-false", "1xN", "Nx1", "all-true", "all-false",
+        "checkerboard", "serpentine", "serpentine-complement"])
+def test_label_components_matches_scipy_on_named_grids(grid):
+    _assert_labels_are_scipys(grid)
 
 
 def test_deep_region_offset_from_dmin():

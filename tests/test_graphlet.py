@@ -19,7 +19,7 @@ from affgraph.graphlet import (
 )
 from affgraph.temporal import Calculus, Episode, Interval
 
-from conftest import permute_graphlet, random_graphlet
+from conftest import label_multiset, permute_graphlet, random_graphlet
 
 
 def _ep(pair, calc, rel, start, end):
@@ -50,10 +50,10 @@ def test_build_smallest_graphlet():
     g = gs[0]
     assert g.id == "scene/a/b"
     assert g.human_part == "hand"
-    assert g.label_multiset(ENTITY) == ["anchor", "human", "partner"]
-    assert g.label_multiset(SPATIAL) == ["DiSR:Sup", "RCC2:C"]
+    assert label_multiset(g, ENTITY) == ["anchor", "human", "partner"]
+    assert label_multiset(g, SPATIAL) == ["DiSR:Sup", "RCC2:C"]
     # one temporal vertex for the single episode pair: C during Sup
-    assert g.label_multiset(TEMPORAL) == ["di"]
+    assert label_multiset(g, TEMPORAL) == ["di"]
     g.validate()
     # the temporal vertex joins exactly the two spatial vertices
     adj = g.neighbors()
@@ -77,7 +77,7 @@ def test_build_one_graphlet_per_interacting_pair():
     assert sorted(g.id for g in gs) == ["scene/a/b", "scene/a/c"]
     # no human episodes -> no human vertex
     assert all(g.human_part is None for g in gs)
-    assert all(g.label_multiset(ENTITY) == ["anchor", "partner"] for g in gs)
+    assert all(label_multiset(g, ENTITY) == ["anchor", "partner"] for g in gs)
 
 
 def test_build_picks_most_connected_human_part():
@@ -88,7 +88,7 @@ def test_build_picks_most_connected_human_part():
     ]
     (g,) = build_agraphlets("scene", eps)
     assert g.human_part == "right"
-    assert g.label_multiset(SPATIAL) == ["DiSR:Cont", "RCC2:C"]
+    assert label_multiset(g, SPATIAL) == ["DiSR:Cont", "RCC2:C"]
 
 
 def test_build_temporal_cap_prefers_closest_pairs():
@@ -99,10 +99,10 @@ def test_build_temporal_cap_prefers_closest_pairs():
     ]
     (g,) = build_agraphlets("scene", eps, temporal_cap=2)
     # three episode pairs exist; the cap keeps the two adjacent-in-time ones
-    assert len(g.label_multiset(TEMPORAL)) == 2
-    assert g.label_multiset(TEMPORAL) == ["m", "m"]
+    assert len(label_multiset(g, TEMPORAL)) == 2
+    assert label_multiset(g, TEMPORAL) == ["m", "m"]
     (g_full,) = build_agraphlets("scene", eps)
-    assert sorted(g_full.label_multiset(TEMPORAL)) == ["<", "m", "m"]
+    assert sorted(label_multiset(g_full, TEMPORAL)) == ["<", "m", "m"]
 
 
 # -- canonical form -----------------------------------------------------------

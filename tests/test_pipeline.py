@@ -38,6 +38,8 @@ from affgraph.pipeline import (
 )
 from affgraph.synth import SyntheticScript, generate_synthetic
 
+from conftest import label_multiset
+
 
 def _small_cfg(mode="embedding", **kwargs):
     cfg = PipelineConfig(mode=mode, cut_threshold=None, **kwargs)
@@ -175,7 +177,7 @@ def test_rcc5_on_baseline_calculus(small_corpus):
     name = sorted(scenes)[0]
     _, gs = scene_graphlets(name, scenes[name], cfg)
     assert gs
-    labels = {lbl for g in gs for lbl in g.label_multiset("spatial")}
+    labels = {lbl for g in gs for lbl in label_multiset(g, "spatial")}
     assert any(lbl.startswith("RCC5On:") for lbl in labels)
     assert not any(lbl.startswith("DiSR:") for lbl in labels)
 
@@ -232,7 +234,23 @@ def test_export_dendrogram_dot_escapes_leaf_ids(tmp_path, clustered):
     for line in text.splitlines():  # every '"' opens or closes a quoted string
         assert '"' not in DOT_QUOTED.sub("", line), line
     labels = {re.sub(r"\\(.)", r"\1", q[1:-1]) for q in DOT_QUOTED.findall(text)}
-    assert set(ids) <= labels
+    # a clustered leaf's label ends in "\ncluster <k>", whose "\n" unescapes to "n"
+    shown = {gid + (f"ncluster {k}" if clustered else "") for k, gid in enumerate(ids)}
+    assert shown <= labels
+
+
+@pytest.mark.parametrize("clustered", [False, True])
+def test_export_dendrogram_dot_labels_each_leaf_once(tmp_path, clustered):
+    dend = Dendrogram(n_leaves=3, leaf_ids=["g0", "g1", "g2"],
+                      merges=[Merge(0, 1, 0.25, 2), Merge(2, 3, 0.5, 3)])
+    flat = FlatClustering({"g0": 0, "g1": 0, "g2": 1}) if clustered else None
+    path = tmp_path / "dend.dot"
+    export_dendrogram_dot(dend, flat, str(path))
+    leaves = [line for line in path.read_text().splitlines() if re.match(r"  n[012] \[", line)]
+    assert len(leaves) == 3
+    assert [len(re.findall(r"\blabel=", line)) for line in leaves] == [1, 1, 1]
+    if clustered:
+        assert 'label="g2\\ncluster 1"' in leaves[2]
 
 
 # -- config: named profiles, bases, fuzzing ------------------------------------

@@ -10,9 +10,29 @@ from affgraph.temporal import (
     Calculus,
     Interval,
     allen,
-    allen_converse,
     extract_episodes,
 )
+
+
+ALLEN_CONVERSE = {
+    AllenRelation.BEFORE: AllenRelation.AFTER,
+    AllenRelation.AFTER: AllenRelation.BEFORE,
+    AllenRelation.MEETS: AllenRelation.MET_BY,
+    AllenRelation.MET_BY: AllenRelation.MEETS,
+    AllenRelation.OVERLAPS: AllenRelation.OVERLAPPED_BY,
+    AllenRelation.OVERLAPPED_BY: AllenRelation.OVERLAPS,
+    AllenRelation.STARTS: AllenRelation.STARTED_BY,
+    AllenRelation.STARTED_BY: AllenRelation.STARTS,
+    AllenRelation.DURING: AllenRelation.CONTAINS,
+    AllenRelation.CONTAINS: AllenRelation.DURING,
+    AllenRelation.FINISHES: AllenRelation.FINISHED_BY,
+    AllenRelation.FINISHED_BY: AllenRelation.FINISHES,
+    AllenRelation.EQUALS: AllenRelation.EQUALS,
+}
+
+
+def allen_converse(rel: AllenRelation) -> AllenRelation:
+    return ALLEN_CONVERSE[rel]
 
 
 def all_intervals(lo: int, hi: int) -> list[Interval]:
