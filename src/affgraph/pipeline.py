@@ -163,21 +163,21 @@ def compute_frame_relations(
     """Per-frame relation tokens for every ordered object pair (DiSR or the
     RCC5(+On) baseline) and every (object, human_part) pair (RCC2).
 
-    One pass over the frames builds each frame's ownership map once and takes
-    each visible object's owned depths once; the per-frame convexity types
-    are consolidated per track before any pair is scored."""
+    One pass over the frames that observe an object builds each one's
+    ownership map once and takes each visible object's owned depths once (a
+    frame without an object yields no relation); the per-frame convexity
+    types are consolidated per track before any pair is scored."""
     prof = cfg.profile
     at = {ent.id: {obs.frame: obs for obs in ent.observations} for ent in scene.entities}
     objects = [ent.id for ent in scene.objects()]
     humans = [ent.id for ent in scene.human_parts()]
 
     # frame -> object id -> (observation, ascending owned depths or None)
-    visible: list[dict[str, tuple]] = []
+    visible: dict[int, dict[str, tuple]] = {}
     per_frame_conv: dict[str, list[ConvexityType]] = {}
-    for f in range(scene.frame_count):
+    for f in sorted({f for eid in objects for f in at[eid]}):
         smap = build_semantic_depth_map(scene, f)
-        seen: dict[str, tuple] = {}
-        visible.append(seen)
+        seen = visible[f] = {}
         for eid in objects:
             obs = at[eid].get(f)
             if obs is None:
@@ -202,7 +202,7 @@ def compute_frame_relations(
     track_types = {eid: track_convexity(types) for eid, types in per_frame_conv.items()}
 
     relations: dict[tuple[str, str], list[tuple[int, str]]] = {}
-    for f, seen in enumerate(visible):
+    for f, seen in visible.items():
         states = {}
         for eid, (obs, vals) in seen.items():
             conv = track_types.get(eid)

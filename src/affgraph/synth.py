@@ -35,6 +35,11 @@ class ScriptError(ValueError):
     """Raised for infeasible script parameters."""
 
 
+# place-on sets its mover down at x 24 +- jitter; beyond 16 it can leave the
+# supporter's columns 8-56, so the scene no longer shows the On its key says
+MAX_JITTER = 16
+
+
 @dataclass(frozen=True)
 class SyntheticScript:
     kind: str
@@ -48,6 +53,8 @@ class SyntheticScript:
     def validate(self) -> None:
         if self.kind not in SCRIPT_KINDS:
             raise ScriptError(f"unknown script kind {self.kind!r}")
+        if not 0 <= self.jitter <= MAX_JITTER:
+            raise ScriptError(f"jitter {self.jitter} outside [0, {MAX_JITTER}]")
         t = self.switch_frame
         if not (self.touch_lead + 1 <= t <= self.frame_count - 8):
             raise ScriptError(
@@ -93,9 +100,7 @@ def _rect_obs(frame: int, x0: int, y0: int, x1: int, y1: int, score: float,
 def _table_depth(x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
     """Row-graded depth, range 12: a surface-type profile under thresh 4."""
     grid = np.zeros((HEIGHT, WIDTH))
-    h = y1 - y0
-    for r in range(y0, y1):
-        grid[r, x0:x1] = 10.0 + 12.0 * (r - y0) / max(1, h - 1)
+    grid[y0:y1, x0:x1] = (10.0 + 12.0 * np.arange(y1 - y0) / max(1, y1 - y0 - 1))[:, None]
     return grid
 
 
@@ -119,8 +124,7 @@ def _flat_depth(value: float) -> np.ndarray:
 def _gradient_depth(x0: int, x1: int, lo: float, hi: float) -> np.ndarray:
     """Column-graded depth between lo and hi across the box width."""
     grid = np.zeros((HEIGHT, WIDTH))
-    for c in range(x0, x1):
-        grid[:, c] = lo + (hi - lo) * (c - x0) / max(1, (x1 - x0 - 1))
+    grid[:, x0:x1] = lo + (hi - lo) * np.arange(x1 - x0) / max(1, x1 - x0 - 1)
     return grid
 
 
@@ -147,6 +151,8 @@ def generate_synthetic(
     n: int = 3,
 ) -> GeneratedScene:
     script.validate()
+    if seed < 0:
+        raise ScriptError(f"seed {seed} is negative")
     rng = np.random.default_rng(seed)
     T = script.frame_count
     t = script.switch_frame
@@ -154,12 +160,9 @@ def generate_synthetic(
 
     if script.kind == "place-on":
         return _place_on(script, rng, T, t, tc)
-    if script.kind == "put-into":
+    if script.kind in ("put-into", "take-out"):
         _check_containment_band(thresh_convex, h, n)
-        return _put_into(script, rng, T, t, tc, reverse=False)
-    if script.kind == "take-out":
-        _check_containment_band(thresh_convex, h, n)
-        return _put_into(script, rng, T, t, tc, reverse=True)
+        return _put_into(script, rng, T, t, tc, reverse=script.kind == "take-out")
     if script.kind == "push-adjacent":
         return _push_adjacent(script, rng, T, t, tc)
     return _occlude(script, rng, T, t)
@@ -180,148 +183,120 @@ def _hand_windows(script: SyntheticScript, T: int, t: int, tc: int) -> list[tupl
     return windows
 
 
-def _in_windows(f: int, windows: list[tuple[int, int]]) -> bool:
-    return any(a <= f <= b for a, b in windows)
+Box = tuple[int, int, int, int]  # x0, y0, x1, y1
 
 
 def _place_on(script, rng, T, t, tc) -> GeneratedScene:
-    # static supporter: row-graded surface
-    sx0, sy0, sx1, sy1 = 8, 24, 56, 44
-    table_grid = _table_depth(sx0, sy0, sx1, sy1)
-    cup_grid = _flat_depth(15.0)
-    hand_grid = _flat_depth(13.0)
-
-    far_x = 2 + _jitter(rng, script.jitter)
-    far_x = max(0, min(far_x, sx0 - 9))  # keep the mover clear of the supporter
+    # The mover starts at x 0, clear of the supporter at x 8.  This draw is
+    # unused; it keeps on_x's place in each seed's stream.
+    _jitter(rng, script.jitter)
     on_x = 24 + _jitter(rng, script.jitter)
-
-    entities = {
-        STATIC: Entity(STATIC, EntityKind.OBJECT),
-        MOVER: Entity(MOVER, EntityKind.OBJECT),
-        HAND: Entity(HAND, EntityKind.HUMAN_PART),
-    }
-    windows = _hand_windows(script, T, t, tc)
-    # brief hand contact with the supporter after the release, clear of the
-    # mover and of the supporter's deep rows
-    static_touch = (t + 3, t + 8) if t + 8 <= T - 2 else None
-    for f in range(T):
-        entities[STATIC].observations.append(
-            _rect_obs(f, sx0, sy0, sx1, sy1, 0.9, table_grid))
-        if f < t:
-            mx, my = far_x, 6
-        else:
-            # On(mover, supporter): horizontally inside, overlapping the top edge
-            mx, my = on_x, 18
-        entities[MOVER].observations.append(
-            _rect_obs(f, mx, my, mx + 8, my + 8, 0.95, cup_grid))
-        if _in_windows(f, windows):
-            # touch the mover's top rows only; never the supporter's mask
-            entities[HAND].observations.append(
-                _rect_obs(f, mx + 1, my - 3, mx + 6, my + 2, 0.99, hand_grid))
-        elif static_touch and static_touch[0] <= f <= static_touch[1]:
-            entities[HAND].observations.append(
-                _rect_obs(f, 44, 26, 48, 30, 0.99, hand_grid))
-        else:
-            entities[HAND].observations.append(
-                _rect_obs(f, 56, 2, 62, 8, 0.99, hand_grid))
-
-    gen = _finish(entities, T)
-    gen.labels[(STATIC, MOVER)] = ["can-support"]
-    gen.labels[(MOVER, STATIC)] = ["supportable"]
-    _fill_key(gen, T, t, rel_after=("Sup", "Supi"), windows=windows)
-    return gen
+    cup_grid = _flat_depth(15.0)
+    supporter = (8, 24, 56, 44)  # row-graded surface
+    return _hand_object(
+        script, T, t, tc, static=supporter, static_grid=_table_depth(*supporter),
+        # after the event On(mover, supporter): horizontally inside,
+        # overlapping the top edge
+        movers=(((0, 6, 8, 14), cup_grid), ((on_x, 18, on_x + 8, 26), cup_grid)),
+        mover_score=0.95, hand_depth=13.0,
+        # touch the mover's top rows only; never the supporter's mask
+        hand_on=lambda x, y, *_: (x + 1, y - 3, x + 6, y + 2),
+        # brief hand contact with the supporter after the release, clear of
+        # the mover and of the supporter's deep rows
+        touch=(t + 3, t + 8, (44, 26, 48, 30)) if t + 8 <= T - 2 else None,
+        park=(56, 2, 62, 8),
+        labels=("can-support", "supportable"), rel_after=("Sup", "Supi"),
+    )
 
 
 def _put_into(script, rng, T, t, tc, reverse: bool) -> GeneratedScene:
-    bx0, by0, bx1, by1 = 20, 14, 40, 34
-    bowl_grid = _bowl_depth(bx0, by0, bx1, by1)
-    ball_grid = _gradient_depth(0, WIDTH, 16.0, 20.0)
-    hand_grid = _flat_depth(17.0)
+    bowl = (20, 14, 40, 34)
+    far_x = max(0, min(2 + _jitter(rng, script.jitter), bowl[0] - 9))
+    # stay over the shallow core
+    in_x = max(bowl[0] + 6, min(27 + _jitter(rng, script.jitter), bowl[2] - 12))
 
-    far_x = 2 + _jitter(rng, script.jitter)
-    far_x = max(0, min(far_x, bx0 - 9))
-    in_x = 27 + _jitter(rng, script.jitter)
-    in_x = max(bx0 + 6, min(in_x, bx1 - 6 - 6))  # stay over the shallow core
+    def ball(x: int, y: int) -> tuple[Box, np.ndarray]:
+        return (x, y, x + 6, y + 6), _gradient_depth(x, x + 6, 16.0, 20.0)
 
-    entities = {
-        STATIC: Entity(STATIC, EntityKind.OBJECT),
-        MOVER: Entity(MOVER, EntityKind.OBJECT),
-        HAND: Entity(HAND, EntityKind.HUMAN_PART),
-    }
-    windows = _hand_windows(script, T, t, tc)
-    # brief hand contact with the container's outer rim right at the event,
-    # clear of the mover and of the deep annulus
-    static_touch = (t, t + 5) if t + 5 <= T - 2 else None
-    for f in range(T):
-        entities[STATIC].observations.append(
-            _rect_obs(f, bx0, by0, bx1, by1, 0.9, bowl_grid))
-        inside = (f >= t) if not reverse else (f < t)
-        if inside:
-            mx, my = in_x, 21
-        else:
-            mx, my = far_x, 2
-        ball_depth = _gradient_depth(mx, mx + 6, 16.0, 20.0)
-        entities[MOVER].observations.append(
-            _rect_obs(f, mx, my, mx + 6, my + 6, 0.95, ball_depth))
-        if _in_windows(f, windows):
-            hx = mx + 1
-            hy = max(0, my - 2)
-            entities[HAND].observations.append(
-                _rect_obs(f, hx, hy, hx + 4, hy + 4, 0.99, hand_grid))
-        elif static_touch and static_touch[0] <= f <= static_touch[1]:
-            entities[HAND].observations.append(
-                _rect_obs(f, bx0, by0 + 1, bx0 + 3, by0 + 6, 0.99, hand_grid))
-        else:
-            entities[HAND].observations.append(
-                _rect_obs(f, 56, 40, 62, 46, 0.99, hand_grid))
-
-    gen = _finish(entities, T)
-    gen.labels[(STATIC, MOVER)] = ["can-contain"]
-    gen.labels[(MOVER, STATIC)] = ["containable"]
-    _fill_key(gen, T, t, rel_after=("Cont", "Conti"), windows=windows, reverse=reverse)
-    return gen
+    return _hand_object(
+        script, T, t, tc, static=bowl, static_grid=_bowl_depth(*bowl),
+        movers=(ball(far_x, 2), ball(in_x, 21)), mover_score=0.95, hand_depth=17.0,
+        hand_on=lambda x, y, *_: (x + 1, y - 2, x + 5, y + 2),
+        # brief hand contact with the container's outer rim right at the
+        # event, clear of the mover and of the deep annulus
+        touch=(t, t + 5, (20, 15, 23, 20)) if t + 5 <= T - 2 else None,
+        park=(56, 40, 62, 46),
+        labels=("can-contain", "containable"), rel_after=("Cont", "Conti"), reverse=reverse,
+    )
 
 
 def _push_adjacent(script, rng, T, t, tc) -> GeneratedScene:
-    ax_far = 5 + _jitter(rng, script.jitter)
-    ax_far = max(0, min(ax_far, 10))
-    b_x0, b_y0 = 30, 20
-    hand_grid = _flat_depth(11.0)
+    far_x = max(0, min(5 + _jitter(rng, script.jitter), 10))
 
+    def block(x: int) -> tuple[Box, np.ndarray]:
+        return (x, 20, x + 10, 30), _gradient_depth(x, x + 10, 10.0, 13.0)
+
+    return _hand_object(
+        script, T, t, tc, static=(30, 20, 40, 30),
+        static_grid=_gradient_depth(30, 40, 12.0, 15.0),
+        # after the push the mover overlaps the static box by 2 columns
+        movers=(block(far_x), block(22)), mover_score=0.85, hand_depth=11.0,
+        hand_on=lambda x, y, *_: (max(0, x - 3), y + 2, x + 2, y + 7),
+        # brief hand contact with the static box before the push, placed so
+        # the two anchored graphlets differ in exactly one temporal label
+        touch=(2, 6, (33, 22, 37, 26)) if tc >= 8 else None,
+        park=(56, 2, 62, 8),
+        labels=("adjacent-interaction", "adjacent-interaction"), rel_after=("Adj", "Adj"),
+    )
+
+
+def _overlap(a: Box, b: Box) -> bool:
+    """Whether two boxes overlap with positive area, as their rectangle masks do."""
+    return max(a[0], b[0]) < min(a[2], b[2]) and max(a[1], b[1]) < min(a[3], b[3])
+
+
+def _hand_object(script, T, t, tc, *, static: Box, static_grid, movers, mover_score: float,
+                 hand_depth: float, hand_on, touch: tuple[int, int, Box] | None, park: Box,
+                 labels: tuple[str, str], rel_after: tuple[str, str],
+                 reverse: bool = False) -> GeneratedScene:
+    """The frame loop of the hand-object scripts.
+
+    The mover's box and depth grid are ``movers[active]``, where ``active``
+    (from the switch frame on, or before it if ``reverse``) means
+    ``rel_after`` holds.  The hand holds the mover at ``hand_on(*box)`` in
+    its windows, else rests on the static object in ``touch``'s frame
+    window, else parks.
+    """
     entities = {
         STATIC: Entity(STATIC, EntityKind.OBJECT),
         MOVER: Entity(MOVER, EntityKind.OBJECT),
         HAND: Entity(HAND, EntityKind.HUMAN_PART),
     }
-    b_depth = _gradient_depth(b_x0, b_x0 + 10, 12.0, 15.0)
     windows = _hand_windows(script, T, t, tc)
-    # brief hand contact with the static box before the push, placed so the
-    # two anchored graphlets differ in exactly one temporal label
-    static_touch = (2, 6) if tc >= 8 else None
+    hand_grid = _flat_depth(hand_depth)
+    ab, ba = rel_after
+    key = {(STATIC, MOVER): [], (MOVER, STATIC): [], (MOVER, HAND): [], (STATIC, HAND): []}
     for f in range(T):
-        entities[STATIC].observations.append(
-            _rect_obs(f, b_x0, b_y0, b_x0 + 10, b_y0 + 10, 0.9, b_depth))
-        if f < t:
-            mx = ax_far
+        active = (f >= t) != reverse
+        box, grid = movers[active]
+        held = any(a <= f <= b for a, b in windows)
+        if held:
+            hand = hand_on(*box)
+        elif touch and touch[0] <= f <= touch[1]:
+            hand = touch[2]
         else:
-            mx = 22  # overlap the static box by 2 columns
-        a_depth = _gradient_depth(mx, mx + 10, 10.0, 13.0)
-        entities[MOVER].observations.append(
-            _rect_obs(f, mx, b_y0, mx + 10, b_y0 + 10, 0.85, a_depth))
-        if _in_windows(f, windows):
-            entities[HAND].observations.append(
-                _rect_obs(f, max(0, mx - 3), b_y0 + 2, mx + 2, b_y0 + 7, 0.99, hand_grid))
-        elif static_touch and static_touch[0] <= f <= static_touch[1]:
-            entities[HAND].observations.append(
-                _rect_obs(f, b_x0 + 3, b_y0 + 2, b_x0 + 7, b_y0 + 6, 0.99, hand_grid))
-        else:
-            entities[HAND].observations.append(
-                _rect_obs(f, 56, 2, 62, 8, 0.99, hand_grid))
+            hand = park
+        entities[STATIC].observations.append(_rect_obs(f, *static, 0.9, static_grid))
+        entities[MOVER].observations.append(_rect_obs(f, *box, mover_score, grid))
+        entities[HAND].observations.append(_rect_obs(f, *hand, 0.99, hand_grid))
+        key[(STATIC, MOVER)].append((f, ab if active else "NI"))
+        key[(MOVER, STATIC)].append((f, ba if active else "NI"))
+        key[(MOVER, HAND)].append((f, "C" if held else "DC"))
+        key[(STATIC, HAND)].append((f, "C" if _overlap(hand, static) else "DC"))
 
     gen = _finish(entities, T)
-    gen.labels[(STATIC, MOVER)] = ["adjacent-interaction"]
-    gen.labels[(MOVER, STATIC)] = ["adjacent-interaction"]
-    _fill_key(gen, T, t, rel_after=("Adj", "Adj"), windows=windows, mover_first=True)
+    gen.labels = {(STATIC, MOVER): [labels[0]], (MOVER, STATIC): [labels[1]]}
+    gen.relation_key = key
     return gen
 
 
@@ -355,39 +330,3 @@ def _finish(entities: dict[str, Entity], frame_count: int) -> GeneratedScene:
                           fps=30.0, entities=list(entities.values()))
     scene.validate()
     return GeneratedScene(scene=scene)
-
-
-def _fill_key(gen: GeneratedScene, T: int, t: int,
-              rel_after: tuple[str, str],
-              windows: list[tuple[int, int]],
-              reverse: bool = False,
-              mover_first: bool = False) -> None:
-    ab, ba = rel_after
-
-    def tok(f: int, rel: str) -> str:
-        active = (f >= t) if not reverse else (f < t)
-        return rel if active else "NI"
-
-    gen.relation_key[(STATIC, MOVER)] = [(f, tok(f, ab)) for f in range(T)]
-    gen.relation_key[(MOVER, STATIC)] = [(f, tok(f, ba)) for f in range(T)]
-    gen.relation_key[(MOVER, HAND)] = [
-        (f, "C" if _in_windows(f, windows) else "DC") for f in range(T)
-    ]
-    # the hand touches the static object's mask only while over it
-    static_c = [
-        (f, "C" if (_contact_static(gen, f)) else "DC") for f in range(T)
-    ]
-    gen.relation_key[(STATIC, HAND)] = static_c
-
-
-def _contact_static(gen: GeneratedScene, f: int) -> bool:
-    scene = gen.scene
-    try:
-        hand = scene.entity(HAND)
-    except KeyError:
-        return False
-    obs_s = scene.entity(STATIC).observation_at(f)
-    obs_h = hand.observation_at(f)
-    if obs_s is None or obs_h is None or obs_s.mask is None or obs_h.mask is None:
-        return False
-    return bool(np.any(obs_s.mask.to_array() & obs_h.mask.to_array()))

@@ -132,6 +132,26 @@ def test_infeasible_script_is_data_error(tmp_path):
                  "--switch", "2"]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"],
+    ["--jitter", "99999999999999999999"],
+    ["--jitter", "-5"],
+    ["--jitter", "17"],
+    ["--switch", "-3"],
+])
+def test_synth_out_of_range_flag_is_one_line_data_error(tmp_path, capsys, flags):
+    out = tmp_path / "x.json"
+    assert main(["synth", "place-on", "-o", str(out), *flags]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_synth_jitter_and_seed_bounds_are_accepted(tmp_path):
+    for flags in (["--jitter", "0", "--seed", "0"], ["--jitter", "16", "--seed", str(2**70)]):
+        assert main(["synth", "place-on", "-o", str(tmp_path / "x.json"), *flags]) == EXIT_OK
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow precedes the raise
 def test_divergent_training_is_numeric_error(tmp_path, scene_file, capsys):
     corpus = tmp_path / "corpus.jsonl"

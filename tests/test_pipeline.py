@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affgraph import embedding as emb
+from affgraph import pipeline
 from affgraph.clustering import (
     Criterion,
     Dendrogram,
@@ -36,6 +37,7 @@ from affgraph.pipeline import (
     run_pipeline,
     scene_graphlets,
 )
+from affgraph.scene import Entity, SceneSequence
 from affgraph.synth import SyntheticScript, generate_synthetic
 
 from conftest import label_multiset
@@ -251,6 +253,34 @@ def test_export_dendrogram_dot_labels_each_leaf_once(tmp_path, clustered):
     assert [len(re.findall(r"\blabel=", line)) for line in leaves] == [1, 1, 1]
     if clustered:
         assert 'label="g2\\ncluster 1"' in leaves[2]
+
+
+def test_relation_pass_builds_depth_maps_only_for_frames_with_an_object(monkeypatch):
+    # a frame that observes no object yields no relation: a scene of a million
+    # frames, two of them observed, builds two depth maps
+    gen = generate_synthetic(SyntheticScript(kind="place-on", jitter=0), seed=0)
+
+    def two_frames(frame_count, last):
+        entities = [Entity(e.id, e.kind, [e.observation_at(0),
+                                          replace(e.observation_at(20), frame=last)])
+                    for e in gen.scene.entities]
+        return SceneSequence(gen.scene.width, gen.scene.height, frame_count, entities=entities)
+
+    real = pipeline.build_semantic_depth_map
+    calls = []
+
+    def counted(scene, frame):
+        calls.append(frame)
+        assert len(calls) <= 2, "depth map built for a frame without an object"
+        return real(scene, frame)
+
+    cfg = PipelineConfig()
+    short = pipeline.compute_frame_relations(two_frames(21, 20), cfg)
+    monkeypatch.setattr(pipeline, "build_semantic_depth_map", counted)
+    long = pipeline.compute_frame_relations(two_frames(10**6, 10**6 - 1), cfg)
+    assert calls == [0, 10**6 - 1]
+    assert long == {pair: [(0, a), (10**6 - 1, b)] for pair, [(_, a), (_, b)] in short.items()}
+    assert len(long) == 4
 
 
 # -- config: named profiles, bases, fuzzing ------------------------------------
