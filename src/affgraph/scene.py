@@ -319,10 +319,39 @@ def load_scene(path: str) -> SceneSequence:
     return scene_from_dict(data)
 
 
+class _JsonTexts(dict):
+    """The JSON text of each ``(type, value)`` key, made on first lookup; the
+    type keeps ``10`` and ``10.0`` apart, as they are equal keys."""
+
+    def __missing__(self, key):
+        text = self[key] = json.dumps(key[1])
+        return text
+
+
 def save_scene(scene: SceneSequence, path: str) -> None:
-    """Serialize a scene canonically (sorted keys, fixed separators)."""
+    """Serialize a scene canonically: the file is
+    ``json.dumps(scene_to_dict(scene), sort_keys=True, separators=(",", ":"))``.
+
+    A scene holds one depth reading per mask pixel but few distinct readings,
+    so each distinct value is encoded once and the depth lists are spliced in
+    after each ``"depth_mm":`` of the dump.  That text only occurs as the key:
+    an encoded string escapes its quotes.
+    """
+    data = scene_to_dict(scene)
+    depths = []
+    for ent in data["entities"]:
+        for obs in ent["observations"]:
+            depths.append(obs["depth_mm"])
+            obs["depth_mm"] = None
+    head, *tails = json.dumps(data, sort_keys=True,
+                              separators=(",", ":")).split('"depth_mm":')
+    texts = _JsonTexts()
+    for i, values in enumerate(depths):
+        if values is not None:  # each tail starts with the placeholder null
+            tails[i] = ("[" + ",".join(map(texts.__getitem__, zip(map(type, values), values)))
+                        + "]" + tails[i][4:])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(scene_to_dict(scene), sort_keys=True, separators=(",", ":")))
+        fh.write('"depth_mm":'.join([head, *tails]))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ class ScriptError(ValueError):
 # place-on sets its mover down at x 24 +- jitter; beyond 16 it can leave the
 # supporter's columns 8-56, so the scene no longer shows the On its key says
 MAX_JITTER = 16
+# a generated frame costs about 87 KB of memory until the scene is written
+MAX_FRAMES = 1000
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,8 @@ class SyntheticScript:
             raise ScriptError(f"unknown script kind {self.kind!r}")
         if not 0 <= self.jitter <= MAX_JITTER:
             raise ScriptError(f"jitter {self.jitter} outside [0, {MAX_JITTER}]")
+        if self.frame_count > MAX_FRAMES:
+            raise ScriptError(f"frame_count {self.frame_count} above {MAX_FRAMES}")
         t = self.switch_frame
         if not (self.touch_lead + 1 <= t <= self.frame_count - 8):
             raise ScriptError(
@@ -81,9 +85,18 @@ HAND = "hand"
 
 
 def _rect_mask(x0: int, y0: int, x1: int, y1: int) -> MaskRLE:
-    arr = np.zeros((HEIGHT, WIDTH), dtype=bool)
-    arr[y0:y1, x0:x1] = True
-    return MaskRLE.from_array(arr)
+    """The runs of a non-empty rectangle, as ``MaskRLE.from_array`` of the
+    filled grid gives them: background up to the first pixel, then each row's
+    width and the gap to the next row; full-width rows make one run."""
+    w = x1 - x0
+    if w == WIDTH:
+        runs = [y0 * WIDTH, (y1 - y0) * WIDTH]
+    else:
+        runs = [y0 * WIDTH + x0] + [w, WIDTH - w] * (y1 - y0 - 1) + [w]
+    end = (HEIGHT - y1) * WIDTH + WIDTH - x1
+    if end:
+        runs.append(end)
+    return MaskRLE(width=WIDTH, height=HEIGHT, runs=tuple(runs))
 
 
 def _rect_obs(frame: int, x0: int, y0: int, x1: int, y1: int, score: float,
@@ -303,7 +316,6 @@ def _hand_object(script, T, t, tc, *, static: Box, static_grid, movers, mover_sc
 def _occlude(script, rng, T, t) -> GeneratedScene:
     # distant static object; near mover passes across it with a large depth gap
     s_depth = _gradient_depth(24, 40, 30.0, 34.0)
-    m_depth = _gradient_depth(0, WIDTH, 10.0, 13.0)
     entities = {
         STATIC: Entity(STATIC, EntityKind.OBJECT),
         MOVER: Entity(MOVER, EntityKind.OBJECT),

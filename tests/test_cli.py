@@ -138,6 +138,7 @@ def test_infeasible_script_is_data_error(tmp_path):
     ["--jitter", "-5"],
     ["--jitter", "17"],
     ["--switch", "-3"],
+    ["--frames", "1001"],
 ])
 def test_synth_out_of_range_flag_is_one_line_data_error(tmp_path, capsys, flags):
     out = tmp_path / "x.json"

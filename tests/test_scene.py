@@ -429,13 +429,16 @@ _JSON = st.recursive(
 
 
 @st.composite
-def _scene_dicts(draw):
+def _scene_dicts(draw, valid=False):
     """A scene object that is valid but for its header's ranges, with one value
     sometimes set to any JSON value (an unknown key among them), or a value
-    that is no object."""
-    if draw(st.integers(0, 19)) == 0:
+    that is no object.  With ``valid`` it is a valid scene but for repeated
+    entity ids."""
+    if not valid and draw(st.integers(0, 19)) == 0:
         return draw(_JSON)
-    w, h, frames = draw(st.integers(-1, 5)), draw(st.integers(-1, 5)), draw(st.integers(-1, 4))
+    low = 1 if valid else -1
+    w, h, frames = (draw(st.integers(low, 5)), draw(st.integers(low, 5)),
+                    draw(st.integers(low, 4)))
     data = {"width": w, "height": h, "frame_count": frames,
             "fps": draw(st.none() | st.floats(1, 60)), "entities": []}
     targets = [data]
@@ -458,7 +461,7 @@ def _scene_dicts(draw):
             targets.append(obs)
         data["entities"].append(entity)
         targets.append(entity)
-    if draw(st.booleans()):
+    if not valid and draw(st.booleans()):
         target = draw(st.sampled_from(targets))
         target[draw(st.sampled_from(sorted(target) + ["unknown"]))] = draw(_JSON)
     return data
@@ -474,3 +477,66 @@ def test_scene_from_dict_returns_a_valid_scene_or_a_scene_error(data):
     scene.validate()
     assert scene.width >= 1 and scene.height >= 1 and scene.frame_count >= 0
     assert scene_to_dict(scene_from_dict(scene_to_dict(scene))) == scene_to_dict(scene)
+
+
+def _plain_dump(scene):
+    """The oracle of ``save_scene``'s bytes: one canonical ``json.dumps``."""
+    return json.dumps(scene_to_dict(scene), sort_keys=True, separators=(",", ":"))
+
+
+# depth readings whose JSON text is easy to get wrong: an int beside the
+# equal float, and floats whose repr has an exponent
+_DEPTHS = (st.sampled_from([10, 10.0, 1e-05, 1e+16, 2.5e-300, 123456789.125])
+           | st.integers(1, 2**62) | st.floats(1e-300, 1e300))
+# entity ids whose JSON text holds an escape, a quote, or the key save_scene
+# splices its depth lists in after
+_IDS = (st.sampled_from(["\x00", '"', '"depth_mm":', '"depth_mm":null', "\u00e9", "a"])
+        | st.text(max_size=12).filter(lambda s: "/" not in s))
+
+
+@st.composite
+def _saved_scenes(draw):
+    """A valid scene from ``_scene_dicts`` with its entity ids drawn from
+    ``_IDS`` and its depth readings from ``_DEPTHS``; an observation without
+    a mask sometimes gets a depth list of any length."""
+    data = draw(_scene_dicts(valid=True))
+    entities = data["entities"]
+    ids = draw(st.lists(_IDS, min_size=len(entities), max_size=len(entities), unique=True))
+    for entity, entity_id in zip(entities, ids):
+        entity["id"] = entity_id
+        for obs in entity["observations"]:
+            if "depth_mm" in obs:
+                size = len(obs["depth_mm"])
+            elif "mask_rle" not in obs and draw(st.booleans()):
+                size = draw(st.integers(0, 4))
+            else:
+                continue
+            obs["depth_mm"] = draw(st.lists(_DEPTHS, min_size=size, max_size=size))
+    return scene_from_dict(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_saved_scenes())
+def test_save_scene_writes_the_plain_canonical_dump(tmp_path_factory, scene):
+    path = tmp_path_factory.mktemp("scene") / "scene.json"
+    save_scene(scene, str(path))
+    assert path.read_text(encoding="utf-8") == _plain_dump(scene)
+
+
+def test_save_scene_keeps_each_depth_text_and_splices_past_lookalike_ids(tmp_path):
+    scene = SceneSequence(width=4, height=2, frame_count=2, fps=None, entities=[
+        Entity(ent_id, EntityKind.OBJECT, [
+            EntityObservation(frame=0, bbox=_box(0, 0, 4, 2), score=0.5,
+                              mask=MaskRLE(width=4, height=2, runs=(1, 3, 4)),
+                              depth=DepthSample(values=(10, 10.0, 1e-05))),
+            EntityObservation(frame=1, bbox=_box(0, 0, 1, 1), score=1.0,
+                              depth=DepthSample(values=(1e+16, 10)))])
+        for ent_id in ("\x00", '"depth_mm":null', '"', "z")])
+    path = tmp_path / "scene.json"
+    save_scene(scene, str(path))
+    text = path.read_text(encoding="utf-8")
+    assert text == _plain_dump(scene)
+    assert text.count('"depth_mm":[10,10.0,1e-05]') == 4
+    assert text.count('"depth_mm":[1e+16,10]') == 4
+    assert '"id":"\\u0000"' in text and '"mask_rle":null' in text
+    assert scene_to_dict(load_scene(str(path))) == scene_to_dict(scene)

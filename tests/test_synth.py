@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from affgraph import synth
 from affgraph.pipeline import PipelineConfig, compute_frame_relations
@@ -12,6 +13,7 @@ from affgraph.scene import (
     BoundingBox,
     DepthSample,
     EntityObservation,
+    MaskRLE,
     save_scene,
     scene_to_dict,
 )
@@ -76,6 +78,9 @@ def test_script_validation_errors():
         SyntheticScript(kind="place-on", switch_frame=2, touch_lead=4).validate()
     with pytest.raises(ScriptError):
         SyntheticScript(kind="place-on", frame_count=16, switch_frame=12).validate()
+    with pytest.raises(ScriptError, match="frame_count 1001 above 1000"):
+        SyntheticScript(kind="place-on", frame_count=synth.MAX_FRAMES + 1).validate()
+    SyntheticScript(kind="place-on", frame_count=synth.MAX_FRAMES).validate()
 
 
 def test_infeasible_containment_band_rejected():
@@ -85,6 +90,33 @@ def test_infeasible_containment_band_rejected():
     # container depth range must exceed the convexity threshold
     with pytest.raises(ScriptError):
         generate_synthetic(SyntheticScript(kind="put-into"), seed=0, thresh_convex=15.0)
+
+
+def _filled_rect_mask(x0, y0, x1, y1):
+    """The ``_rect_mask`` that ``synth`` used before: fill the grid, encode it."""
+    arr = np.zeros((synth.HEIGHT, synth.WIDTH), dtype=bool)
+    arr[y0:y1, x0:x1] = True
+    return MaskRLE.from_array(arr)
+
+
+_W, _H = synth.WIDTH, synth.HEIGHT
+
+
+@pytest.mark.parametrize("box", [
+    (5, 7, 6, 8), (0, 0, 1, 1), (_W - 1, _H - 1, _W, _H),  # 1x1, two corners
+    (0, 3, _W, 9), (0, 0, _W, _H),  # full width, full frame
+    (0, 10, 4, 20), (3, 0, 9, 4), (60, 10, _W, 20), (3, 40, 9, _H),  # one edge each
+    (50, 30, _W, _H), (0, 30, _W, _H),  # the bottom-right corner
+], ids=str)
+def test_rect_mask_runs_match_filled_grid(box):
+    assert synth._rect_mask(*box).runs == _filled_rect_mask(*box).runs
+
+
+@given(st.tuples(st.integers(0, _W), st.integers(0, _W)).filter(lambda p: p[0] != p[1]),
+       st.tuples(st.integers(0, _H), st.integers(0, _H)).filter(lambda p: p[0] != p[1]))
+def test_rect_mask_matches_filled_grid_on_any_rectangle(xs, ys):
+    (x0, x1), (y0, y1) = sorted(xs), sorted(ys)
+    assert synth._rect_mask(x0, y0, x1, y1) == _filled_rect_mask(x0, y0, x1, y1)
 
 
 def _rect_obs_per_pixel(frame, x0, y0, x1, y1, score, depth_grid):
