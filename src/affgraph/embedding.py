@@ -10,6 +10,9 @@ import numpy as np
 
 _HASH_ABOVE = 4096  # token strings longer than this are digest-compressed
 _NEG_BLOCK = 64  # rows per negative-sampling block: no (batch, k, dim) array is held
+# bounds of the training settings, far above the defaults (128, 5, 14): larger
+# values ask for more memory or time than any corpus here needs
+MAX_EMBEDDING_DIM, MAX_NEGATIVES, MAX_WL_DEPTH = 4096, 100, 64
 
 
 def _compress(token: str) -> str:
@@ -53,13 +56,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.index)
 
-    @property
-    def tokens(self) -> list[str]:
-        inverse = [""] * len(self.index)
-        for tok, i in self.index.items():
-            inverse[i] = tok
-        return inverse
-
 
 def build_vocabulary(corpus_tokens: list[Counter]) -> Vocabulary:
     """Index every distinct token across the corpus, recording counts."""
@@ -96,6 +92,10 @@ class TrainConfig:
             raise ValueError("wl_depth and negatives must be >= 0")
         if self.negatives <= 0 and not self.full_softmax:
             raise ValueError("negatives must be positive")
+        for name, high in (("embedding_dim", MAX_EMBEDDING_DIM),
+                           ("negatives", MAX_NEGATIVES), ("wl_depth", MAX_WL_DEPTH)):
+            if getattr(self, name) > high:
+                raise ValueError(f"{name} {getattr(self, name)} above {high}")
 
 
 class DivergenceError(RuntimeError):
@@ -117,9 +117,6 @@ class EmbeddingTable:
     graph_ids: list[str]
     vectors: np.ndarray  # (n_graphs, dim)
     loss_history: list[float] = field(default_factory=list)
-
-    def vector(self, graph_id: str) -> np.ndarray:
-        return self.vectors[self.graph_ids.index(graph_id)]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -266,8 +263,7 @@ def save_embeddings(table: EmbeddingTable, path: str) -> None:
 def load_embeddings(path: str) -> EmbeddingTable:
     """Read ``save_embeddings`` output, skipping blank lines; a malformed row
     raises ``RowError``."""
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
+    rows: dict[str, np.ndarray] = {}  # graph id -> vector, in file order
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             if not line.strip():
@@ -282,13 +278,14 @@ def load_embeddings(path: str) -> EmbeddingTable:
                     raise ValueError(f"vector length mismatch for {gid}")
                 if not np.isfinite(vec).all():
                     raise ValueError(f"non-finite value in the vector for {gid}")
+                if gid in rows:
+                    raise ValueError(f"repeated id {gid!r}")
             except ValueError as exc:
                 raise RowError(n, str(exc)) from exc
-            ids.append(gid)
-            rows.append(vec)
+            rows[gid] = vec
     if not rows:
         raise ValueError("no embedding rows")
-    return EmbeddingTable(graph_ids=ids, vectors=np.vstack(rows))
+    return EmbeddingTable(graph_ids=list(rows), vectors=np.vstack(list(rows.values())))
 
 
 def save_vocabulary(vocab: Vocabulary, path: str) -> None:

@@ -23,13 +23,7 @@ from .convexity import (
 )
 from .evaluation import LabeledCorpus, metrics_report, v_measure
 from .graphlet import AGraphlet, build_agraphlets, canonical_form, parse_canonical
-from .qsr import (
-    EntityFrameState,
-    PairFrameContext,
-    disr,
-    rcc2,
-    rcc5_on,
-)
+from .qsr import EntityFrameState, disr, rcc2, rcc5_on
 from .scene import SceneSequence, build_semantic_depth_map, refuse_json_constant
 from .temporal import Calculus, Episode, extract_episodes
 
@@ -172,16 +166,18 @@ def compute_frame_relations(
     objects = [ent.id for ent in scene.objects()]
     humans = [ent.id for ent in scene.human_parts()]
 
-    # frame -> object id -> (observation, ascending owned depths or None)
-    visible: dict[int, dict[str, tuple]] = {}
+    # frame -> (object id -> (observation, ascending owned depths or None),
+    # human part id -> observation), built from the per-entity index ``at``
+    visible: dict[int, tuple[dict, dict]] = {}
     per_frame_conv: dict[str, list[ConvexityType]] = {}
     for f in sorted({f for eid in objects for f in at[eid]}):
-        smap = build_semantic_depth_map(scene, f)
-        seen = visible[f] = {}
-        for eid in objects:
-            obs = at[eid].get(f)
-            if obs is None:
-                continue
+        frame_objects = {eid: at[eid][f] for eid in objects if f in at[eid]}
+        hands = {part: at[part][f] for part in humans if f in at[part]}
+        smap = build_semantic_depth_map(scene.height, scene.width, frame_objects,
+                                        hands.values())
+        seen = {}
+        visible[f] = seen, hands
+        for eid, obs in frame_objects.items():
             vals = None  # an object without a mask owns no pixel
             if obs.depth is not None and (owned := smap.owned_mask(eid)).any():
                 vals = np.sort(smap.depth[owned])
@@ -202,7 +198,7 @@ def compute_frame_relations(
     track_types = {eid: track_convexity(types) for eid, types in per_frame_conv.items()}
 
     relations: dict[tuple[str, str], list[tuple[int, str]]] = {}
-    for f, seen in visible.items():
+    for f, (seen, hands) in visible.items():
         states = {}
         for eid, (obs, vals) in seen.items():
             conv = track_types.get(eid)
@@ -215,7 +211,7 @@ def compute_frame_relations(
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
                 if cfg.calculus == "disr":
-                    rel_ab, rel_ba = disr(PairFrameContext(states[a], states[b]))
+                    rel_ab, rel_ba = disr(states[a], states[b])
                 else:
                     rel_ab = rcc5_on(states[a].bbox, states[b].bbox)
                     rel_ba = rcc5_on(states[b].bbox, states[a].bbox)
@@ -223,11 +219,9 @@ def compute_frame_relations(
                 relations.setdefault((b, a), []).append((f, rel_ba.value))
 
         for eid, (obs_o, _) in seen.items():
-            for part in humans:
-                obs_h = at[part].get(f)
-                if obs_h is not None:
-                    rel = rcc2(obs_o.mask, obs_h.mask, obs_o.bbox, obs_h.bbox)
-                    relations.setdefault((eid, part), []).append((f, rel.value))
+            for part, obs_h in hands.items():
+                rel = rcc2(obs_o.mask, obs_h.mask, obs_o.bbox, obs_h.bbox)
+                relations.setdefault((eid, part), []).append((f, rel.value))
     return relations
 
 
@@ -313,23 +307,28 @@ def embed_corpus(
     records: list[dict], cfg: emb.TrainConfig
 ) -> tuple[emb.Vocabulary, emb.EmbeddingTable]:
     """Tokenise each distinct form once (equal forms share one ``Counter``), index
-    the tokens and train; a record without an ``id`` or a well-formed ``form``
-    raises ValueError."""
-    ids, tokens, by_form = [], [], {}
+    the tokens and train; a record without a string ``id`` or a well-formed
+    ``form``, or with the id of an earlier record, raises ValueError."""
+    by_id, by_form = {}, {}
     for n, rec in enumerate(records, 1):
         try:
             form = rec["form"]
             labels, edges = parse_canonical(form)  # a str from here on
             if form not in by_form:
                 by_form[form] = emb.wl_tokens(labels, edges, cfg.wl_depth)
-            tokens.append(by_form[form])
-            ids.append(rec["id"])
+            gid = rec["id"]
+            if type(gid) is not str:  # the table writes 1 and "1" alike
+                raise TypeError(f"id {gid!r} is not a string")
+            if gid in by_id:
+                raise ValueError(f"repeated id {gid!r}")
+            by_id[gid] = by_form[form]
         except KeyError as exc:
             raise ValueError(f"record {n} has no {exc} field") from exc
         except (AttributeError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"record {n}: {exc}") from exc
+    tokens = list(by_id.values())
     vocab = emb.build_vocabulary(tokens)
-    return vocab, emb.train(ids, tokens, vocab, cfg)
+    return vocab, emb.train(list(by_id), tokens, vocab, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +355,16 @@ def save_clusters(flat: clust.FlatClustering, leaf_ids: list[str], path: str) ->
 
 
 def load_clusters(path: str) -> clust.FlatClustering:
-    """Read ``save_clusters`` output; a malformed line raises ``ValueError``."""
+    """Read ``save_clusters`` output; a malformed line, or one that repeats an
+    id, raises ``ValueError``."""
     assignment = {}
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             if line.strip():
                 try:
                     gid, cid = line.rstrip("\n").split("\t")
+                    if gid in assignment:
+                        raise ValueError(f"repeated id {gid!r}")
                     assignment[gid] = int(cid)
                 except ValueError as exc:
                     raise ValueError(f"line {n}: {exc}") from exc

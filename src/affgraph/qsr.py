@@ -46,27 +46,13 @@ class EntityFrameState:
     convexity: Optional[ConvexityType] = None
 
 
-@dataclass(frozen=True)
-class PairFrameContext:
-    a: EntityFrameState
-    b: EntityFrameState
-
-    @property
-    def approximate(self) -> bool:
-        """True when depth is missing on either side and predicates degrade."""
-        return self.a.depth_range is None or self.b.depth_range is None
-
-
 def rcc2(mask_a: Optional[MaskRLE], mask_b: Optional[MaskRLE],
-         bbox_a: Optional[BoundingBox] = None,
-         bbox_b: Optional[BoundingBox] = None) -> Rcc2Relation:
+         bbox_a: BoundingBox, bbox_b: BoundingBox) -> Rcc2Relation:
     """C iff the masks share a foreground pixel, else DC.
 
     With a mask missing, falls back to an approximate bbox intersection test.
     """
     if mask_a is None or mask_b is None:
-        if bbox_a is None or bbox_b is None:
-            raise ValueError("mask missing and no bbox fallback provided")
         return Rcc2Relation.C if bbox_a.intersection_area(bbox_b) > 0 else Rcc2Relation.DC
     if mask_a.width != mask_b.width or mask_a.height != mask_b.height:
         raise ValueError("masks must share the same grid")
@@ -126,13 +112,12 @@ def _cont(alpha: EntityFrameState, beta: EntityFrameState) -> bool:
             and dpp(beta.depth_range, alpha.concavity_bounds))
 
 
-def disr(ctx: PairFrameContext) -> tuple[DisrRelation, DisrRelation]:
+def disr(a: EntityFrameState, b: EntityFrameState) -> tuple[DisrRelation, DisrRelation]:
     """Resolve the DiSR relation for (a,b) and its converse for (b,a).
 
     Raw predicates can co-occur; priority Cont > Conti > Sup > Supi > Adj > NI
     picks a single relation per ordered pair, keeping converses coherent.
     """
-    a, b = ctx.a, ctx.b
     cont_ab = _cont(a, b)
     cont_ba = _cont(b, a)
     sup_ab = _sup(a, b)
@@ -159,20 +144,15 @@ def disr(ctx: PairFrameContext) -> tuple[DisrRelation, DisrRelation]:
     return DisrRelation.NI, DisrRelation.NI
 
 
-def rcc5_on(a: BoundingBox, b: BoundingBox, on_priority: bool = True) -> Rcc5OnRelation:
+def rcc5_on(a: BoundingBox, b: BoundingBox) -> Rcc5OnRelation:
     """RCC5 over boxes with the On predicate taking priority when it holds.
 
-    ``on_priority=False`` keeps the base RCC5 value, ignoring On entirely.
+    Equal boxes satisfy On, so the base RCC5 value EQ never comes out.
     """
-    if on_priority:
-        if on(a, b):
-            return Rcc5OnRelation.ON
-        if on(b, a):
-            return Rcc5OnRelation.ONI
-    equal = (a.xmin == b.xmin and a.ymin == b.ymin
-             and a.xmax == b.xmax and a.ymax == b.ymax)
-    if equal:
-        return Rcc5OnRelation.EQ
+    if on(a, b):
+        return Rcc5OnRelation.ON
+    if on(b, a):
+        return Rcc5OnRelation.ONI
     if part_2d(a, b):
         return Rcc5OnRelation.PP
     if part_2d(b, a):

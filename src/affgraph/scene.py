@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -137,12 +138,6 @@ class Entity:
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise SceneError(f"entity {self.id}: observation frames not strictly increasing")
 
-    def observation_at(self, frame: int) -> Optional[EntityObservation]:
-        for obs in self.observations:
-            if obs.frame == frame:
-                return obs
-        return None
-
 
 @dataclass
 class SceneSequence:
@@ -174,12 +169,6 @@ class SceneSequence:
                     raise SceneError(
                         f"entity {ent.id} frame {obs.frame}: bbox outside frame dimensions"
                     )
-
-    def entity(self, entity_id: str) -> Entity:
-        for ent in self.entities:
-            if ent.id == entity_id:
-                return ent
-        raise KeyError(entity_id)
 
     def objects(self) -> list[Entity]:
         return [e for e in self.entities if e.kind is EntityKind.OBJECT]
@@ -378,29 +367,29 @@ class SemanticDepthMap:
         return self.owner == idx
 
 
-def build_semantic_depth_map(scene: SceneSequence, frame: int) -> SemanticDepthMap:
-    """Resolve overlapping masks at one frame into exclusive pixel ownership.
+def build_semantic_depth_map(height: int, width: int,
+                             objects: Mapping[str, EntityObservation],
+                             hands: Iterable[EntityObservation]) -> SemanticDepthMap:
+    """Resolve one frame's overlapping masks into exclusive pixel ownership.
 
-    Overlap pixels go to the highest-score object (ties to the lower entity
-    id); pixels under any human_part mask are excluded from object ownership.
+    ``objects`` maps each object id to its observation at the frame, and
+    ``hands`` holds the frame's human-part observations.  Overlap pixels go to
+    the highest-score object (ties to the lower entity id); pixels under any
+    human_part mask are excluded from object ownership.
     """
-    if not (0 <= frame < scene.frame_count):
-        raise ValueError(f"frame {frame} outside [0, {scene.frame_count})")
-    owner = np.full((scene.height, scene.width), -1, dtype=int)
-    depth = np.zeros((scene.height, scene.width), dtype=float)
-    claims = sorted((-obs.score, ent.id, obs) for ent in scene.objects()
-                    if (obs := ent.observation_at(frame)) is not None and obs.mask is not None)
+    owner = np.full((height, width), -1, dtype=int)
+    depth = np.zeros((height, width), dtype=float)
+    claims = sorted((-obs.score, eid, obs) for eid, obs in objects.items()
+                    if obs.mask is not None)
     claims.reverse()  # paint lowest priority first so stronger claims overwrite
     entity_ids = [ent_id for _, ent_id, _ in claims]
     for idx, (_, _, obs) in enumerate(claims):
         pixels = obs.mask.to_array()
         owner[pixels] = idx
         depth[pixels] = 0.0 if obs.depth is None else obs.depth.values
-    for ent in scene.human_parts():
-        obs = ent.observation_at(frame)
-        if obs is not None and obs.mask is not None:
+    for obs in hands:
+        if obs.mask is not None:
             pixels = obs.mask.to_array()
             owner[pixels] = -1
             depth[pixels] = 0.0
     return SemanticDepthMap(entity_ids=entity_ids, owner=owner, depth=depth)
-

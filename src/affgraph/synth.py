@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import ConvexityType, convexity_depth
 from .scene import (
     BoundingBox,
     DepthSample,
@@ -141,28 +140,7 @@ def _gradient_depth(x0: int, x1: int, lo: float, hi: float) -> np.ndarray:
     return grid
 
 
-def _check_containment_band(thresh_convex: float, h: int, n: int) -> None:
-    """The mover's depth band (16, 20) must sit inside the container's
-    concavity band computed with the configured h and n."""
-    bowl_depths = np.array([10.0, 22.0])
-    bounds = convexity_depth(bowl_depths, ConvexityType.CONCAVE, h, n)
-    if not (20.0 > bounds.dc_min and 20.0 <= bounds.dc_max
-            and 16.0 >= bounds.dc_min and 16.0 < bounds.dc_max):
-        raise ScriptError(
-            f"containee depth band (16,20) outside container concavity "
-            f"[{bounds.dc_min}, {bounds.dc_max}] for h={h}, n={n}"
-        )
-    if 22.0 - 10.0 <= thresh_convex:
-        raise ScriptError("container depth range must exceed thresh_convex")
-
-
-def generate_synthetic(
-    script: SyntheticScript,
-    seed: int,
-    thresh_convex: float = 4.0,
-    h: int = 5,
-    n: int = 3,
-) -> GeneratedScene:
+def generate_synthetic(script: SyntheticScript, seed: int) -> GeneratedScene:
     script.validate()
     if seed < 0:
         raise ScriptError(f"seed {seed} is negative")
@@ -174,7 +152,6 @@ def generate_synthetic(
     if script.kind == "place-on":
         return _place_on(script, rng, T, t, tc)
     if script.kind in ("put-into", "take-out"):
-        _check_containment_band(thresh_convex, h, n)
         return _put_into(script, rng, T, t, tc, reverse=script.kind == "take-out")
     if script.kind == "push-adjacent":
         return _push_adjacent(script, rng, T, t, tc)
@@ -229,6 +206,7 @@ def _put_into(script, rng, T, t, tc, reverse: bool) -> GeneratedScene:
     in_x = max(bowl[0] + 6, min(27 + _jitter(rng, script.jitter), bowl[2] - 12))
 
     def ball(x: int, y: int) -> tuple[Box, np.ndarray]:
+        # depths 16-20 lie in the bowl's concavity band under the default profile
         return (x, y, x + 6, y + 6), _gradient_depth(x, x + 6, 16.0, 20.0)
 
     return _hand_object(

@@ -3,8 +3,10 @@
 ``affgraph.pipeline.compute_frame_relations``, ``affgraph.scene.
 build_semantic_depth_map`` and ``affgraph.graphlet.build_agraphlets`` compute
 the same results in fewer steps; the tests compare the two on synthetic
-scenes.  Here every frame looks each observation up with a linear
-``Entity.observation_at`` scan, each object's owned mask is taken twice,
+scenes.  The product indexes every observation by frame once, and builds each
+frame's depth map from that index.  Here every frame, the depth map's
+included, looks each observation up with a linear scan (``observation_at``)
+over the entity's observations, each object's owned mask is taken twice,
 per-frame states are rebuilt into a third dict before any pair is scored,
 masks are painted through ``np.unravel_index`` of their foreground indices,
 and the temporal candidates of a graphlet are an explicit double loop.
@@ -37,9 +39,16 @@ from affgraph.graphlet import (
     _pair_gap,
 )
 from affgraph.pipeline import PipelineConfig
-from affgraph.qsr import EntityFrameState, PairFrameContext, disr, rcc2, rcc5_on
-from affgraph.scene import SceneSequence, SemanticDepthMap
+from affgraph.qsr import EntityFrameState, disr, rcc2, rcc5_on
+from affgraph.scene import Entity, EntityObservation, SceneSequence, SemanticDepthMap
 from affgraph.temporal import Calculus, Episode, allen
+
+
+def observation_at(ent: Entity, frame: int) -> Optional[EntityObservation]:
+    for obs in ent.observations:
+        if obs.frame == frame:
+            return obs
+    return None
 
 
 def build_semantic_depth_map(scene: SceneSequence, frame: int) -> SemanticDepthMap:
@@ -55,7 +64,7 @@ def build_semantic_depth_map(scene: SceneSequence, frame: int) -> SemanticDepthM
     entity_ids: list[str] = []
     claims = []
     for ent in scene.objects():
-        obs = ent.observation_at(frame)
+        obs = observation_at(ent, frame)
         if obs is None or obs.mask is None:
             continue
         claims.append((-obs.score, ent.id, ent, obs))
@@ -74,7 +83,7 @@ def build_semantic_depth_map(scene: SceneSequence, frame: int) -> SemanticDepthM
         else:
             depth[rows_cols] = 0.0
     for ent in scene.human_parts():
-        obs = ent.observation_at(frame)
+        obs = observation_at(ent, frame)
         if obs is None or obs.mask is None:
             continue
         rows_cols = np.unravel_index(
@@ -102,7 +111,7 @@ def compute_frame_relations(
         smap = build_semantic_depth_map(scene, f)
         frame_states: dict[str, EntityFrameState] = {}
         for ent in objects:
-            obs = ent.observation_at(f)
+            obs = observation_at(ent, f)
             if obs is None:
                 continue
             depth_range = None
@@ -153,7 +162,7 @@ def compute_frame_relations(
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
                 if cfg.calculus == "disr":
-                    rel_ab, rel_ba = disr(PairFrameContext(resolved[a], resolved[b]))
+                    rel_ab, rel_ba = disr(resolved[a], resolved[b])
                     tok_ab, tok_ba = rel_ab.value, rel_ba.value
                 else:
                     tok_ab = rcc5_on(resolved[a].bbox, resolved[b].bbox).value
@@ -162,11 +171,11 @@ def compute_frame_relations(
                 relations.setdefault((b, a), []).append((f, tok_ba))
 
         for ent in objects:
-            obs_o = ent.observation_at(f)
+            obs_o = observation_at(ent, f)
             if obs_o is None:
                 continue
             for part in humans:
-                obs_h = part.observation_at(f)
+                obs_h = observation_at(part, f)
                 if obs_h is None:
                     continue
                 rel = rcc2(obs_o.mask, obs_h.mask, obs_o.bbox, obs_h.bbox)

@@ -21,7 +21,7 @@ from affgraph.convexity import ConcavityBounds, ConvexityType, contour_hierarchy
 from affgraph.evaluation import LabeledCorpus, v_measure
 from affgraph.graphlet import canonical_form, parse_canonical
 from affgraph.pipeline import PipelineConfig, load_graphlet_corpus, run_pipeline
-from affgraph.qsr import DisrRelation, PairFrameContext, disr
+from affgraph.qsr import DisrRelation, disr
 from affgraph.synth import SyntheticScript, generate_synthetic
 from affgraph.temporal import AllenRelation, Interval, allen
 
@@ -119,7 +119,7 @@ def test_disr_thirty_case_fixture_table():
     cases = _disr_fixture_cases()
     assert len(cases) == 30
     for i, (a, b, expected) in enumerate(cases):
-        rel_ab, rel_ba = disr(PairFrameContext(a, b))
+        rel_ab, rel_ba = disr(a, b)
         assert rel_ab is expected, f"case {i}: got {rel_ab}, want {expected}"
         assert rel_ba is CONVERSE[expected], f"case {i}: converse mismatch"
 
@@ -326,5 +326,6 @@ def test_training_loss_decreases_and_identical_graphlets_converge(synthetic_expe
         by_form.setdefault(rec["form"], []).append(rec["id"])
     identical_pairs = [(ids[0], ids[1]) for ids in by_form.values() if len(ids) >= 2]
     assert identical_pairs, "corpus must contain structurally identical graphlets"
+    row = {gid: i for i, gid in enumerate(table.graph_ids)}
     for ga, gb in identical_pairs:
-        assert cosine_cost(table.vector(ga), table.vector(gb)) < 0.05
+        assert cosine_cost(table.vectors[row[ga]], table.vectors[row[gb]]) < 0.05

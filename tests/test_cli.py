@@ -236,8 +236,10 @@ def test_finite_cut_threshold_flag_still_cuts(tmp_path, capsys, two_row_table):
     {"id": "g0", "form": "V[a;b]E[0-x]"},
     {"id": "g0", "form": "V[a;b]E[0-5]"},          # edge to a missing vertex
     ["g0"],
+    {"id": "ok", "form": "V[entity|anchor]E[]"},   # the id of record 1
+    {"id": 1, "form": "V[entity|anchor]E[]"},
 ], ids=["no-form", "no-id", "malformed-form", "non-string-form", "bad-edge",
-        "edge-out-of-range", "not-an-object"])
+        "edge-out-of-range", "not-an-object", "repeated-id", "non-string-id"])
 def test_embed_bad_corpus_record_is_data_error(tmp_path, capsys, record):
     corpus = tmp_path / "corpus.jsonl"
     good = {"id": "ok", "form": "V[entity|anchor;entity|partner]E[0-1]"}
@@ -697,6 +699,49 @@ def test_cluster_bad_row_names_its_line(tmp_path, capsys, row, problem):
                  "--dendrogram", str(tmp_path / "d.json")]) == EXIT_DATA
     assert capsys.readouterr().err == f"data error: {embs}: line 3: {problem}\n"
     assert not (tmp_path / "c.tsv").exists()
+
+
+def test_cluster_repeated_id_is_a_data_error(tmp_path, capsys):
+    # clustered, the first g sits with h; one line per id could not say so
+    embs = tmp_path / "emb.tsv"
+    embs.write_text("g\t2\t1.0 0.0\ng\t2\t0.0 1.0\nh\t2\t1.0 0.1\n")
+    assert main(["cluster", str(embs), "-o", str(tmp_path / "c.tsv"),
+                 "--dendrogram", str(tmp_path / "d.json"), "--cut-threshold", "0.5"]) \
+        == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {embs}: line 2: repeated id 'g'\n"
+    assert not (tmp_path / "c.tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export"])
+def test_clusters_with_a_repeated_id_are_a_data_error(tmp_path, capsys, command):
+    clusters, dend = tmp_path / "clusters.tsv", tmp_path / "dend.json"
+    clusters.write_text("g0\t0\ng1\t1\n\ng0\t1\n")
+    dend.write_text(json.dumps(TWO_LEAVES))
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"g0": ["a"], "g1": ["b"]}))
+    argv = {"evaluate": ["evaluate", str(clusters), str(truth)],
+            "export": ["export", str(dend), "-o", str(tmp_path / "d.dot"),
+                       "--clusters", str(clusters)]}[command]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {clusters}: line 4: repeated id 'g0'\n"
+    assert captured.out == "" and not (tmp_path / "d.dot").exists()
+
+
+@pytest.mark.parametrize("train", [
+    {"embedding_dim": 10**12}, {"embedding_dim": 10**20}, {"negatives": 10**12},
+    {"wl_depth": 100000, "epochs": 1},
+], ids=json.dumps)
+def test_oversized_training_setting_is_data_error(tmp_path, capsys, train):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": train}))
+    # refused before any scene is read, so nothing is trained or allocated
+    missing = str(tmp_path / "missing.json")
+    assert main(["run", missing, "-o", str(tmp_path / "out"), "--config", str(cfg)]) \
+        == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: invalid config {cfg}: ") and err.count("\n") == 1
+    assert " above " in err
 
 
 @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank-only"])

@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from affgraph.embedding import (
     _NEG_BLOCK,
+    MAX_EMBEDDING_DIM,
+    MAX_NEGATIVES,
+    MAX_WL_DEPTH,
     DivergenceError,
     TrainConfig,
     _scatter_add,
@@ -101,7 +104,7 @@ def test_vocabulary_counts_and_duplicates():
     assert len(vocab) == 3
     assert vocab.counts[vocab.index["a"]] == 2
     assert vocab.counts[vocab.index["b"]] == 4
-    assert vocab.tokens == sorted(["a", "b", "c"], key=lambda t: vocab.index[t])
+    assert vocab.index == {"a": 0, "b": 1, "c": 2}  # first-seen order
     with pytest.raises(ValueError):
         build_vocabulary([])
 
@@ -136,8 +139,10 @@ def test_train_loss_decreases_and_identical_graphs_converge():
     assert table.loss_history[-1] < table.loss_history[0]
     # graphs with identical token multisets end up close in cosine
     from affgraph.clustering import cosine_cost
-    assert cosine_cost(table.vector("g0"), table.vector("g1")) < 0.05
-    assert cosine_cost(table.vector("g2"), table.vector("g3")) < 0.05
+    g0, g1, g2, g3 = table.vectors[:4]
+    assert ids == table.graph_ids
+    assert cosine_cost(g0, g1) < 0.05
+    assert cosine_cost(g2, g3) < 0.05
 
 
 def test_train_full_softmax_mode():
@@ -182,6 +187,11 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(negatives=0).validate()
     TrainConfig(negatives=0, full_softmax=True).validate()
+    for name, high in (("embedding_dim", MAX_EMBEDDING_DIM),
+                       ("negatives", MAX_NEGATIVES), ("wl_depth", MAX_WL_DEPTH)):
+        TrainConfig(**{name: high}).validate()
+        with pytest.raises(ValueError, match=f"{name} {high + 1} above {high}"):
+            TrainConfig(**{name: high + 1}).validate()
 
 
 def test_embeddings_round_trip(tmp_path):

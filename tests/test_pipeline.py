@@ -261,18 +261,20 @@ def test_relation_pass_builds_depth_maps_only_for_frames_with_an_object(monkeypa
     gen = generate_synthetic(SyntheticScript(kind="place-on", jitter=0), seed=0)
 
     def two_frames(frame_count, last):
-        entities = [Entity(e.id, e.kind, [e.observation_at(0),
-                                          replace(e.observation_at(20), frame=last)])
+        entities = [Entity(e.id, e.kind, [e.observations[0],
+                                          replace(e.observations[20], frame=last)])
                     for e in gen.scene.entities]
         return SceneSequence(gen.scene.width, gen.scene.height, frame_count, entities=entities)
 
     real = pipeline.build_semantic_depth_map
     calls = []
 
-    def counted(scene, frame):
-        calls.append(frame)
+    def counted(height, width, objects, hands):
+        frames = {obs.frame for obs in [*objects.values(), *hands]}
+        assert len(frames) == 1, "a depth map takes the observations of one frame"
+        calls.extend(frames)
         assert len(calls) <= 2, "depth map built for a frame without an object"
-        return real(scene, frame)
+        return real(height, width, objects, hands)
 
     cfg = PipelineConfig()
     short = pipeline.compute_frame_relations(two_frames(21, 20), cfg)
@@ -373,6 +375,9 @@ def _assert_well_typed(cfg):
     assert cfg.profile.n < cfg.profile.h
     assert cfg.train.learning_rate > 0
     assert cfg.train.negatives > 0 or cfg.train.full_softmax
+    assert cfg.train.embedding_dim <= emb.MAX_EMBEDDING_DIM
+    assert cfg.train.negatives <= emb.MAX_NEGATIVES
+    assert cfg.train.wl_depth <= emb.MAX_WL_DEPTH
     assert cfg.train.seed == cfg.seed
 
 

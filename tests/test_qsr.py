@@ -10,7 +10,6 @@ from affgraph.convexity import ConcavityBounds, ConvexityType
 from affgraph.qsr import (
     DisrRelation,
     EntityFrameState,
-    PairFrameContext,
     Rcc2Relation,
     Rcc5OnRelation,
     disr,
@@ -49,17 +48,21 @@ def _mask(arr):
 
 # -- RCC2 ---------------------------------------------------------------------
 
+# masks decide; these boxes of a whole 8x8 grid never would
+_WHOLE = _box(0, 0, 8, 8)
+
+
 def test_rcc2_identity_and_disjoint():
     a = _mask([[1, 1, 0, 0], [1, 1, 0, 0]])
     b = _mask([[0, 0, 1, 1], [0, 0, 1, 1]])
-    assert rcc2(a, a) is Rcc2Relation.C
-    assert rcc2(a, b) is Rcc2Relation.DC
+    assert rcc2(a, a, _WHOLE, _WHOLE) is Rcc2Relation.C
+    assert rcc2(a, b, _WHOLE, _WHOLE) is Rcc2Relation.DC
 
 
 def test_rcc2_single_pixel_contact():
     a = _mask([[1, 1, 0], [0, 1, 0]])
     b = _mask([[0, 0, 1], [0, 1, 1]])  # shares only pixel (1,1)
-    assert rcc2(a, b) is Rcc2Relation.C
+    assert rcc2(a, b, _WHOLE, _WHOLE) is Rcc2Relation.C
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,16 +75,17 @@ def test_rcc2_matches_pixel_loop_oracle(seed):
     shared = any(arr_a[r, c] and arr_b[r, c]
                  for r in range(h) for c in range(w))
     expect = Rcc2Relation.C if shared else Rcc2Relation.DC
-    assert rcc2(_mask(arr_a), _mask(arr_b)) is expect
+    assert rcc2(_mask(arr_a), _mask(arr_b), _WHOLE, _WHOLE) is expect
 
 
 def test_rcc2_bbox_fallback_and_errors():
     assert rcc2(None, None, _box(0, 0, 10, 10), _box(5, 5, 15, 15)) is Rcc2Relation.C
     assert rcc2(None, None, _box(0, 0, 10, 10), _box(20, 0, 30, 10)) is Rcc2Relation.DC
+    # one mask missing falls back to the boxes too
+    assert rcc2(_mask([[1]]), None, _box(0, 0, 10, 10), _box(20, 0, 30, 10)) \
+        is Rcc2Relation.DC
     with pytest.raises(ValueError):
-        rcc2(None, None, _box(0, 0, 1, 1), None)
-    with pytest.raises(ValueError):
-        rcc2(_mask([[1]]), _mask([[1, 0]]))
+        rcc2(_mask([[1]]), _mask([[1, 0]]), _WHOLE, _WHOLE)
 
 
 # -- depth primitives ---------------------------------------------------------
@@ -161,11 +165,11 @@ DISR_CASES = [
 
 @pytest.mark.parametrize("a,b,expected", DISR_CASES)
 def test_disr_fixture_table(a, b, expected):
-    rel_ab, rel_ba = disr(PairFrameContext(a, b))
+    rel_ab, rel_ba = disr(a, b)
     assert rel_ab is expected
     assert rel_ba is CONVERSE[expected]
     # the flipped context reports the converse pair
-    rel_ba2, rel_ab2 = disr(PairFrameContext(b, a))
+    rel_ba2, rel_ab2 = disr(b, a)
     assert (rel_ab2, rel_ba2) == (rel_ab, rel_ba)
 
 
@@ -175,7 +179,7 @@ def test_disr_priority_cont_over_sup():
     a = _state((0, 0, 30, 30), (10.0, 22.0), BOWL_BAND, ConvexityType.CONCAVE)
     b = _state((5, 0, 25, 20), (15.0, 20.0), None, ConvexityType.CONVEX)
     assert on(b.bbox, a.bbox)
-    assert disr(PairFrameContext(a, b)) == (DisrRelation.CONT, DisrRelation.CONTI)
+    assert disr(a, b) == (DisrRelation.CONT, DisrRelation.CONTI)
 
 
 def test_disr_occlusion_degrades_to_ni_or_on():
@@ -184,9 +188,8 @@ def test_disr_occlusion_degrades_to_ni_or_on():
     for a, b, expected in DISR_CASES:
         a2 = _state((a.bbox.xmin, a.bbox.ymin, a.bbox.xmax, a.bbox.ymax))
         b2 = _state((b.bbox.xmin, b.bbox.ymin, b.bbox.xmax, b.bbox.ymax))
-        ctx = PairFrameContext(a2, b2)
-        assert ctx.approximate
-        rel_ab, _ = disr(ctx)
+        assert a2.depth_range is None and b2.depth_range is None
+        rel_ab, _ = disr(a2, b2)
         if not on(a2.bbox, b2.bbox) and not on(b2.bbox, a2.bbox):
             assert rel_ab is DisrRelation.NI
         else:
@@ -214,10 +217,10 @@ def test_disr_total_and_converse_coherent(seed):
         return _state((x0, y0, x0 + w, y0 + h), depth, bounds, conv)
 
     a, b = rand_state(), rand_state()
-    rel_ab, rel_ba = disr(PairFrameContext(a, b))
+    rel_ab, rel_ba = disr(a, b)
     assert rel_ab in DisrRelation and rel_ba in DisrRelation
     assert rel_ba is CONVERSE[rel_ab]
-    assert disr(PairFrameContext(b, a)) == (rel_ba, rel_ab)
+    assert disr(b, a) == (rel_ba, rel_ab)
 
 
 def test_disr_depth_translation_invariance():
@@ -230,7 +233,7 @@ def test_disr_depth_translation_invariance():
                 s.concavity_bounds.dc_min + shift, s.concavity_bounds.dc_max + shift)
             return EntityFrameState(bbox=s.bbox, depth_range=depth,
                                     concavity_bounds=bounds, convexity=s.convexity)
-        assert disr(PairFrameContext(shifted(a), shifted(b)))[0] is expected
+        assert disr(shifted(a), shifted(b))[0] is expected
 
 
 # -- RCC5(+On) ----------------------------------------------------------------
@@ -254,17 +257,23 @@ def test_rcc5_jepd_small_boxes():
              for y0, y1 in itertools.combinations(range(4), 2)]
     seen = set()
     for a, b in itertools.product(boxes, repeat=2):
-        rel = rcc5_on(a, b, on_priority=False)
-        assert rel is _rcc5_oracle(a, b)
+        rel = rcc5_on(a, b)
+        if on(a, b):
+            assert rel is Rcc5OnRelation.ON
+        elif on(b, a):
+            assert rel is Rcc5OnRelation.ONI
+        else:
+            assert rel is _rcc5_oracle(a, b)
         seen.add(rel)
-    assert seen == {Rcc5OnRelation.EQ, Rcc5OnRelation.PP, Rcc5OnRelation.PPI,
-                    Rcc5OnRelation.PO, Rcc5OnRelation.DR}
+    # equal boxes satisfy On, so every base RCC5 value but EQ shows
+    assert seen == {Rcc5OnRelation.ON, Rcc5OnRelation.ONI, Rcc5OnRelation.PP,
+                    Rcc5OnRelation.PPI, Rcc5OnRelation.PO, Rcc5OnRelation.DR}
 
 
 def test_rcc5_on_priority():
     b = _box(0, 0, 10, 10)
     assert rcc5_on(b, b) is Rcc5OnRelation.ON  # equal boxes satisfy On first
-    assert rcc5_on(b, b, on_priority=False) is Rcc5OnRelation.EQ
+    assert _rcc5_oracle(b, b) is Rcc5OnRelation.EQ
     top = _box(2, 0, 8, 6)
     assert rcc5_on(top, b) is Rcc5OnRelation.ON
     assert rcc5_on(b, top) is Rcc5OnRelation.ONI

@@ -46,9 +46,9 @@ def _stages(module, scene, cfg, monkeypatch) -> dict:
         out["relations"] = relations(scene, cfg)
         return out["relations"]
 
-    def disr(ctx):
-        out["contexts"].append(ctx)
-        return qsr.disr(ctx)
+    def disr(a, b):
+        out["contexts"].append((a, b))
+        return qsr.disr(a, b)
 
     with monkeypatch.context() as m:
         m.setattr(pipeline, "compute_frame_relations", record)
@@ -93,7 +93,10 @@ def test_depth_map_matches_the_oracle():
     scene = synth.generate_synthetic(
         synth.SyntheticScript(kind="put-into", jitter=2), seed=3).scene
     for f in range(scene.frame_count):
-        new = pipeline.build_semantic_depth_map(scene, f)
+        at = {ent.id: oracle.observation_at(ent, f) for ent in scene.entities}
+        new = pipeline.build_semantic_depth_map(
+            scene.height, scene.width, {ent.id: at[ent.id] for ent in scene.objects()},
+            [at[ent.id] for ent in scene.human_parts()])
         old = oracle.build_semantic_depth_map(scene, f)
         assert new.entity_ids == old.entity_ids
         assert (new.owner == old.owner).all() and (new.depth == old.depth).all()

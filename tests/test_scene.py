@@ -215,8 +215,18 @@ def _scene_with_overlap(score_a=0.9, score_b=0.7, human=False):
     return scene
 
 
+def _depth_map(scene, frame):
+    """The depth map of the scene's observations at ``frame``."""
+    at = [(ent.kind, ent.id, obs) for ent in scene.entities
+          for obs in ent.observations if obs.frame == frame]
+    return build_semantic_depth_map(
+        scene.height, scene.width,
+        {eid: obs for kind, eid, obs in at if kind is EntityKind.OBJECT},
+        [obs for kind, _, obs in at if kind is EntityKind.HUMAN_PART])
+
+
 def test_semantic_depth_map_overlap_to_highest_score():
-    smap = build_semantic_depth_map(_scene_with_overlap(), 0)
+    smap = _depth_map(_scene_with_overlap(), 0)
     # 4-pixel overlap [2:4, 2:4] goes to the 0.9-score object
     owned_a = smap.owned_mask("a")
     owned_b = smap.owned_mask("b")
@@ -226,14 +236,14 @@ def test_semantic_depth_map_overlap_to_highest_score():
 
 
 def test_semantic_depth_map_human_exclusion():
-    smap = build_semantic_depth_map(_scene_with_overlap(human=True), 0)
+    smap = _depth_map(_scene_with_overlap(human=True), 0)
     # pixels under the human mask are unassigned to objects
     assert (smap.owner[0:2, 0:5] == -1).all()
 
 
 def test_semantic_depth_map_partitions_pixels():
     scene = _scene_with_overlap()
-    smap = build_semantic_depth_map(scene, 0)
+    smap = _depth_map(scene, 0)
     total_fg = np.zeros((scene.height, scene.width), dtype=bool)
     for ent in scene.objects():
         total_fg |= ent.observations[0].mask.to_array()
@@ -242,10 +252,11 @@ def test_semantic_depth_map_partitions_pixels():
 
 def test_object_depth_summary_brute_force_oracle():
     scene = _scene_with_overlap()
-    smap = build_semantic_depth_map(scene, 0)
+    smap = _depth_map(scene, 0)
     # brute-force per-pixel ownership: higher score wins on overlap
-    mask_a = scene.entity("a").observations[0].mask.to_array()
-    mask_b = scene.entity("b").observations[0].mask.to_array()
+    a, b = scene.objects()
+    mask_a = a.observations[0].mask.to_array()
+    mask_b = b.observations[0].mask.to_array()
     b_only = mask_b & ~mask_a
     # the owned depths, ascending, as ``compute_frame_relations`` takes them
     vals = np.sort(smap.depth[smap.owned_mask("b")])

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from affgraph import synth
-from affgraph.pipeline import PipelineConfig, compute_frame_relations
+from affgraph.convexity import ConvexityType, convexity_depth
+from affgraph.pipeline import DatasetProfile, PipelineConfig, compute_frame_relations
+from affgraph.qsr import dpp
 from affgraph.scene import (
     BoundingBox,
     DepthSample,
@@ -83,13 +85,21 @@ def test_script_validation_errors():
     SyntheticScript(kind="place-on", frame_count=synth.MAX_FRAMES).validate()
 
 
-def test_infeasible_containment_band_rejected():
-    # a shallow concavity band cannot hold the containee's depth range
-    with pytest.raises(ScriptError):
-        generate_synthetic(SyntheticScript(kind="put-into"), seed=0, h=5, n=1)
-    # container depth range must exceed the convexity threshold
-    with pytest.raises(ScriptError):
-        generate_synthetic(SyntheticScript(kind="put-into"), seed=0, thresh_convex=15.0)
+def _band_holds(h, n):
+    """Whether the mover's depth band (16, 20) is a proper part of the concavity
+    band that ``convexity_depth`` gives the bowl's depth range (10, 22)."""
+    bounds = convexity_depth(np.array([10.0, 22.0]), ConvexityType.CONCAVE, h, n)
+    return dpp((16.0, 20.0), bounds)
+
+
+def test_containment_band_fits_the_default_profile():
+    # put-into and take-out show Cont only if the bowl's band holds the mover
+    # and the bowl's depth range marks it concave
+    prof = DatasetProfile()
+    assert _band_holds(prof.h, prof.n)
+    assert 22.0 - 10.0 > prof.thresh_convex
+    # the check tells bands apart: a shallow band cannot hold the mover
+    assert not _band_holds(5, 1)
 
 
 def _filled_rect_mask(x0, y0, x1, y1):
