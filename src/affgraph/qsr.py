@@ -31,7 +31,6 @@ class Rcc5OnRelation(str, Enum):
     PO = "PO"
     PP = "PP"
     PPI = "PPi"
-    EQ = "EQ"
     ON = "On"
     ONI = "Oni"
 
@@ -147,7 +146,7 @@ def disr(a: EntityFrameState, b: EntityFrameState) -> tuple[DisrRelation, DisrRe
 def rcc5_on(a: BoundingBox, b: BoundingBox) -> Rcc5OnRelation:
     """RCC5 over boxes with the On predicate taking priority when it holds.
 
-    Equal boxes satisfy On, so the base RCC5 value EQ never comes out.
+    Equal boxes satisfy On, so RCC5's EQ is never the answer and has no member.
     """
     if on(a, b):
         return Rcc5OnRelation.ON

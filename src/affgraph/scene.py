@@ -182,6 +182,7 @@ class SceneSequence:
 
 
 _OBS_KEYS = {"frame", "bbox", "score", "mask_rle", "depth_mm"}
+_ID_BREAKS = frozenset("/\t\n\r")
 _INT = frozenset({int})
 _NUMBER = frozenset({int, float})
 
@@ -250,9 +251,11 @@ def scene_from_dict(data: dict) -> SceneSequence:
     for ent_raw in entities_raw:
         try:
             ent_id = ent_raw["id"]
-            # graphlet ids join scene/anchor/partner with "/"
-            if type(ent_id) is not str or "/" in ent_id:
-                raise TypeError(f"entity id {ent_id!r} is not a JSON string without '/'")
+            # graphlet ids join scene/anchor/partner with "/", and are the
+            # first field of a tab-separated row in the written tables
+            if type(ent_id) is not str or not _ID_BREAKS.isdisjoint(ent_id):
+                raise TypeError(f"entity id {ent_id!r} is not a JSON string "
+                                "without '/', tab or line break")
             kind = EntityKind(ent_raw["kind"])
             observations = ent_raw.get("observations", [])
         except (KeyError, TypeError, ValueError) as exc:
@@ -322,23 +325,34 @@ def save_scene(scene: SceneSequence, path: str) -> None:
     ``json.dumps(scene_to_dict(scene), sort_keys=True, separators=(",", ":"))``.
 
     A scene holds one depth reading per mask pixel but few distinct readings,
-    so each distinct value is encoded once and the depth lists are spliced in
-    after each ``"depth_mm":`` of the dump.  That text only occurs as the key:
-    an encoded string escapes its quotes.
+    and its observations often share one ``DepthSample``.  So each distinct
+    value is encoded once, each distinct sample's list is joined once, and
+    the lists are spliced in after each ``"depth_mm":`` of the dump.  That
+    text only occurs as the key: an encoded string escapes its quotes.
     """
     data = scene_to_dict(scene)
+    texts = _JsonTexts()
+    # keyed by id: the scene holds every sample, so no id is reused meanwhile
+    lists: dict[int, str] = {}
     depths = []
-    for ent in data["entities"]:
-        for obs in ent["observations"]:
-            depths.append(obs["depth_mm"])
-            obs["depth_mm"] = None
+    for ent, raw_ent in zip(scene.entities, data["entities"]):
+        for obs, raw in zip(ent.observations, raw_ent["observations"]):
+            raw["depth_mm"] = None
+            if obs.depth is None:
+                depths.append(None)
+                continue
+            text = lists.get(id(obs.depth))
+            if text is None:
+                values = obs.depth.values
+                text = lists[id(obs.depth)] = (
+                    "[" + ",".join(map(texts.__getitem__, zip(map(type, values), values)))
+                    + "]")
+            depths.append(text)
     head, *tails = json.dumps(data, sort_keys=True,
                               separators=(",", ":")).split('"depth_mm":')
-    texts = _JsonTexts()
-    for i, values in enumerate(depths):
-        if values is not None:  # each tail starts with the placeholder null
-            tails[i] = ("[" + ",".join(map(texts.__getitem__, zip(map(type, values), values)))
-                        + "]" + tails[i][4:])
+    for i, text in enumerate(depths):
+        if text is not None:  # each tail starts with the placeholder null
+            tails[i] = text + tails[i][4:]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('"depth_mm":'.join([head, *tails]))
 

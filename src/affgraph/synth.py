@@ -98,15 +98,26 @@ def _rect_mask(x0: int, y0: int, x1: int, y1: int) -> MaskRLE:
     return MaskRLE(width=WIDTH, height=HEIGHT, runs=tuple(runs))
 
 
-def _rect_obs(frame: int, x0: int, y0: int, x1: int, y1: int, score: float,
+def _rect_obs(parts: dict, frame: int, x0: int, y0: int, x1: int, y1: int, score: float,
               depth_grid: np.ndarray) -> EntityObservation:
-    # the mask's foreground, in run (row-major) order, is exactly this slice
-    depth = DepthSample(values=tuple(depth_grid[y0:y1, x0:x1].ravel().tolist()))
-    return EntityObservation(
-        frame=frame,
-        bbox=BoundingBox(float(x0), float(y0), float(x1), float(y1)),
-        score=score, mask=_rect_mask(x0, y0, x1, y1), depth=depth,
-    )
+    """One frame's observation of a rectangle over ``depth_grid``.
+
+    ``parts`` is one scene's memo of the frozen box, mask and depth sample
+    built for each rectangle and grid.  It keys on the grid's ``id`` and also
+    holds the grid, so no other grid can take that id while the memo lives.
+    """
+    key = (x0, y0, x1, y1, id(depth_grid))
+    part = parts.get(key)
+    if part is None:
+        part = parts[key] = (
+            depth_grid,
+            BoundingBox(float(x0), float(y0), float(x1), float(y1)),
+            _rect_mask(x0, y0, x1, y1),
+            # the mask's foreground, in run (row-major) order, is exactly this slice
+            DepthSample(values=tuple(depth_grid[y0:y1, x0:x1].ravel().tolist())),
+        )
+    _, bbox, mask, depth = part
+    return EntityObservation(frame=frame, bbox=bbox, score=score, mask=mask, depth=depth)
 
 
 def _table_depth(x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
@@ -267,6 +278,7 @@ def _hand_object(script, T, t, tc, *, static: Box, static_grid, movers, mover_sc
     hand_grid = _flat_depth(hand_depth)
     ab, ba = rel_after
     key = {(STATIC, MOVER): [], (MOVER, STATIC): [], (MOVER, HAND): [], (STATIC, HAND): []}
+    parts: dict = {}
     for f in range(T):
         active = (f >= t) != reverse
         box, grid = movers[active]
@@ -277,9 +289,9 @@ def _hand_object(script, T, t, tc, *, static: Box, static_grid, movers, mover_sc
             hand = touch[2]
         else:
             hand = park
-        entities[STATIC].observations.append(_rect_obs(f, *static, 0.9, static_grid))
-        entities[MOVER].observations.append(_rect_obs(f, *box, mover_score, grid))
-        entities[HAND].observations.append(_rect_obs(f, *hand, 0.99, hand_grid))
+        entities[STATIC].observations.append(_rect_obs(parts, f, *static, 0.9, static_grid))
+        entities[MOVER].observations.append(_rect_obs(parts, f, *box, mover_score, grid))
+        entities[HAND].observations.append(_rect_obs(parts, f, *hand, 0.99, hand_grid))
         key[(STATIC, MOVER)].append((f, ab if active else "NI"))
         key[(MOVER, STATIC)].append((f, ba if active else "NI"))
         key[(MOVER, HAND)].append((f, "C" if held else "DC"))
@@ -298,15 +310,16 @@ def _occlude(script, rng, T, t) -> GeneratedScene:
         STATIC: Entity(STATIC, EntityKind.OBJECT),
         MOVER: Entity(MOVER, EntityKind.OBJECT),
     }
+    parts: dict = {}
     for f in range(T):
         entities[STATIC].observations.append(
-            _rect_obs(f, 24, 14, 40, 30, 0.9, s_depth))
+            _rect_obs(parts, f, 24, 14, 40, 30, 0.9, s_depth))
         # sweep left to right across the static box, vertically offset so the
         # mover's box is never x-contained (On fails both ways)
         mx = min(2 + 2 * f, WIDTH - 13)
         md = _gradient_depth(mx, mx + 12, 10.0, 13.0)
         entities[MOVER].observations.append(
-            _rect_obs(f, mx, 18, mx + 12, 27, 0.95, md))
+            _rect_obs(parts, f, mx, 18, mx + 12, 27, 0.95, md))
 
     gen = _finish(entities, T)
     key_ab = [(f, "NI") for f in range(T)]

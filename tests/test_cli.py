@@ -113,7 +113,7 @@ def test_config_env_variable(tmp_path, scene_file, monkeypatch, capsys):
     assert main(["relations", str(scene_file)]) == EXIT_OK
     rel = json.loads(capsys.readouterr().out)
     tokens = {tok for _, tok in rel["obj_a|obj_b"]}
-    assert tokens <= {"DR", "PO", "PP", "PPi", "EQ", "On", "Oni"}
+    assert tokens <= {"DR", "PO", "PP", "PPi", "On", "Oni"}
 
 
 def test_missing_config_file_is_usage_error(scene_file, tmp_path):
@@ -857,6 +857,24 @@ def test_entity_id_with_a_slash_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1 and "'a/b'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ent_id", ["obj\ta", "obj\na", "obj\ra", "\t"], ids=repr)
+def test_entity_id_with_a_tab_or_line_break_is_a_data_error(tmp_path, scene_file, capsys,
+                                                            fast_config, ent_id):
+    # such an id would split the rows of embeddings.tsv and clusters.tsv
+    data = json.loads(scene_file.read_text())
+    data["entities"][0]["id"] = ent_id
+    scene_file.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    for argv in (["validate", str(scene_file)],
+                 ["run", str(scene_file), "-o", str(out), "--config", str(fast_config)]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert repr(ent_id) in err
+    assert not (out / "embeddings.tsv").exists() and not (out / "clusters.tsv").exists()
 
 
 @pytest.mark.parametrize("flag", ["--pca", "--embeddings"])

@@ -470,7 +470,8 @@ def _with_rcc5_on(g, rng):
     for v, calc in list(g.spatial_calculus.items()):
         if calc is Calculus.DISR and rng.random() < 0.5:
             g.spatial_calculus[v] = Calculus.RCC5ON
-            g.vertex_labels[v] = f"RCC5On:{list(Rcc5OnRelation)[rng.integers(7)].value}"
+            members = list(Rcc5OnRelation)
+            g.vertex_labels[v] = f"RCC5On:{members[rng.integers(len(members))].value}"
     return g
 
 

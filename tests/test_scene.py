@@ -369,7 +369,8 @@ def test_observation_numbers_must_be_json_numbers(fields):
         scene_from_dict(_scene_with_observation(**fields))
 
 
-@pytest.mark.parametrize("ent_id", [5, None, True, ["a"], "a/b", "/"], ids=json.dumps)
+@pytest.mark.parametrize("ent_id", [5, None, True, ["a"], "a/b", "/", "a\tb", "\n", "a\r"],
+                         ids=json.dumps)
 def test_entity_id_must_be_a_string_without_a_slash(ent_id):
     data = _scene_with_observation()
     data["entities"][0]["id"] = ent_id
@@ -502,7 +503,7 @@ _DEPTHS = (st.sampled_from([10, 10.0, 1e-05, 1e+16, 2.5e-300, 123456789.125])
 # entity ids whose JSON text holds an escape, a quote, or the key save_scene
 # splices its depth lists in after
 _IDS = (st.sampled_from(["\x00", '"', '"depth_mm":', '"depth_mm":null', "\u00e9", "a"])
-        | st.text(max_size=12).filter(lambda s: "/" not in s))
+        | st.text(max_size=12).filter(lambda s: not {"/", "\t", "\n", "\r"} & set(s)))
 
 
 @st.composite
@@ -550,4 +551,32 @@ def test_save_scene_keeps_each_depth_text_and_splices_past_lookalike_ids(tmp_pat
     assert text.count('"depth_mm":[10,10.0,1e-05]') == 4
     assert text.count('"depth_mm":[1e+16,10]') == 4
     assert '"id":"\\u0000"' in text and '"mask_rle":null' in text
+    assert scene_to_dict(load_scene(str(path))) == scene_to_dict(scene)
+
+
+def test_save_scene_writes_shared_and_equal_depth_samples_as_the_plain_dump(tmp_path):
+    shared = DepthSample(values=(10, 12.5, 1e-05))
+    # equal to ``shared`` (10 == 10.0) but written with its own text
+    twin = DepthSample(values=(10.0, 12.5, 1e-05))
+    assert twin == shared and twin is not shared
+    mask = MaskRLE(width=4, height=2, runs=(1, 3, 4))
+
+    def obs(frame, depth, mask=mask):
+        return EntityObservation(frame=frame, bbox=_box(0, 0, 4, 2), score=0.5,
+                                 mask=mask, depth=depth)
+
+    scene = SceneSequence(width=4, height=2, frame_count=4, fps=30.0, entities=[
+        Entity("a", EntityKind.OBJECT, [obs(0, shared), obs(1, twin), obs(2, shared),
+                                        obs(3, None)]),
+        Entity("b", EntityKind.OBJECT, [obs(0, twin), obs(1, shared),
+                                        obs(2, DepthSample(values=(10, 12.5, 1e-05)))]),
+        Entity("h", EntityKind.HUMAN_PART, [obs(0, shared, mask=None),
+                                            obs(3, DepthSample(values=(7,)), mask=None)])])
+    path = tmp_path / "scene.json"
+    save_scene(scene, str(path))
+    text = path.read_text(encoding="utf-8")
+    assert text == _plain_dump(scene)
+    assert text.count('"depth_mm":[10,12.5,1e-05]') == 5
+    assert text.count('"depth_mm":[10.0,12.5,1e-05]') == 2
+    assert text.count('"depth_mm":[7]') == 1 and text.count('"depth_mm":null') == 1
     assert scene_to_dict(load_scene(str(path))) == scene_to_dict(scene)

@@ -129,9 +129,10 @@ def test_rect_mask_matches_filled_grid_on_any_rectangle(xs, ys):
     assert synth._rect_mask(x0, y0, x1, y1) == _filled_rect_mask(x0, y0, x1, y1)
 
 
-def _rect_obs_per_pixel(frame, x0, y0, x1, y1, score, depth_grid):
+def _rect_obs_per_pixel(parts, frame, x0, y0, x1, y1, score, depth_grid):
     """The ``_rect_obs`` that ``synth`` used before: one depth reading per
-    foreground pixel of the decoded mask, read in a Python loop."""
+    foreground pixel of the decoded mask, read in a Python loop, and new
+    parts for every frame (``parts`` is not read)."""
     mask = synth._rect_mask(x0, y0, x1, y1)
     rows, cols = np.unravel_index(np.flatnonzero(mask.to_array()),
                                   (synth.HEIGHT, synth.WIDTH))
@@ -162,7 +163,41 @@ def test_rect_obs_matches_per_pixel_depth_oracle():
         y0, y1 = sorted(rng.choice(synth.HEIGHT + 1, size=2, replace=False))
         grid = rng.uniform(1.0, 50.0, size=(synth.HEIGHT, synth.WIDTH))
         args = (3, int(x0), int(y0), int(x1), int(y1), 0.5, grid)
-        assert synth._rect_obs(*args) == _rect_obs_per_pixel(*args)
+        assert synth._rect_obs({}, *args) == _rect_obs_per_pixel({}, *args)
+
+
+def test_place_on_static_object_shares_its_parts():
+    gen = generate_synthetic(SyntheticScript(kind="place-on"), seed=7)
+    static, mover, hand = (e.observations for e in gen.scene.entities)
+    assert [o.frame for o in static] == list(range(36))
+    for attr in ("bbox", "mask", "depth"):
+        assert len({id(getattr(o, attr)) for o in static}) == 1, attr
+        # the mover has two states, each with its own parts
+        assert len({id(getattr(o, attr)) for o in mover}) == 2, attr
+    # one observation per frame, each with its frame and score
+    assert len({id(o) for o in static}) == 36 and {o.score for o in hand} == {0.99}
+
+
+def test_occluding_mover_gets_its_own_depth_each_frame():
+    # the mover's depth grid is built afresh every frame; its gradient follows
+    # the box, so the readings repeat, but no frame takes another's sample
+    gen = generate_synthetic(SyntheticScript(kind="occlude-pass-behind"), seed=7)
+    static, mover = (e.observations for e in gen.scene.entities)
+    assert len({id(o.depth) for o in mover}) == len(mover) == 36
+    assert all(a.depth is not b.depth and a.bbox is not b.bbox
+               for a, b in zip(mover, mover[1:]))
+    assert len({id(o.depth) for o in static}) == 1
+
+
+def test_rect_obs_keeps_apart_grids_that_come_in_turn_at_one_box():
+    # the first grid is freed before the second is built, so the second may
+    # take its address; the memo holds the first, so it cannot
+    parts = {}
+    box = (8, 24, 56, 44)
+    first = synth._rect_obs(parts, 0, *box, 0.9, np.full((synth.HEIGHT, synth.WIDTH), 10.0))
+    second = synth._rect_obs(parts, 1, *box, 0.9, np.full((synth.HEIGHT, synth.WIDTH), 20.0))
+    assert set(first.depth.values) == {10.0} and set(second.depth.values) == {20.0}
+    assert first.mask == second.mask and len(parts) == 2
 
 
 # sha256 of each case's save_scene bytes, labels and relation key, recorded
