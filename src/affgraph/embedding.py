@@ -10,6 +10,7 @@ import numpy as np
 
 _HASH_ABOVE = 4096  # token strings longer than this are digest-compressed
 _NEG_BLOCK = 64  # rows per negative-sampling block: no (batch, k, dim) array is held
+_NOISE_BUCKETS = 1 << 14  # buckets of the negative draw's lookup table
 # bounds of the training settings, far above the defaults (128, 5, 14): larger
 # values ask for more memory or time than any corpus here needs
 MAX_EMBEDDING_DIM, MAX_NEGATIVES, MAX_WL_DEPTH = 4096, 100, 64
@@ -123,18 +124,66 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
 
-def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """``np.add.at(target, rows, values)`` for a 2-D ``target``, but faster.
+def _scatter_adder(target: np.ndarray):
+    """Return ``add(rows, values)``, which is ``np.add.at(target, rows, values)``
+    for the 2-D ``target``, but faster.
 
-    Scatters element-wise into the flat view, numpy's fast 1-D ``ufunc.at``
-    path; every element still receives its values in row order, so each sum
-    is the same.  A ``target`` that has no flat view raises rather than
+    It scatters element-wise into the flat view, numpy's fast 1-D ``ufunc.at``
+    path.  When the rows have an even width, each pair of elements goes as one
+    ``complex128`` lane: a complex add is two independent double adds, and
+    there are half as many indices.  Every element still receives its values
+    in row order, so each sum is the same.  Each row's flat indices are
+    tabled once.  A ``target`` that has no flat view raises rather than
     updating a copy.
     """
     flat = target.view()
     flat.shape = (-1,)
-    dim = target.shape[1]
-    np.add.at(flat, (rows[:, None] * dim + np.arange(dim)).ravel(), values.ravel())
+    width = target.shape[1]
+    if width % 2 == 0:
+        flat = flat.view(np.complex128)
+        width //= 2
+    index = np.arange(flat.size).reshape(-1, width)  # index[r] = r*width + arange(width)
+
+    def add(rows: np.ndarray, values: np.ndarray) -> None:
+        np.add.at(flat, index[rows].ravel(), values.ravel().view(flat.dtype))
+
+    return add
+
+
+def _noise_cdf(counts: list[int]) -> np.ndarray:
+    """The cumulative unigram^0.75 noise distribution, ending at exactly 1."""
+    noise = np.asarray(counts, dtype=float) ** 0.75
+    noise /= noise.sum()
+    # Generator.choice(p=noise) draws exactly this way, minus its per-call
+    # check of p: the same samples, and the same generator state after.
+    cdf = noise.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _noise_sampler(cdf: np.ndarray):
+    """Return ``draw(u)``, which is ``cdf.searchsorted(u, side="right")`` for
+    keys ``u`` in [0, 1], but faster.
+
+    [0, 1) is cut into ``_NOISE_BUCKETS`` equal buckets, and 1 has one of its
+    own.  A bucket that holds no ``cdf`` entry strictly inside it (its lower
+    edge may be one) gives one answer for each of its keys, looked up in a
+    table; only keys in the other buckets are searched.  The bucket count is
+    a power of two, so ``int(u * _NOISE_BUCKETS)`` is exact.
+    """
+    edges = np.arange(_NOISE_BUCKETS + 2) / _NOISE_BUCKETS
+    lo = cdf.searchsorted(edges[:-1], side="right")  # entries <= the bucket's start
+    hi = cdf.searchsorted(edges[1:], side="left")  # entries < the next bucket's start
+    table = np.where(lo == hi, lo, -1)
+
+    def draw(u: np.ndarray) -> np.ndarray:
+        idx = table[(u * _NOISE_BUCKETS).astype(np.intp)]
+        miss = idx < 0
+        if miss.any():
+            idx[miss] = cdf.searchsorted(u[miss], side="right")
+        return idx
+
+    return draw
 
 
 def train(
@@ -169,12 +218,9 @@ def train(
     pairs = np.repeat(np.column_stack([np.repeat(np.arange(n_graphs), sizes),
                                        np.array(tok_ids, dtype=np.int64)]),
                       counts, axis=0)
-    noise = np.asarray(vocab.counts, dtype=float) ** 0.75
-    noise /= noise.sum()
-    # Generator.choice(p=noise) draws exactly this way, minus its per-call
-    # check of p: the same samples, and the same generator state after.
-    cdf = noise.cumsum()
-    cdf /= cdf[-1]
+    draw_negatives = _noise_sampler(_noise_cdf(vocab.counts))
+    scatter_graphs = _scatter_adder(graph_vecs)
+    scatter_tokens = _scatter_adder(token_vecs)
 
     total_steps = cfg.epochs * max(1, (len(pairs) + cfg.batch_size - 1) // cfg.batch_size)
     step = 0
@@ -203,14 +249,17 @@ def train(
                 grad_g = grad_logits @ token_vecs
                 grad_tokens = grad_logits.T @ g
                 token_vecs -= lr * grad_tokens / len(batch)
-                _scatter_add(graph_vecs, g_idx, -lr * grad_g / len(batch))
+                scatter_graphs(g_idx, -lr * grad_g / len(batch))
             else:
-                neg_idx = cdf.searchsorted(rng.random((len(batch), cfg.negatives)),
-                                           side="right")
+                neg_idx = draw_negatives(rng.random((len(batch), cfg.negatives)))
                 t = token_vecs[t_idx]
                 pos_score = _sigmoid(np.einsum("bd,bd->b", g, t))
-                grad_pos = (pos_score - 1.0)[:, None]  # d/d(g.t)
-                grad_g = grad_pos * t
+                grad_pos = pos_score - 1.0  # d/d(g.t)
+                # einsum writes each product once, as broadcasting does, but
+                # adds it to a zeroed output, so a -0.0 product comes out +0.0.
+                # No vector entry is ever -0.0 (none starts so, and x + y is
+                # -0.0 only when both are), so every scattered sum is the same.
+                grad_g = np.einsum("b,bd->bd", grad_pos, t)
                 neg_score = np.empty(neg_idx.shape)
                 # every block reads token_vecs before any of them is updated
                 blocks = [slice(i, i + _NEG_BLOCK) for i in range(0, len(batch), _NEG_BLOCK)]
@@ -222,17 +271,17 @@ def train(
                     -np.mean(np.log(pos_score + 1e-12)
                              + np.sum(np.log(1.0 - neg_score + 1e-12), axis=1))
                 )
-                grad_t = grad_pos * g
+                grad_t = np.einsum("b,bd->bd", grad_pos, g)
                 # batch SGD: average the accumulated per-pair gradients
                 scale = -lr / len(batch)
                 grad_g *= scale
                 grad_t *= scale
-                _scatter_add(graph_vecs, g_idx, grad_g)
-                _scatter_add(token_vecs, t_idx, grad_t)
+                scatter_graphs(g_idx, grad_g)
+                scatter_tokens(t_idx, grad_t)
                 for rows in blocks:  # block order keeps the oracle's row order
-                    grad_neg = neg_score[rows, :, None] * g[rows, None, :]
+                    grad_neg = np.einsum("bk,bd->bkd", neg_score[rows], g[rows])
                     grad_neg *= scale
-                    _scatter_add(token_vecs, neg_idx[rows].ravel(), grad_neg)
+                    scatter_tokens(neg_idx[rows].ravel(), grad_neg)
             epoch_loss += float(loss)
             n_batches += 1
         mean_loss = epoch_loss / max(1, n_batches)

@@ -24,7 +24,7 @@ from .convexity import (
 from .evaluation import LabeledCorpus, metrics_report, v_measure
 from .graphlet import AGraphlet, build_agraphlets, canonical_form, parse_canonical
 from .qsr import EntityFrameState, disr, rcc2, rcc5_on
-from .scene import SceneSequence, build_semantic_depth_map, refuse_json_constant
+from .scene import ROW_BREAKS, SceneSequence, build_semantic_depth_map, refuse_json_constant
 from .temporal import Calculus, Episode, extract_episodes
 
 
@@ -307,8 +307,9 @@ def embed_corpus(
     records: list[dict], cfg: emb.TrainConfig
 ) -> tuple[emb.Vocabulary, emb.EmbeddingTable]:
     """Tokenise each distinct form once (equal forms share one ``Counter``), index
-    the tokens and train; a record without a string ``id`` or a well-formed
-    ``form``, or with the id of an earlier record, raises ValueError."""
+    the tokens and train.  A record without a well-formed ``form``, or whose
+    ``id`` is not a string free of tabs and line breaks or repeats an earlier
+    record's, raises ValueError."""
     by_id, by_form = {}, {}
     for n, rec in enumerate(records, 1):
         try:
@@ -319,6 +320,8 @@ def embed_corpus(
             gid = rec["id"]
             if type(gid) is not str:  # the table writes 1 and "1" alike
                 raise TypeError(f"id {gid!r} is not a string")
+            if not ROW_BREAKS.isdisjoint(gid):  # the id is its row's first field
+                raise ValueError(f"id {gid!r} holds a tab or line break")
             if gid in by_id:
                 raise ValueError(f"repeated id {gid!r}")
             by_id[gid] = by_form[form]

@@ -182,7 +182,8 @@ class SceneSequence:
 
 
 _OBS_KEYS = {"frame", "bbox", "score", "mask_rle", "depth_mm"}
-_ID_BREAKS = frozenset("/\t\n\r")
+ROW_BREAKS = frozenset("\t\n\r")  # split a row of the tab-separated tables
+_ID_BREAKS = ROW_BREAKS | {"/"}
 _INT = frozenset({int})
 _NUMBER = frozenset({int, float})
 
@@ -274,6 +275,12 @@ def scene_from_dict(data: dict) -> SceneSequence:
 
 
 def scene_to_dict(scene: SceneSequence) -> dict:
+    return _scene_dict(scene, lambda depth: list(depth.values))
+
+
+def _scene_dict(scene: SceneSequence, depth_mm) -> dict:
+    """``scene_to_dict``, with each observation's ``depth_mm`` made by
+    ``depth_mm(obs.depth)`` where it has a depth sample."""
     return {
         "width": scene.width,
         "height": scene.height,
@@ -289,7 +296,7 @@ def scene_to_dict(scene: SceneSequence) -> dict:
                         "bbox": [obs.bbox.xmin, obs.bbox.ymin, obs.bbox.xmax, obs.bbox.ymax],
                         "score": obs.score,
                         "mask_rle": list(obs.mask.runs) if obs.mask else None,
-                        "depth_mm": list(obs.depth.values) if obs.depth else None,
+                        "depth_mm": depth_mm(obs.depth) if obs.depth else None,
                     }
                     for obs in ent.observations
                 ],
@@ -330,14 +337,13 @@ def save_scene(scene: SceneSequence, path: str) -> None:
     the lists are spliced in after each ``"depth_mm":`` of the dump.  That
     text only occurs as the key: an encoded string escapes its quotes.
     """
-    data = scene_to_dict(scene)
+    data = _scene_dict(scene, lambda depth: None)
     texts = _JsonTexts()
     # keyed by id: the scene holds every sample, so no id is reused meanwhile
     lists: dict[int, str] = {}
     depths = []
-    for ent, raw_ent in zip(scene.entities, data["entities"]):
-        for obs, raw in zip(ent.observations, raw_ent["observations"]):
-            raw["depth_mm"] = None
+    for ent in scene.entities:
+        for obs in ent.observations:
             if obs.depth is None:
                 depths.append(None)
                 continue

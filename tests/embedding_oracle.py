@@ -1,10 +1,15 @@
 """Reference trainer: the straightforward version of ``embedding.train``.
 
 ``affgraph.embedding.train`` runs the same float operations in the same
-order on the same random stream, with faster scatters and negative draws;
-the tests compare the two bit for bit.  Here every scatter is a 2-D
-``np.add.at``, negatives come from ``Generator.choice(p=...)`` and each
-gradient is scaled into a fresh array.
+order on the same random stream, and the tests compare the two bit for bit.
+Here every scatter is a 2-D ``np.add.at``, negatives come from
+``Generator.choice(p=...)``, outer products are broadcast and each gradient
+is scaled into a fresh array.  The product instead scatters into the flat
+view, two entries per ``complex128`` lane when the width is even, with each
+row's indices tabled once; it draws each negative from a bucket table over
+the noise CDF and binary-searches only draws whose bucket holds a CDF step;
+it forms outer products with ``einsum``; it runs the negatives in blocks of
+rows; and it scales gradients in place.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """``affgraph run``'s artifacts, pinned by sha256 on a 4-scene synthetic corpus.
 
 A change that keeps behaviour keeps every digest.  The pinned files carry no
-float written from a BLAS call (embeddings.tsv is left out, and dendrogram.json
-only in SED mode, where its heights are set-edit distances), so the digests
-hold across numpy builds.  The trained clusters.tsv is cut at the default 0.02,
-far below the lowest cosine merge (about 0.76), so rounding cannot regroup it."""
+float written from a BLAS call (dendrogram.json is pinned only in SED mode,
+where its heights are set-edit distances), so the digests hold across numpy
+builds.  The negative-sampling trainer behind embeddings.tsv uses only
+elementwise ufuncs, ``ufunc.at`` and ``einsum`` without ``optimize``.  The
+trained clusters.tsv is cut at the default 0.02, far below the lowest cosine
+merge (about 0.76), so rounding cannot regroup it."""
 
 import hashlib
 
@@ -32,6 +34,8 @@ DIGESTS = {
             "061e174e5b90ba9334eb20a1b8c80745dbb59bd7eaac31a816207b8e8d3abb83",
         "vocabulary.tsv":
             "71198b1d8fb6887a36c72cff48de188239c885ff8a0915268519091de5eb871d",
+        "embeddings.tsv":
+            "a328229eca8e1797c793b08d226996bf6707a6db6be1867d54d1a2931de5983d",
         "clusters.tsv":
             "1d5346cb56438bc5b61db349255bbe8d46a68ffaf1938a9b4ed504a6b1d6020a",
     },

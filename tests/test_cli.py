@@ -238,8 +238,13 @@ def test_finite_cut_threshold_flag_still_cuts(tmp_path, capsys, two_row_table):
     ["g0"],
     {"id": "ok", "form": "V[entity|anchor]E[]"},   # the id of record 1
     {"id": 1, "form": "V[entity|anchor]E[]"},
+    # such ids would split the rows of embeddings.tsv
+    {"id": "g\t1", "form": "V[entity|anchor]E[]"},
+    {"id": "g\n1", "form": "V[entity|anchor]E[]"},
+    {"id": "\r", "form": "V[entity|anchor]E[]"},
 ], ids=["no-form", "no-id", "malformed-form", "non-string-form", "bad-edge",
-        "edge-out-of-range", "not-an-object", "repeated-id", "non-string-id"])
+        "edge-out-of-range", "not-an-object", "repeated-id", "non-string-id",
+        "tab-in-id", "newline-in-id", "carriage-return-id"])
 def test_embed_bad_corpus_record_is_data_error(tmp_path, capsys, record):
     corpus = tmp_path / "corpus.jsonl"
     good = {"id": "ok", "form": "V[entity|anchor;entity|partner]E[0-1]"}
