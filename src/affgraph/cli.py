@@ -19,7 +19,7 @@ from . import embedding as emb
 from . import pipeline
 from .evaluation import LabeledCorpus, metrics_report, pca_project, v_measure
 from .pipeline import PROFILES, PipelineConfig, PipelineError, load_config
-from .scene import SceneError, load_scene, refuse_json_constant, save_scene
+from .scene import SceneError, load_scene, parse_json, save_scene
 from .synth import ScriptError, SyntheticScript, generate_synthetic
 
 EXIT_OK = 0
@@ -44,7 +44,7 @@ def _config(args) -> PipelineConfig:
             cfg = load_config(path)
         except FileNotFoundError as exc:
             raise CliError(EXIT_USAGE, f"config file not found: {path}") from exc
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CliError(EXIT_DATA, f"invalid config {path}: {exc}") from exc
     flags = {key: value for key, value in vars(args).items()  # they override the file
              if key in PipelineConfig.__dataclass_fields__ and value is not None}
@@ -168,7 +168,7 @@ def _load_truth(path: str) -> dict[str, list[str]]:
     """Groundtruth labels: a JSON object mapping graph ids to lists of strings."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            truth = json.load(fh, parse_constant=refuse_json_constant)
+            truth = parse_json(fh.read())
         except ValueError as exc:
             raise CliError(EXIT_DATA, f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(truth, dict):

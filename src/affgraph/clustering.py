@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .graphlet import SPATIAL, TEMPORAL, AGraphlet
-from .scene import refuse_json_constant
+from .scene import parse_json
 from .temporal import Calculus
 
 
@@ -351,4 +351,4 @@ def export_dendrogram_json(dend: Dendrogram, path: str) -> None:
 
 def load_dendrogram_json(path: str) -> Dendrogram:
     with open(path, "r", encoding="utf-8") as fh:
-        return Dendrogram.from_dict(json.load(fh, parse_constant=refuse_json_constant))
+        return Dendrogram.from_dict(parse_json(fh.read()))

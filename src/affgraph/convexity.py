@@ -1,9 +1,9 @@
-"""Convexity typing from depth distributions and depth-contour hierarchies."""
+"""Convexity typing from depth distributions and the holes of depth contours."""
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -14,34 +14,6 @@ class ConvexityType(str, Enum):
     CONCAVE = "concave"
     SURFACE = "surface"
     CONVEX = "convex"
-
-
-@dataclass
-class ContourNode:
-    """Node of the contour-inclusion tree.
-
-    The root represents the image frame; its children are foreground
-    components, whose children are the holes they enclose, and so on for
-    components nested inside holes.
-    """
-
-    id: int
-    area: int
-    is_hole: bool
-    parent: Optional[int]
-    children: list[int] = field(default_factory=list)
-
-
-@dataclass
-class ContourTree:
-    nodes: dict[int, ContourNode]
-
-    @property
-    def root(self) -> ContourNode:
-        return self.nodes[0]
-
-    def hole_count(self) -> int:
-        return sum(1 for n in self.nodes.values() if n.is_hole)
 
 
 @dataclass(frozen=True)
@@ -110,15 +82,15 @@ def label_components(grid: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, int
     return fg_labels, int(fg_ids[-1]), bg_labels, int(bg_ids[-1])
 
 
-def contour_hierarchy(grid: np.ndarray, noise_ratio: float = 0.0,
-                      reference_area: Optional[int] = None) -> ContourTree:
-    """Build the contour-inclusion tree of a binary grid.
+def surviving_holes(grid: np.ndarray, noise_ratio: float = 0.0,
+                    reference_area: Optional[int] = None) -> int:
+    """Count the holes of a binary grid that survive noise pruning.
 
     Foreground components are 8-connected, holes (enclosed background) are
-    4-connected. Contours with area < noise_ratio * reference_area are pruned
-    with their subtree (reference defaults to the grid's foreground pixel
-    count). Node ids follow a depth-first walk that visits children in label
-    order, the holes of a component and the components inside a hole alike.
+    4-connected. Contours nest inside the frame: a component in a hole, a
+    hole in the component that encloses it. A contour with area <
+    noise_ratio * reference_area is pruned with every contour inside it
+    (reference defaults to the grid's foreground pixel count).
     """
     grid = np.asarray(grid, dtype=bool)
     if grid.size == 0:
@@ -149,30 +121,20 @@ def contour_hierarchy(grid: np.ndarray, noise_ratio: float = 0.0,
     island = (owner[hole] != 0) & (owner[hole] != comp)
     parent = np.full(n_fg + 1, n_bg + 1)
     np.minimum.at(parent, comp[island], hole[island])
-    parent[parent > n_bg] = 0  # in no hole: a child of the frame
+    parent[parent > n_bg] = 0  # in no hole: inside the frame
 
-    holes_of: list[list[int]] = [[] for _ in range(n_fg + 1)]
-    for b in np.flatnonzero(owner).tolist():
-        holes_of[owner[b]].append(b)
-    comps_in: list[list[int]] = [[] for _ in range(n_bg + 1)]  # [0]: the frame's
-    for f in range(1, n_fg + 1):
-        comps_in[parent[f]].append(f)
-    areas = (np.bincount(fg_labels.ravel(), minlength=n_fg + 1),
-             np.bincount(bg_labels.ravel(), minlength=n_bg + 1))
-
-    nodes = {0: ContourNode(id=0, area=int(grid.size), is_hole=False, parent=None)}
-    stack = [(False, f, 0) for f in reversed(comps_in[0])]
-    while stack:
-        is_hole, label, parent_id = stack.pop()
-        area = int(areas[is_hole][label])
-        if area < min_area:
-            continue
-        node = ContourNode(id=len(nodes), area=area, is_hole=is_hole, parent=parent_id)
-        nodes[node.id] = node
-        nodes[parent_id].children.append(node.id)
-        kids = comps_in[label] if is_hole else holes_of[label]
-        stack.extend((not is_hole, k, node.id) for k in reversed(kids))
-    return ContourTree(nodes=nodes)
+    # label 0 stands for the frame on both sides: owner 0 and parent 0 point
+    # at it, and it is live; each round settles one more level of nesting
+    big_comp = np.bincount(fg_labels.ravel(), minlength=n_fg + 1) >= min_area
+    big_hole = np.bincount(bg_labels.ravel(), minlength=n_bg + 1) >= min_area
+    big_comp[0] = big_hole[0] = True
+    live_comp = big_comp
+    while True:
+        live_hole = big_hole & live_comp[owner]
+        settled = big_comp & live_hole[parent]
+        if (settled == live_comp).all():
+            return int(np.count_nonzero(live_hole[owner != 0]))
+        live_comp = settled
 
 
 def deep_region(depth_grid: np.ndarray, owned: np.ndarray, thresh_convex: float) -> np.ndarray:
@@ -199,7 +161,7 @@ def object_convexity(
     """Classify one object at one frame as concave / surface / convex.
 
     Default semantics: depth range > thresh_convex with a surviving hole in
-    the deep-region contour hierarchy means concave, without one surface;
+    the deep region (``surviving_holes``) means concave, without one surface;
     otherwise convex. ``alg1_literal`` flips the range inequality so a
     small-range object with a hole is classified concave instead.
     """
@@ -209,12 +171,8 @@ def object_convexity(
     drange = float(depth_values.max() - depth_values.min())
     if object_pixel_count is None:
         object_pixel_count = int(depth_values.size)
-    if np.asarray(deep).size == 0 or not np.asarray(deep).any():
-        has_hole = False
-    else:
-        tree = contour_hierarchy(deep, noise_ratio=noise_ratio,
-                                 reference_area=object_pixel_count)
-        has_hole = tree.hole_count() > 0
+    has_hole = np.asarray(deep).any() and surviving_holes(
+        deep, noise_ratio=noise_ratio, reference_area=object_pixel_count) > 0
     if alg1_literal:
         if drange < thresh_convex and has_hole:
             return ConvexityType.CONCAVE

@@ -24,7 +24,7 @@ from .convexity import (
 from .evaluation import LabeledCorpus, metrics_report, v_measure
 from .graphlet import AGraphlet, build_agraphlets, canonical_form, parse_canonical
 from .qsr import EntityFrameState, disr, rcc2, rcc5_on
-from .scene import ROW_BREAKS, SceneSequence, build_semantic_depth_map, refuse_json_constant
+from .scene import ROW_BREAKS, SceneSequence, build_semantic_depth_map, parse_json
 from .temporal import Calculus, Episode, extract_episodes
 
 
@@ -144,7 +144,7 @@ def _known_keys(section: str, cls: type, data: dict) -> dict:
 
 def load_config(path: str) -> PipelineConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh, parse_constant=refuse_json_constant))
+        return config_from_dict(parse_json(fh.read()))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +297,7 @@ def load_graphlet_corpus(path: str) -> list[dict]:
     for n, line in enumerate(lines, 1):
         if line.strip():
             try:
-                records.append(json.loads(line, parse_constant=refuse_json_constant))
+                records.append(parse_json(line))
             except ValueError as exc:
                 raise ValueError(f"line {n}: {exc}") from exc
     return records

@@ -15,10 +15,24 @@ class SceneError(Exception):
     """Raised on schema or invariant violations in scene data."""
 
 
-def refuse_json_constant(name: str):
-    """``parse_constant`` hook of every JSON reader: ``NaN``, ``Infinity`` and
-    ``-Infinity`` are not JSON, so a file holding one is refused as it is read."""
+# Each frame's depth map holds an int64 owner and a float64 depth per pixel;
+# the bound admits a 3840 x 2160 frame, at 16 bytes a pixel 128 MiB a map.
+MAX_FRAME_PIXELS = 2**23
+
+
+def _refuse_json_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
+
+
+def parse_json(text: str):
+    """Parse the text of a JSON file, as every JSON reader does. ``NaN``,
+    ``Infinity`` and ``-Infinity`` are not JSON, so a text holding one is
+    refused as it is read, and so is nesting deeper than the parser's
+    recursion limit; both raise ``ValueError``."""
+    try:
+        return json.loads(text, parse_constant=_refuse_json_constant)
+    except RecursionError as exc:
+        raise ValueError("nested too deeply") from exc
 
 
 class EntityKind(str, Enum):
@@ -151,6 +165,9 @@ class SceneSequence:
         if not (self.width >= 1 and self.height >= 1 and self.frame_count >= 0):
             raise SceneError("width and height must be >= 1 and frame_count >= 0, got "
                              f"{self.width}, {self.height} and {self.frame_count}")
+        if self.width * self.height > MAX_FRAME_PIXELS:
+            raise SceneError(f"a {self.width} x {self.height} frame holds more than "
+                             f"{MAX_FRAME_PIXELS} pixels")
         if self.fps is not None and not 0 < self.fps < np.inf:
             raise SceneError(f"fps must be a finite number > 0 or null, got {self.fps}")
         seen: set[str] = set()
@@ -310,7 +327,7 @@ def load_scene(path: str) -> SceneSequence:
     """Load and validate a scene file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh, parse_constant=refuse_json_constant)
+            data = parse_json(fh.read())
         except json.JSONDecodeError as exc:
             raise SceneError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
         except ValueError as exc:

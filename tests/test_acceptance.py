@@ -17,7 +17,7 @@ from affgraph.clustering import (
     hierarchical_cluster,
     sed_distance,
 )
-from affgraph.convexity import ConcavityBounds, ConvexityType, contour_hierarchy, convexity_depth
+from affgraph.convexity import ConcavityBounds, ConvexityType, convexity_depth, surviving_holes
 from affgraph.evaluation import LabeledCorpus, v_measure
 from affgraph.graphlet import canonical_form, parse_canonical
 from affgraph.pipeline import PipelineConfig, load_graphlet_corpus, run_pipeline
@@ -149,7 +149,7 @@ def test_contour_hole_count_matches_flood_fill_200_grids():
         h = int(rng.integers(2, 65))
         w = int(rng.integers(2, 65))
         grid = rng.random((h, w)) < rng.uniform(0.25, 0.85)
-        assert contour_hierarchy(grid).hole_count() == flood_fill_hole_count(grid)
+        assert surviving_holes(grid) == flood_fill_hole_count(grid)
 
 
 # -- criterion: WL token multisets invariant under vertex permutation --------

@@ -19,6 +19,7 @@ from affgraph.cli import (
     EXIT_USAGE,
     main,
 )
+from affgraph.scene import MAX_FRAME_PIXELS
 
 FAST_TRAIN = {"embedding_dim": 16, "epochs": 8, "batch_size": 64,
               "wl_depth": 4, "learning_rate": 0.25}
@@ -530,6 +531,29 @@ def test_nan_token_is_a_data_error_in_every_json_reader(tmp_path, capsys, reader
     assert "NaN is not a JSON number" in err
 
 
+@pytest.mark.parametrize("reader", ["scene", "truth", "run-truth", "run-config", "corpus",
+                                    "dendrogram"])
+def test_deeply_nested_json_is_a_data_error_in_every_reader(tmp_path, capsys, scene_file,
+                                                            reader):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    (tmp_path / "c.tsv").write_text("g0\t0\n")
+    out = ["-o", str(tmp_path / "out")]
+    argv = {
+        "scene": ["validate", str(path)],
+        "truth": ["evaluate", str(tmp_path / "c.tsv"), str(path)],
+        "run-truth": ["run", str(scene_file), *out, "--truth", str(path)],
+        "run-config": ["run", str(scene_file), *out, "--config", str(path)],
+        "corpus": ["embed", str(path), *out],
+        "dendrogram": ["export", str(path), *out],
+    }[reader]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("dend", [
     {**TWO_LEAVES, "leaf_ids": ["g0", ["g1"]]},
     {**TWO_LEAVES, "leaf_ids": ["g0", 1]},
@@ -682,6 +706,25 @@ def test_scene_with_out_of_range_header_is_data_error(tmp_path, capsys, header):
         err = capsys.readouterr().err
         assert err.startswith("data error: width and height must be >= 1") \
             and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "relations", "episodes", "graphlets"])
+def test_frame_too_large_for_a_depth_map_is_data_error(tmp_path, capsys, command):
+    # a 10^9 x 10^9 frame: its depth map could not be allocated
+    path = tmp_path / "scene.json"
+    side = 10**9
+    obs = {"frame": 0, "bbox": [0, 0, 1, 1], "score": 0.9, "mask_rle": [side * side],
+           "depth_mm": []}
+    path.write_text(json.dumps({"width": side, "height": side, "frame_count": 1, "entities": [
+        {"id": eid, "kind": "object", "observations": [obs]} for eid in ("a", "b")]}))
+    argv = [command, str(path)]
+    if command == "graphlets":
+        argv += ["-o", str(tmp_path / "g.jsonl")]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == (f"data error: a {side} x {side} frame holds more than "
+                   f"{MAX_FRAME_PIXELS} pixels\n")
+    assert not (tmp_path / "g.jsonl").exists()
 
 
 def test_cluster_skips_a_blank_line_in_the_table(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Convexity typing, concavity bounds, and contour-hole hierarchies."""
+"""Convexity typing, concavity bounds, and surviving contour holes."""
 
 from collections import deque
 
@@ -10,15 +10,15 @@ from scipy import ndimage
 from affgraph.convexity import (
     ConcavityBounds,
     ConvexityType,
-    contour_hierarchy,
     convexity_depth,
     deep_region,
     label_components,
     object_convexity,
+    surviving_holes,
     track_convexity,
 )
 
-from convexity_oracle import children_of, contour_hierarchy_oracle
+from convexity_oracle import children_of, contour_hierarchy, contour_hierarchy_oracle
 
 
 def flood_fill_hole_count(grid: np.ndarray) -> int:
@@ -62,7 +62,7 @@ def test_contour_hierarchy_solid_square():
     kids = children_of(tree, 0)
     assert len(kids) == 1 and not kids[0].is_hole
     assert children_of(tree, kids[0].id) == []
-    assert tree.hole_count() == 0
+    assert tree.hole_count() == surviving_holes(grid) == 0
 
 
 def test_contour_hierarchy_ring():
@@ -74,7 +74,7 @@ def test_contour_hierarchy_ring():
     assert len(kids) == 1
     inner = children_of(tree, kids[0].id)
     assert len(inner) == 1 and inner[0].is_hole
-    assert tree.hole_count() == 1
+    assert tree.hole_count() == surviving_holes(grid) == 1
 
 
 def test_contour_hierarchy_ring_plus_blob():
@@ -87,7 +87,7 @@ def test_contour_hierarchy_ring_plus_blob():
     assert len(kids) == 2
     hole_kids = [children_of(tree, k.id) for k in kids]
     assert sorted(len(k) for k in hole_kids) == [0, 1]
-    assert tree.hole_count() == flood_fill_hole_count(grid) == 1
+    assert tree.hole_count() == surviving_holes(grid) == flood_fill_hole_count(grid) == 1
 
 
 def test_contour_hierarchy_nested_island():
@@ -103,14 +103,30 @@ def test_contour_hierarchy_nested_island():
     assert len(hole) == 1 and hole[0].is_hole
     island = children_of(tree, hole[0].id)
     assert len(island) == 1 and not island[0].is_hole
+    assert tree.hole_count() == surviving_holes(grid) == 1
 
 
 def test_contour_hierarchy_pruning():
     grid = np.zeros((10, 10), dtype=bool)
     grid[1:9, 1:9] = True
     grid[4, 4] = False  # 1-pixel hole, 1/64 of the foreground
-    assert contour_hierarchy(grid, noise_ratio=0.0).hole_count() == 1
-    assert contour_hierarchy(grid, noise_ratio=0.05).hole_count() == 0
+    assert surviving_holes(grid, noise_ratio=0.0) == 1
+    assert surviving_holes(grid, noise_ratio=0.05) == 0
+
+
+def test_surviving_holes_prunes_a_hole_with_everything_inside_it():
+    # outer ring | thin hole (92 px) | island ring (160 px) | large hole (324 px)
+    grid = np.zeros((30, 30), dtype=bool)
+    grid[1:29, 1:29] = True
+    grid[3:27, 3:27] = False
+    grid[4:26, 4:26] = True
+    grid[6:24, 6:24] = False
+    assert surviving_holes(grid) == 2
+    assert surviving_holes(grid, noise_ratio=0.2) == 2  # 0.2 * 368 px < 92
+    # 92 < 0.3 * 368 <= 160: the thin hole goes, and the island and its
+    # large hole, both above the bar, go with it
+    assert surviving_holes(grid, noise_ratio=0.3) == 0
+    assert contour_hierarchy_oracle(grid, noise_ratio=0.3).hole_count() == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,8 +136,7 @@ def test_contour_hierarchy_matches_flood_fill(seed):
     h = int(rng.integers(3, 24))
     w = int(rng.integers(3, 24))
     grid = rng.random((h, w)) < rng.uniform(0.3, 0.8)
-    tree = contour_hierarchy(grid)
-    assert tree.hole_count() == flood_fill_hole_count(grid)
+    assert surviving_holes(grid) == flood_fill_hole_count(grid)
 
 
 def _tree_shape(tree):
@@ -143,13 +158,15 @@ def _contour_grids(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_contour_grids(), st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+@given(_contour_grids(), st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.5]),
        st.one_of(st.none(), st.integers(1, 400)))
 def test_contour_hierarchy_matches_oracle_builder(grid, noise_ratio, reference_area):
-    # node ids, areas, hole flags, parents and child order all agree
+    # both trees agree in node ids, areas, hole flags, parents and child
+    # order, and the product counts the holes they keep
     tree = contour_hierarchy(grid, noise_ratio, reference_area)
     oracle = contour_hierarchy_oracle(grid, noise_ratio, reference_area)
     assert _tree_shape(tree) == _tree_shape(oracle)
+    assert surviving_holes(grid, noise_ratio, reference_area) == oracle.hole_count()
 
 
 def _assert_labels_are_scipys(grid):

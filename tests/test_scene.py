@@ -13,6 +13,7 @@ from affgraph.scene import (
     Entity,
     EntityKind,
     EntityObservation,
+    MAX_FRAME_PIXELS,
     MaskRLE,
     SceneError,
     SceneSequence,
@@ -430,6 +431,19 @@ def test_scene_header_must_be_in_range(header):
         scene_from_dict({"width": 5, "height": 4, "frame_count": 3, "entities": [], **header})
     assert scene_from_dict({"width": 1, "height": 1, "frame_count": 0,
                             "entities": []}).frame_count == 0
+
+
+@pytest.mark.parametrize("width, height", [(3840, 2160), (MAX_FRAME_PIXELS, 1),
+                                           (1, MAX_FRAME_PIXELS), (2**12, 2**11)])
+def test_frame_size_up_to_the_bound_is_accepted(width, height):
+    SceneSequence(width=width, height=height, frame_count=1).validate()
+
+
+@pytest.mark.parametrize("width, height", [(MAX_FRAME_PIXELS + 1, 1), (2**12 + 1, 2**11),
+                                           (10**9, 10**9)])
+def test_frame_size_above_the_bound_is_refused(width, height):
+    with pytest.raises(SceneError, match=f"more than {MAX_FRAME_PIXELS} pixels"):
+        SceneSequence(width=width, height=height, frame_count=1).validate()
 
 
 # JSON-like values, kept small so that no draw names a large grid
