@@ -1,4 +1,5 @@
-"""``affgraph run``'s artifacts, pinned by sha256 on a 4-scene synthetic corpus.
+"""``affgraph run``'s artifacts, and ``affgraph relations``' output for each
+scene, pinned by sha256 on a 4-scene synthetic corpus.
 
 A change that keeps behaviour keeps every digest.  The pinned files carry no
 float written from a BLAS call (dendrogram.json is pinned only in SED mode,
@@ -62,6 +63,39 @@ DIGESTS = {
 }
 
 
+# ``affgraph relations`` stdout per scene: under DiSR, under the RCC5(+On)
+# baseline, and under DiSR with the literal reading of Algorithm 1
+RELATION_SETUPS = {
+    "disr": [],
+    "rcc5_on": ["--calculus", "rcc5_on"],
+    "alg1_literal": ["--config", '{"profile": {"alg1_literal": true}}'],
+}
+
+RELATION_DIGESTS = {
+    "disr": {
+        "put-into": "127b840725f342ab8ea1c34b6b53c6f083ce916d757cfbad7a2bd279217fb64d",
+        "place-on": "3235c58c23891d7381f74281b70ca0bd781812d45e1bbf811f3dd3b385177706",
+        "push-adjacent": "9dce7ce562721e1c27aa79c34f1c5d5e1bc0187591649e4b3157a3fb0c138117",
+        "occlude-pass-behind":
+            "6cd6197f3541e6fabbe0bdc14661f2f9a123f9f33e9552d369defce4a62dd29d",
+    },
+    "rcc5_on": {
+        "put-into": "061cd6808cbfaeb8e9d757ae2011401c28a4fbbbd1244e571da37b366bf99a53",
+        "place-on": "148ea65db13a642b04cc8cf06d913606b3dc48d6ebf6a261e59c40b032e7d24a",
+        "push-adjacent": "2d4d13a5334cf28b725bc18b29dbaa15f2d3bf38520104757cffa70d1c221169",
+        "occlude-pass-behind":
+            "aff24fffda34410f582825ef261c07c0a6281401bdbef19790ac98f40ae9637b",
+    },
+    "alg1_literal": {
+        "put-into": "77ca697ce5443d9406f19bde402257653ca728dfcc3efb58bace498247ccc8aa",
+        "place-on": "3235c58c23891d7381f74281b70ca0bd781812d45e1bbf811f3dd3b385177706",
+        "push-adjacent": "9dce7ce562721e1c27aa79c34f1c5d5e1bc0187591649e4b3157a3fb0c138117",
+        "occlude-pass-behind":
+            "6cd6197f3541e6fabbe0bdc14661f2f9a123f9f33e9552d369defce4a62dd29d",
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def scenes(tmp_path_factory):
     root = tmp_path_factory.mktemp("scenes")
@@ -84,3 +118,17 @@ def test_run_artifacts_match_recorded_digests(tmp_path, capsys, scenes, setup):
     found = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
              for name in DIGESTS[setup]}
     assert found == DIGESTS[setup]
+
+
+@pytest.mark.parametrize("setup", sorted(RELATION_SETUPS))
+def test_relations_output_matches_recorded_digests(tmp_path, capsys, scenes, setup):
+    flags = list(RELATION_SETUPS[setup])
+    if "--config" in flags:
+        config = tmp_path / "config.json"
+        config.write_text(flags[-1])
+        flags[-1] = str(config)
+    found = {}
+    for path, (kind, _, _) in zip(scenes, SCENES):
+        assert main(["relations", path, *flags]) == EXIT_OK
+        found[kind] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert found == RELATION_DIGESTS[setup]
