@@ -15,10 +15,10 @@ import numpy as np
 from . import clustering as clust
 from . import embedding as emb
 from .convexity import (
-    ConvexityType,
+    FrameDepth,
     convexity_depth,
     deep_region,
-    object_convexity,
+    object_convexity,  # not called here; bench/tracer.py wraps this name
     track_convexity,
 )
 from .evaluation import LabeledCorpus, metrics_report, v_measure
@@ -158,55 +158,60 @@ def compute_frame_relations(
     RCC5(+On) baseline) and every (object, human_part) pair (RCC2).
 
     One pass over the frames that observe an object builds each one's
-    ownership map once and takes each visible object's owned depths once (a
-    frame without an object yields no relation); the per-frame convexity
-    types are consolidated per track before any pair is scored."""
+    ownership map once, which decodes each observation's mask once for the
+    map and the frame's RCC2 tests, and keeps of each visible object only
+    what shape typing reads (a frame without an object yields no relation).
+    Each track is then typed in one ``track_convexity`` call before any pair
+    is scored."""
     prof = cfg.profile
     at = {ent.id: {obs.frame: obs for obs in ent.observations} for ent in scene.entities}
     objects = [ent.id for ent in scene.objects()]
     humans = [ent.id for ent in scene.human_parts()]
 
-    # frame -> (object id -> (observation, ascending owned depths or None),
-    # human part id -> observation), built from the per-entity index ``at``
-    visible: dict[int, tuple[dict, dict]] = {}
-    per_frame_conv: dict[str, list[ConvexityType]] = {}
+    # frame -> (object id -> (observation, FrameDepth or None), the frame's
+    # (object id, human part id, RCC2 token) triples)
+    visible: dict[int, tuple[dict, list]] = {}
+    tracks: dict[str, list[FrameDepth]] = {}
     for f in sorted({f for eid in objects for f in at[eid]}):
         frame_objects = {eid: at[eid][f] for eid in objects if f in at[eid]}
         hands = {part: at[part][f] for part in humans if f in at[part]}
         smap = build_semantic_depth_map(scene.height, scene.width, frame_objects,
                                         hands.values())
         seen = {}
-        visible[f] = seen, hands
         for eid, obs in frame_objects.items():
-            vals = None  # an object without a mask owns no pixel
+            depth = None  # an object without a mask owns no pixel
             if obs.depth is not None and (owned := smap.owned_mask(eid)).any():
-                vals = np.sort(smap.depth[owned])
+                vals = smap.depth[owned]
                 x0 = max(0, int(math.floor(obs.bbox.xmin)))
                 x1 = min(scene.width, int(math.ceil(obs.bbox.xmax)))
                 y0 = max(0, int(math.floor(obs.bbox.ymin)))
                 y1 = min(scene.height, int(math.ceil(obs.bbox.ymax)))
                 local_owned = owned[y0:y1, x0:x1]
-                deep = deep_region(smap.depth[y0:y1, x0:x1], local_owned, prof.thresh_convex)
-                per_frame_conv.setdefault(eid, []).append(object_convexity(
-                    vals, deep, prof.thresh_convex,
-                    noise_ratio=prof.noise_ratio,
-                    object_pixel_count=int(local_owned.sum()),
-                    alg1_literal=prof.alg1_literal,
-                ))
-            seen[eid] = (obs, vals)
+                depth = FrameDepth(
+                    float(vals.min()), float(vals.max()), np.count_nonzero(local_owned),
+                    deep_region(smap.depth[y0:y1, x0:x1], local_owned, prof.thresh_convex))
+                tracks.setdefault(eid, []).append(depth)
+            seen[eid] = (obs, depth)
+        hand_masks = dict(zip(hands, smap.hand_masks))
+        visible[f] = seen, [
+            (eid, part, rcc2(smap.masks.get(eid), hand_masks[part], obs_o.bbox,
+                             obs_h.bbox).value)
+            for eid, obs_o in frame_objects.items() for part, obs_h in hands.items()]
 
-    track_types = {eid: track_convexity(types) for eid, types in per_frame_conv.items()}
+    track_types = {eid: track_convexity(frames, prof.thresh_convex, prof.noise_ratio,
+                                        prof.alg1_literal)
+                   for eid, frames in tracks.items()}
 
     relations: dict[tuple[str, str], list[tuple[int, str]]] = {}
-    for f, (seen, hands) in visible.items():
+    for f, (seen, contacts) in visible.items():
         states = {}
-        for eid, (obs, vals) in seen.items():
+        for eid, (obs, depth) in seen.items():
             conv = track_types.get(eid)
+            span = None if depth is None else (depth.dmin, depth.dmax)
             states[eid] = EntityFrameState(
-                bbox=obs.bbox, convexity=conv,
-                depth_range=None if vals is None else (float(vals[0]), float(vals[-1])),
-                concavity_bounds=None if vals is None
-                else convexity_depth(vals, conv, prof.h, prof.n))
+                bbox=obs.bbox, convexity=conv, depth_range=span,
+                concavity_bounds=None if span is None
+                else convexity_depth(span, conv, prof.h, prof.n))
         ids = sorted(states)
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
@@ -217,11 +222,8 @@ def compute_frame_relations(
                     rel_ba = rcc5_on(states[b].bbox, states[a].bbox)
                 relations.setdefault((a, b), []).append((f, rel_ab.value))
                 relations.setdefault((b, a), []).append((f, rel_ba.value))
-
-        for eid, (obs_o, _) in seen.items():
-            for part, obs_h in hands.items():
-                rel = rcc2(obs_o.mask, obs_h.mask, obs_o.bbox, obs_h.bbox)
-                relations.setdefault((eid, part), []).append((f, rel.value))
+        for eid, part, token in contacts:
+            relations.setdefault((eid, part), []).append((f, token))
     return relations
 
 

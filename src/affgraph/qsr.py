@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .convexity import ConcavityBounds, ConvexityType
-from .scene import BoundingBox, MaskRLE
+from .scene import BoundingBox
 
 
 class Rcc2Relation(str, Enum):
@@ -45,17 +45,18 @@ class EntityFrameState:
     convexity: Optional[ConvexityType] = None
 
 
-def rcc2(mask_a: Optional[MaskRLE], mask_b: Optional[MaskRLE],
+def rcc2(mask_a: Optional[np.ndarray], mask_b: Optional[np.ndarray],
          bbox_a: BoundingBox, bbox_b: BoundingBox) -> Rcc2Relation:
-    """C iff the masks share a foreground pixel, else DC.
+    """C iff the decoded masks (boolean grids of one frame) share a foreground
+    pixel, else DC.
 
     With a mask missing, falls back to an approximate bbox intersection test.
     """
     if mask_a is None or mask_b is None:
         return Rcc2Relation.C if bbox_a.intersection_area(bbox_b) > 0 else Rcc2Relation.DC
-    if mask_a.width != mask_b.width or mask_a.height != mask_b.height:
+    if mask_a.shape != mask_b.shape:
         raise ValueError("masks must share the same grid")
-    if np.any(mask_a.to_array() & mask_b.to_array()):
+    if (mask_a & mask_b).any():
         return Rcc2Relation.C
     return Rcc2Relation.DC
 

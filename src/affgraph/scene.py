@@ -107,9 +107,14 @@ class MaskRLE:
 
 @dataclass(frozen=True)
 class DepthSample:
-    """Depth readings in millimeters, one per foreground mask pixel in run order."""
+    """Depth readings in millimeters, one per foreground mask pixel in run order.
+
+    ``array`` holds the same readings as a read-only numpy array, decoded once
+    when the sample is checked, for the depth maps to paint from.
+    """
 
     values: tuple[float, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values)
@@ -119,6 +124,8 @@ class DepthSample:
             raise SceneError("depth values must be numbers")
         if not ((values > 0) & (values < np.inf)).all():
             raise SceneError("depth values must be finite positive millimeters")
+        values.flags.writeable = False
+        object.__setattr__(self, "array", values)
 
 
 @dataclass(frozen=True)
@@ -324,7 +331,7 @@ def _scene_dict(scene: SceneSequence, depth_mm) -> dict:
 
 
 def load_scene(path: str) -> SceneSequence:
-    """Load and validate a scene file."""
+    """Load and validate a scene file; every error names the file once."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = parse_json(fh.read())
@@ -332,7 +339,10 @@ def load_scene(path: str) -> SceneSequence:
             raise SceneError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
         except ValueError as exc:
             raise SceneError(f"{path}: invalid JSON: {exc}") from exc
-    return scene_from_dict(data)
+    try:
+        return scene_from_dict(data)
+    except SceneError as exc:
+        raise SceneError(f"{path}: {exc}") from exc
 
 
 class _JsonTexts(dict):
@@ -390,11 +400,16 @@ class SemanticDepthMap:
 
     ``owner`` holds the owning entity index into ``entity_ids`` or -1;
     ``depth`` holds the owner's depth reading at that pixel (0 where unowned).
+    ``masks`` holds each object's decoded mask by id, and ``hand_masks`` each
+    human part's in the order given (None without a mask), so that a contact
+    test reads them without decoding them again.
     """
 
     entity_ids: list[str]
     owner: np.ndarray
     depth: np.ndarray
+    masks: dict[str, np.ndarray]
+    hand_masks: list[Optional[np.ndarray]]
 
     def owned_mask(self, entity_id: str) -> np.ndarray:
         try:
@@ -412,7 +427,8 @@ def build_semantic_depth_map(height: int, width: int,
     ``objects`` maps each object id to its observation at the frame, and
     ``hands`` holds the frame's human-part observations.  Overlap pixels go to
     the highest-score object (ties to the lower entity id); pixels under any
-    human_part mask are excluded from object ownership.
+    human_part mask are excluded from object ownership.  Each mask is decoded
+    once, and each depth sample painted from its decoded ``array``.
     """
     owner = np.full((height, width), -1, dtype=int)
     depth = np.zeros((height, width), dtype=float)
@@ -420,13 +436,15 @@ def build_semantic_depth_map(height: int, width: int,
                     if obs.mask is not None)
     claims.reverse()  # paint lowest priority first so stronger claims overwrite
     entity_ids = [ent_id for _, ent_id, _ in claims]
-    for idx, (_, _, obs) in enumerate(claims):
-        pixels = obs.mask.to_array()
+    masks = {}
+    for idx, (_, ent_id, obs) in enumerate(claims):
+        pixels = masks[ent_id] = obs.mask.to_array()
         owner[pixels] = idx
-        depth[pixels] = 0.0 if obs.depth is None else obs.depth.values
-    for obs in hands:
-        if obs.mask is not None:
-            pixels = obs.mask.to_array()
+        depth[pixels] = 0.0 if obs.depth is None else obs.depth.array
+    hand_masks = [None if obs.mask is None else obs.mask.to_array() for obs in hands]
+    for pixels in hand_masks:
+        if pixels is not None:
             owner[pixels] = -1
             depth[pixels] = 0.0
-    return SemanticDepthMap(entity_ids=entity_ids, owner=owner, depth=depth)
+    return SemanticDepthMap(entity_ids=entity_ids, owner=owner, depth=depth,
+                            masks=masks, hand_masks=hand_masks)

@@ -3,18 +3,23 @@
 ``affgraph.pipeline.compute_frame_relations``, ``affgraph.scene.
 build_semantic_depth_map`` and ``affgraph.graphlet.build_agraphlets`` compute
 the same results in fewer steps; the tests compare the two on synthetic
-scenes.  The product indexes every observation by frame once, and builds each
-frame's depth map from that index.  Here every frame, the depth map's
-included, looks each observation up with a linear scan (``observation_at``)
-over the entity's observations, each object's owned mask is taken twice,
-per-frame states are rebuilt into a third dict before any pair is scored,
-masks are painted through ``np.unravel_index`` of their foreground indices,
-and the temporal candidates of a graphlet are an explicit double loop.
+scenes.  The product indexes every observation by frame once, builds each
+frame's depth map from that index, decodes each mask once per frame, and
+types each track's frames in one stacked labelling.  Here every frame, the
+depth map's included, looks each observation up with a linear scan
+(``observation_at``) over the entity's observations, each object's owned mask
+is taken twice, each frame is typed on its own by the one-frame
+``object_convexity`` and the types are voted per track, every RCC2 test
+decodes both masks again, per-frame states are rebuilt into a third dict
+before any pair is scored, masks are painted through ``np.unravel_index`` of
+their foreground indices, and the temporal candidates of a graphlet are an
+explicit double loop.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -24,7 +29,6 @@ from affgraph.convexity import (
     convexity_depth,
     deep_region,
     object_convexity,
-    track_convexity,
 )
 from affgraph.graphlet import (
     ENTITY,
@@ -40,7 +44,7 @@ from affgraph.graphlet import (
 )
 from affgraph.pipeline import PipelineConfig
 from affgraph.qsr import EntityFrameState, disr, rcc2, rcc5_on
-from affgraph.scene import Entity, EntityObservation, SceneSequence, SemanticDepthMap
+from affgraph.scene import Entity, EntityObservation, MaskRLE, SceneSequence, SemanticDepthMap
 from affgraph.temporal import Calculus, Episode, allen
 
 
@@ -91,7 +95,20 @@ def build_semantic_depth_map(scene: SceneSequence, frame: int) -> SemanticDepthM
         )
         owner[rows_cols] = -1
         depth[rows_cols] = 0.0
-    return SemanticDepthMap(entity_ids=entity_ids, owner=owner, depth=depth)
+    # contacts are tested on each observation's own mask (``_decoded``)
+    return SemanticDepthMap(entity_ids=entity_ids, owner=owner, depth=depth,
+                            masks={}, hand_masks=[])
+
+
+def _decoded(mask: Optional[MaskRLE]) -> Optional[np.ndarray]:
+    return None if mask is None else mask.to_array()
+
+
+def majority_convexity(per_frame_types: list[ConvexityType]) -> ConvexityType:
+    """Majority vote over per-frame types; ties favor concave > surface > convex."""
+    counts = Counter(per_frame_types)
+    priority = {ConvexityType.CONCAVE: 0, ConvexityType.SURFACE: 1, ConvexityType.CONVEX: 2}
+    return max(counts, key=lambda t: (counts[t], -priority[t]))
 
 
 def compute_frame_relations(
@@ -140,7 +157,7 @@ def compute_frame_relations(
 
     # consolidate convexity per track
     track_types = {
-        eid: track_convexity(types) for eid, types in per_frame_conv.items()
+        eid: majority_convexity(types) for eid, types in per_frame_conv.items()
     }
 
     relations: dict[tuple[str, str], list[tuple[int, str]]] = {}
@@ -178,7 +195,7 @@ def compute_frame_relations(
                 obs_h = observation_at(part, f)
                 if obs_h is None:
                     continue
-                rel = rcc2(obs_o.mask, obs_h.mask, obs_o.bbox, obs_h.bbox)
+                rel = rcc2(_decoded(obs_o.mask), _decoded(obs_h.mask), obs_o.bbox, obs_h.bbox)
                 relations.setdefault((ent.id, part.id), []).append((f, rel.value))
     return relations
 

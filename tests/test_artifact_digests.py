@@ -10,9 +10,13 @@ trained clusters.tsv is cut at the default 0.02, far below the lowest cosine
 merge (about 0.76), so rounding cannot regroup it."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import affgraph
 from affgraph.cli import EXIT_OK, main
 from affgraph.scene import save_scene
 from affgraph.synth import SyntheticScript, generate_synthetic
@@ -132,3 +136,24 @@ def test_relations_output_matches_recorded_digests(tmp_path, capsys, scenes, set
         assert main(["relations", path, *flags]) == EXIT_OK
         found[kind] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert found == RELATION_DIGESTS[setup]
+
+
+def test_run_artifacts_do_not_depend_on_the_hash_seed(tmp_path, scenes):
+    # set and dict iteration over strings follows PYTHONHASHSEED; no artifact may
+    config = tmp_path / "config.json"
+    config.write_text('{"train": {"epochs": 2}}')
+    src = os.path.dirname(os.path.dirname(affgraph.__file__))
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"out-{seed}"
+        run = subprocess.run(
+            [sys.executable, "-m", "affgraph.cli", "run", *scenes, "-o", str(out),
+             "--config", str(config)],
+            capture_output=True, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        assert run.returncode == EXIT_OK, run.stderr
+        outputs.append((run.stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+    (stdout_0, files_0), (stdout_1, files_1) = outputs
+    assert stdout_0 == stdout_1
+    assert sorted(files_0) == sorted(files_1) and len(files_0) >= 7
+    for name in files_0:
+        assert files_0[name] == files_1[name], name

@@ -426,7 +426,7 @@ def test_validate_malformed_observation_is_data_error(tmp_path, capsys, observat
         {"id": "x", "kind": "object", "observations": [obs]}]}).replace("Infinity", "1e400"))
     assert main(["validate", str(path)]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("data error: entity x: ") and err.count("\n") == 1
+    assert err.startswith(f"data error: {path}: entity x: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("config", [
@@ -704,7 +704,7 @@ def test_scene_with_out_of_range_header_is_data_error(tmp_path, capsys, header):
     for command in ("validate", "relations"):
         assert main([command, str(path)]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("data error: width and height must be >= 1") \
+        assert err.startswith(f"data error: {path}: width and height must be >= 1") \
             and err.count("\n") == 1
 
 
@@ -722,7 +722,7 @@ def test_frame_too_large_for_a_depth_map_is_data_error(tmp_path, capsys, command
         argv += ["-o", str(tmp_path / "g.jsonl")]
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err == (f"data error: a {side} x {side} frame holds more than "
+    assert err == (f"data error: {path}: a {side} x {side} frame holds more than "
                    f"{MAX_FRAME_PIXELS} pixels\n")
     assert not (tmp_path / "g.jsonl").exists()
 
@@ -936,3 +936,31 @@ def test_export_takes_pca_and_embeddings_together(tmp_path, capsys, flag):
     assert captured.out == ""
     assert captured.err == "error: --pca and --embeddings must be given together\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [{"width": 0}, {"score": 2.0}], ids=["width-0", "score-2"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_data_error_names_the_bad_scene_file(tmp_path, scene_file, fast_config, capsys,
+                                             command, bad):
+    scene = json.loads(scene_file.read_text())
+    if "score" in bad:
+        scene["entities"][0]["observations"][0]["score"] = bad["score"]
+    else:
+        scene.update(bad)
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(scene))
+    argv = [command, str(scene_file), str(bad_path)]
+    if command == "run":
+        argv += ["-o", str(tmp_path / "out"), "--config", str(fast_config)]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.count("bad.json") == 1
+    assert err.startswith(f"data error: {bad_path}: ")
+
+
+def test_invalid_json_names_its_file_once(tmp_path, capsys):
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text("{broken")
+    assert main(["validate", str(bad_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad_path}: invalid JSON") and err.count("bad.json") == 1

@@ -7,18 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+from affgraph import convexity
 from affgraph.convexity import (
     ConcavityBounds,
     ConvexityType,
+    FrameDepth,
     convexity_depth,
     deep_region,
     label_components,
     object_convexity,
+    surviving_hole_counts,
     surviving_holes,
     track_convexity,
 )
 
 from convexity_oracle import children_of, contour_hierarchy, contour_hierarchy_oracle
+from relations_oracle import majority_convexity
 
 
 def flood_fill_hole_count(grid: np.ndarray) -> int:
@@ -274,11 +278,99 @@ def test_convexity_depth_rejects_bad_sections():
         convexity_depth(np.array([1.0]), ConvexityType.CONCAVE, h=3, n=3)
 
 
+def _ring_and_solid():
+    ring = np.zeros((10, 10), dtype=bool)
+    ring[2:8, 2:8] = True
+    ring[4:6, 4:6] = False
+    solid = np.zeros((10, 10), dtype=bool)
+    solid[2:8, 2:8] = True
+    return ring, solid
+
+
 def test_track_convexity_majority_and_ties():
-    C, S, V = ConvexityType.CONCAVE, ConvexityType.SURFACE, ConvexityType.CONVEX
-    assert track_convexity([C, C, S]) is C
-    assert track_convexity([S]) is S
-    assert track_convexity([C, S]) is C  # tie-break concave > surface
-    assert track_convexity([S, V]) is S  # tie-break surface > convex
+    ring, solid = _ring_and_solid()
+    # frames typed concave, surface and convex at thresh 4 (see the classes above)
+    C = FrameDepth(10.0, 22.0, 32, ring)
+    S = FrameDepth(10.0, 22.0, 36, solid)
+    V = FrameDepth(10.0, 12.0, 36, np.zeros((10, 10), dtype=bool))
+    CONCAVE, SURFACE = ConvexityType.CONCAVE, ConvexityType.SURFACE
+    assert track_convexity([C, C, S], 4.0) is CONCAVE
+    assert track_convexity([S], 4.0) is SURFACE
+    assert track_convexity([C, S], 4.0) is CONCAVE  # tie-break concave > surface
+    assert track_convexity([S, V], 4.0) is SURFACE  # tie-break surface > convex
     with pytest.raises(ValueError):
-        track_convexity([])
+        track_convexity([], 4.0)
+
+
+@st.composite
+def _frame_depths(draw):
+    """A track of 1-6 frames: a depth range and owned count, and a deep grid
+    (sometimes empty) from ``_contour_grids``."""
+    frames = []
+    for _ in range(draw(st.integers(1, 6))):
+        grid = draw(_contour_grids()) if draw(st.booleans()) else np.zeros((3, 4), dtype=bool)
+        dmin = draw(st.floats(1.0, 100.0))
+        frames.append(FrameDepth(dmin, dmin + draw(st.sampled_from([0.0, 2.0, 4.0, 9.5])),
+                                 draw(st.integers(0, 800)), grid))
+    return frames
+
+
+@settings(max_examples=200, deadline=None)
+@given(_frame_depths(), st.sampled_from([0.0, 0.01, 0.05, 0.3]), st.booleans())
+def test_track_convexity_votes_the_one_frame_types(frames, noise_ratio, alg1_literal):
+    # each frame typed by object_convexity from the same facts, then voted
+    types = [object_convexity(np.array([f.dmin, f.dmax]), f.deep, 4.0, noise_ratio,
+                              f.owned, alg1_literal) for f in frames]
+    assert track_convexity(frames, 4.0, noise_ratio, alg1_literal) is majority_convexity(types)
+
+
+@st.composite
+def _stacks(draw):
+    """1-8 grids of mixed shapes, with a reference area each: random and
+    ring grids, all-background frames, and a hole in an island in a hole."""
+    grids = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["drawn", "empty", "nested"]))
+        if kind == "drawn":
+            grids.append(draw(_contour_grids()))
+        elif kind == "empty":
+            grids.append(np.zeros((draw(st.integers(1, 9)), draw(st.integers(1, 9))), dtype=bool))
+        else:
+            side = draw(st.integers(9, 16))
+            rows, cols = np.ogrid[:side, :side]
+            ring = np.maximum(abs(rows - side // 2), abs(cols - side // 2))
+            # rings out to in: component, hole, island, hole, (island)
+            grids.append(ring % 2 == (side // 2) % 2)
+    areas = draw(st.lists(st.integers(0, 600), min_size=len(grids), max_size=len(grids)))
+    return grids, areas
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stacks(), st.floats(0.0, 0.3), st.booleans())
+def test_stacked_hole_counts_match_the_oracle_per_frame(stack, noise_ratio, own_areas):
+    grids, areas = stack
+    references = areas if own_areas else [None] * len(grids)
+    found = surviving_hole_counts(grids, noise_ratio, areas if own_areas else None)
+    assert found.tolist() == [
+        contour_hierarchy_oracle(grid, noise_ratio, ref).hole_count()
+        for grid, ref in zip(grids, references)]
+
+
+def test_stacked_hole_counts_keep_each_frame_apart():
+    # a frame of solid foreground and a frame of only background touch the
+    # separator rows; a hole in an island in a hole keeps both of its holes
+    side = 9
+    rows, cols = np.ogrid[:side, :side]
+    nested = np.maximum(abs(rows - 4), abs(cols - 4)) % 2 == 0
+    grids = [np.ones((3, 12), dtype=bool), nested, np.zeros((2, 2), dtype=bool), nested[:, :5]]
+    assert surviving_hole_counts(grids).tolist() == [0, 2, 0, 0]
+    assert surviving_hole_counts([]).tolist() == []
+    with pytest.raises(ValueError):
+        surviving_hole_counts([nested, np.zeros((0, 3), dtype=bool)])
+
+
+def test_long_stacks_are_counted_in_halves(monkeypatch):
+    ring, solid = _ring_and_solid()
+    grids = [ring, solid, ring, ring, solid]
+    monkeypatch.setattr(convexity, "MAX_STACK_PIXELS", 150)
+    assert surviving_hole_counts(grids).tolist() == [1, 0, 1, 1, 0]

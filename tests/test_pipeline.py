@@ -285,6 +285,25 @@ def test_relation_pass_builds_depth_maps_only_for_frames_with_an_object(monkeypa
     assert len(long) == 4
 
 
+def test_alg1_literal_never_types_a_synthetic_track_concave():
+    # a frame has a deep pixel only when its depth range exceeds thresh_convex,
+    # and the literal reading calls a frame concave only below that range, so
+    # no containment comes out of it; the default reading finds containment
+    contained = {False: 0, True: 0}
+    for kind in ("put-into", "place-on", "take-out", "push-adjacent"):
+        for seed in range(5):
+            scene = generate_synthetic(SyntheticScript(kind=kind), seed=seed).scene
+            for profile in PROFILES.values():
+                for literal in (False, True):
+                    cfg = PipelineConfig(profile=replace(profile, alg1_literal=literal))
+                    tokens = {token for pair_tokens in
+                              pipeline.compute_frame_relations(scene, cfg).values()
+                              for _, token in pair_tokens}
+                    contained[literal] += bool(tokens & {"Cont", "Conti"})
+    assert contained[True] == 0
+    assert contained[False] > 0
+
+
 # -- config: named profiles, bases, fuzzing ------------------------------------
 
 def test_named_profile_is_a_copy(monkeypatch):

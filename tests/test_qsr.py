@@ -21,7 +21,7 @@ from affgraph.qsr import (
     rcc2,
     rcc5_on,
 )
-from affgraph.scene import BoundingBox, MaskRLE
+from affgraph.scene import BoundingBox
 
 CONVERSE = {
     DisrRelation.SUP: DisrRelation.SUPI,
@@ -43,7 +43,7 @@ def _state(box, depth=None, bounds=None, conv=None):
 
 
 def _mask(arr):
-    return MaskRLE.from_array(np.asarray(arr, dtype=bool))
+    return np.asarray(arr, dtype=bool)
 
 
 # -- RCC2 ---------------------------------------------------------------------

@@ -413,6 +413,17 @@ def test_bool_among_depth_numbers_is_refused(depth):
     assert DepthSample(values=(1, 1.0, 11.5)).values == (1, 1.0, 11.5)
 
 
+def test_depth_sample_keeps_its_readings_decoded_and_read_only():
+    sample = DepthSample(values=(10, 11.5, 2**60 + 1))
+    assert sample.array.tolist() == [10.0, 11.5, float(2**60 + 1)]
+    with pytest.raises(ValueError):
+        sample.array[0] = 1.0
+    # the decoded array takes no part in equality, hashing or the repr
+    assert sample == DepthSample(values=(10, 11.5, 2**60 + 1))
+    assert hash(sample) == hash(DepthSample(values=(10, 11.5, 2**60 + 1)))
+    assert repr(sample) == f"DepthSample(values={sample.values!r})"
+
+
 @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -1, 0, 0.0])
 def test_fps_must_be_finite_and_positive(fps):
     with pytest.raises(SceneError, match="^fps must be a finite number > 0 or null"):
