@@ -104,16 +104,14 @@ def cmd_relations(args) -> int:
     scene = load_scene(args.scene)
     relations = pipeline.compute_frame_relations(scene, cfg)
     out = {f"{a}|{b}": tokens for (a, b), tokens in sorted(relations.items())}
-    sys.stdout.write(json.dumps(out, sort_keys=True))
-    print()
+    print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_episodes(args) -> int:
     cfg = _config(args)
     episodes = pipeline.compute_episodes(load_scene(args.scene), cfg)
-    sys.stdout.write(json.dumps(pipeline.episode_records(episodes), sort_keys=True))
-    print()
+    print(json.dumps(pipeline.episode_records(episodes), sort_keys=True))
     return EXIT_OK
 
 
@@ -204,8 +202,7 @@ def cmd_run(args) -> int:
             raise
         # no truth id names a graphlet of these scenes
         raise CliError(EXIT_DATA, f"{args.truth}: {exc}") from exc
-    json.dump(report.to_dict(), sys.stdout, sort_keys=True, indent=2)
-    print()
+    print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return EXIT_OK
 
 

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, config resolution, exit codes."""
 
+import ast
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -21,6 +23,7 @@ from affgraph.cli import (
 )
 from affgraph.scene import MAX_FRAME_PIXELS
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FAST_TRAIN = {"embedding_dim": 16, "epochs": 8, "batch_size": 64,
               "wl_depth": 4, "learning_rate": 0.25}
 
@@ -480,12 +483,11 @@ def _scipy_modules(names: list[str]) -> list[str]:
 
 
 def test_import_loads_no_scipy_module():
-    # only sed_matrix's first call loads a scipy module (scipy.spatial); at
-    # import it would slow every command's start-up
+    # the product runs on numpy alone; scipy is an oracle of the tests
     assert _scipy_modules(_modules_after("import affgraph.cli")) == []
 
 
-def test_every_command_but_sed_loads_no_scipy_module(tmp_path):
+def test_no_command_loads_a_scipy_module(tmp_path):
     (tmp_path / "emb.tsv").write_text("g0\t2\t1.0 0.0\ng1\t2\t0.9 0.1\ng2\t2\t0.0 1.0\n")
     (tmp_path / "truth.json").write_text(json.dumps({"g0": ["a"], "g1": ["a"], "g2": ["b"]}))
     (tmp_path / "cfg.json").write_text(json.dumps({"train": FAST_TRAIN}))
@@ -493,6 +495,7 @@ def test_every_command_but_sed_loads_no_scipy_module(tmp_path):
              ["relations", "s.json"], ["episodes", "s.json"],
              ["graphlets", "s.json", "-o", "g.jsonl"],
              ["run", "s.json", "-o", "out", "--config", "cfg.json"],
+             ["run", "s.json", "-o", "out-sed", "--mode", "sed"],
              ["cluster", "emb.tsv", "-o", "c.tsv", "--dendrogram", "d.json",
               "--cut-threshold", "auto"],
              ["evaluate", "c.tsv", "truth.json"],
@@ -503,8 +506,37 @@ def test_every_command_but_sed_loads_no_scipy_module(tmp_path):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert [main(argv) for argv in {calls!r}] == [0] * {len(calls)}")
     assert _scipy_modules(_modules_after(code)) == []
-    for name in ("g.jsonl", "out/report.json", "d.dot", "pca.tsv"):
+    for name in ("g.jsonl", "out/report.json", "out-sed/clusters.tsv", "d.dot", "pca.tsv"):
         assert (tmp_path / name).exists()
+
+
+def test_no_module_of_the_product_imports_scipy():
+    package = os.path.join(ROOT, "src", "affgraph")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert _scipy_modules(modules) == [], f"{name}:{node.lineno} imports scipy"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+
+    def names(deps):
+        return [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["test"])
 
 
 @pytest.mark.parametrize("reader, text", [

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from affgraph.clustering import (
     Criterion,
@@ -15,6 +16,7 @@ from affgraph.clustering import (
     cut,
     export_dendrogram_json,
     hierarchical_cluster,
+    l1_matrix,
     load_dendrogram_json,
     pairwise_cosine_costs,
     sed_distance,
@@ -492,6 +494,19 @@ def test_sed_matrix_matches_per_pair_oracle_bit_for_bit(seed, n, c_spat, k_spat)
     assert np.array_equal(got, want)
     assert np.array_equal(got, got.T)
     assert not got.diagonal().any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 300), st.integers(0, 40), st.integers(0, 50), st.integers(0, 100_000))
+@example(300, 40, 50, 0)
+@example(2, 0, 0, 0)
+def test_l1_matrix_is_scipys_cityblock_bit_for_bit(n, labels, most, seed):
+    # count matrices as sed_matrix builds them: integer-valued floats
+    counts = np.random.default_rng(seed).integers(0, most + 1, (n, labels)).astype(float)
+    want = cdist(counts, counts, "cityblock")
+    got = l1_matrix(counts)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 # -- persistence --------------------------------------------------------------
