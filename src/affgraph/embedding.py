@@ -81,7 +81,6 @@ class TrainConfig:
     negatives: int = 5
     epochs: int = 200
     seed: int = 0
-    full_softmax: bool = False
     min_lr_factor: float = 1e-4
 
     def validate(self) -> None:
@@ -89,10 +88,8 @@ class TrainConfig:
             raise ValueError("embedding_dim, batch_size, epochs must be positive")
         if not (self.learning_rate > 0 and 0 <= self.min_lr_factor <= 1):
             raise ValueError("learning_rate must be positive, min_lr_factor in [0, 1]")
-        if self.wl_depth < 0 or self.negatives < 0:
-            raise ValueError("wl_depth and negatives must be >= 0")
-        if self.negatives <= 0 and not self.full_softmax:
-            raise ValueError("negatives must be positive")
+        if self.wl_depth < 0 or self.negatives <= 0:
+            raise ValueError("wl_depth must be >= 0, negatives positive")
         for name, high in (("embedding_dim", MAX_EMBEDDING_DIM),
                            ("negatives", MAX_NEGATIVES), ("wl_depth", MAX_WL_DEPTH)):
             if getattr(self, name) > high:
@@ -194,9 +191,9 @@ def train(
 ) -> EmbeddingTable:
     """Train per-graph vectors so each graph predicts its own WL tokens.
 
-    Negative-sampling surrogate of the softmax output layer by default;
-    ``full_softmax`` trains the exact softmax for small vocabularies.
-    Deterministic under a fixed seed.
+    Each (graph, token) occurrence is a positive pair, scored against
+    ``cfg.negatives`` tokens drawn from the unigram^0.75 noise distribution
+    (skip-gram with negative sampling).  Deterministic under a fixed seed.
     """
     cfg.validate()
     n_graphs = len(corpus_ids)
@@ -238,51 +235,38 @@ def train(
             g_idx = batch[:, 0]
             t_idx = batch[:, 1]
             g = graph_vecs[g_idx]
-            if cfg.full_softmax:
-                logits = g @ token_vecs.T
-                logits -= logits.max(axis=1, keepdims=True)
-                probs = np.exp(logits)
-                probs /= probs.sum(axis=1, keepdims=True)
-                loss = -np.mean(np.log(probs[np.arange(len(batch)), t_idx] + 1e-12))
-                grad_logits = probs
-                grad_logits[np.arange(len(batch)), t_idx] -= 1.0
-                grad_g = grad_logits @ token_vecs
-                grad_tokens = grad_logits.T @ g
-                token_vecs -= lr * grad_tokens / len(batch)
-                scatter_graphs(g_idx, -lr * grad_g / len(batch))
-            else:
-                neg_idx = draw_negatives(rng.random((len(batch), cfg.negatives)))
-                t = token_vecs[t_idx]
-                pos_score = _sigmoid(np.einsum("bd,bd->b", g, t))
-                grad_pos = pos_score - 1.0  # d/d(g.t)
-                # einsum writes each product once, as broadcasting does, but
-                # adds it to a zeroed output, so a -0.0 product comes out +0.0.
-                # No vector entry is ever -0.0 (none starts so, and x + y is
-                # -0.0 only when both are), so every scattered sum is the same.
-                grad_g = np.einsum("b,bd->bd", grad_pos, t)
-                neg_score = np.empty(neg_idx.shape)
-                # every block reads token_vecs before any of them is updated
-                blocks = [slice(i, i + _NEG_BLOCK) for i in range(0, len(batch), _NEG_BLOCK)]
-                for rows in blocks:
-                    neg = token_vecs[neg_idx[rows]]  # (rows, k, d)
-                    neg_score[rows] = _sigmoid(np.einsum("bd,bkd->bk", g[rows], neg))
-                    grad_g[rows] += np.einsum("bk,bkd->bd", neg_score[rows], neg)
-                loss = float(
-                    -np.mean(np.log(pos_score + 1e-12)
-                             + np.sum(np.log(1.0 - neg_score + 1e-12), axis=1))
-                )
-                grad_t = np.einsum("b,bd->bd", grad_pos, g)
-                # batch SGD: average the accumulated per-pair gradients
-                scale = -lr / len(batch)
-                grad_g *= scale
-                grad_t *= scale
-                scatter_graphs(g_idx, grad_g)
-                scatter_tokens(t_idx, grad_t)
-                for rows in blocks:  # block order keeps the oracle's row order
-                    grad_neg = np.einsum("bk,bd->bkd", neg_score[rows], g[rows])
-                    grad_neg *= scale
-                    scatter_tokens(neg_idx[rows].ravel(), grad_neg)
-            epoch_loss += float(loss)
+            neg_idx = draw_negatives(rng.random((len(batch), cfg.negatives)))
+            t = token_vecs[t_idx]
+            pos_score = _sigmoid(np.einsum("bd,bd->b", g, t))
+            grad_pos = pos_score - 1.0  # d/d(g.t)
+            # einsum writes each product once, as broadcasting does, but
+            # adds it to a zeroed output, so a -0.0 product comes out +0.0.
+            # No vector entry is ever -0.0 (none starts so, and x + y is
+            # -0.0 only when both are), so every scattered sum is the same.
+            grad_g = np.einsum("b,bd->bd", grad_pos, t)
+            neg_score = np.empty(neg_idx.shape)
+            # every block reads token_vecs before any of them is updated
+            blocks = [slice(i, i + _NEG_BLOCK) for i in range(0, len(batch), _NEG_BLOCK)]
+            for rows in blocks:
+                neg = token_vecs[neg_idx[rows]]  # (rows, k, d)
+                neg_score[rows] = _sigmoid(np.einsum("bd,bkd->bk", g[rows], neg))
+                grad_g[rows] += np.einsum("bk,bkd->bd", neg_score[rows], neg)
+            loss = float(
+                -np.mean(np.log(pos_score + 1e-12)
+                         + np.sum(np.log(1.0 - neg_score + 1e-12), axis=1))
+            )
+            grad_t = np.einsum("b,bd->bd", grad_pos, g)
+            # batch SGD: average the accumulated per-pair gradients
+            scale = -lr / len(batch)
+            grad_g *= scale
+            grad_t *= scale
+            scatter_graphs(g_idx, grad_g)
+            scatter_tokens(t_idx, grad_t)
+            for rows in blocks:  # block order keeps the oracle's row order
+                grad_neg = np.einsum("bk,bd->bkd", neg_score[rows], g[rows])
+                grad_neg *= scale
+                scatter_tokens(neg_idx[rows].ravel(), grad_neg)
+            epoch_loss += loss
             n_batches += 1
         mean_loss = epoch_loss / max(1, n_batches)
         history.append(mean_loss)

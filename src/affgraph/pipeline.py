@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, get_args, get_type_hints
@@ -72,7 +73,7 @@ class PipelineConfig:
                     want = " or ".join(_TYPE_NAMES.get(k, k.__name__) for k in kinds)
                     raise ValueError(f"{f.name} must be {want}, got {value!r}")
                 low, high = _RANGES.get(f.name, (None, None))
-                if low is not None and not low <= value <= high:
+                if low is not None and value is not None and not low <= value <= high:
                     raise ValueError(f"{f.name} must be in [{low}, {high}], got {value!r}")
                 if f.name in _CHOICES and value not in _CHOICES[f.name]:
                     raise ValueError(f"unknown {f.name} {value!r}")
@@ -82,11 +83,13 @@ class PipelineConfig:
         self.train.validate()
 
 
-# Inclusive bounds; TrainConfig.validate checks the training fields but the seed.
+# Inclusive bounds, which None (an "auto" cut) passes; TrainConfig.validate checks
+# the training fields but the seed. h stops at the largest float, as
+# convexity_depth divides by it.
 _RANGES = {name: (0, math.inf) for name in (
-    "sed_threshold", "thresh_convex", "noise_ratio", "smoothing", "gap_bridge",
-    "temporal_cap", "seed")}
-_RANGES.update(c_spat=(0, 1), k_spat=(0, 1), n=(1, math.inf))
+    "cut_threshold", "sed_threshold", "thresh_convex", "noise_ratio", "smoothing",
+    "gap_bridge", "temporal_cap", "seed")}
+_RANGES.update(c_spat=(0, 1), k_spat=(0, 1), n=(1, math.inf), h=(2, sys.float_info.max))
 _CHOICES = {"calculus": ("disr", "rcc5_on"), "mode": ("embedding", "sed")}
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
@@ -98,7 +101,7 @@ def _has_type(value, kind: type) -> bool:
     if isinstance(value, bool):
         return kind is bool
     if kind is float:
-        return isinstance(value, (int, float)) and abs(value) <= float(np.finfo(float).max)
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
 
 

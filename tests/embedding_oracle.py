@@ -1,4 +1,6 @@
-"""Reference trainer: the straightforward version of ``embedding.train``.
+"""Reference trainer: the straightforward version of ``embedding.train``,
+which learns one vector per graph by skip-gram with negative sampling over
+its WL tokens.
 
 ``affgraph.embedding.train`` runs the same float operations in the same
 order on the same random stream, and the tests compare the two bit for bit.
@@ -33,12 +35,8 @@ def train(
     vocab: Vocabulary,
     cfg: TrainConfig,
 ) -> EmbeddingTable:
-    """Train per-graph vectors so each graph predicts its own WL tokens.
-
-    Negative-sampling surrogate of the softmax output layer by default;
-    ``full_softmax`` trains the exact softmax for small vocabularies.
-    Deterministic under a fixed seed.
-    """
+    """Train per-graph vectors so each graph predicts its own WL tokens:
+    skip-gram with negative sampling, deterministic under a fixed seed."""
     cfg.validate()
     n_graphs = len(corpus_ids)
     n_vocab = len(vocab)
@@ -77,39 +75,26 @@ def train(
             g_idx = batch[:, 0]
             t_idx = batch[:, 1]
             g = graph_vecs[g_idx]
-            if cfg.full_softmax:
-                logits = g @ token_vecs.T
-                logits -= logits.max(axis=1, keepdims=True)
-                probs = np.exp(logits)
-                probs /= probs.sum(axis=1, keepdims=True)
-                loss = -np.mean(np.log(probs[np.arange(len(batch)), t_idx] + 1e-12))
-                grad_logits = probs
-                grad_logits[np.arange(len(batch)), t_idx] -= 1.0
-                grad_g = grad_logits @ token_vecs
-                grad_tokens = grad_logits.T @ g
-                token_vecs -= lr * grad_tokens / len(batch)
-                np.add.at(graph_vecs, g_idx, -lr * grad_g / len(batch))
-            else:
-                neg_idx = rng.choice(n_vocab, size=(len(batch), cfg.negatives), p=noise)
-                t = token_vecs[t_idx]
-                pos_score = _sigmoid(np.einsum("bd,bd->b", g, t))
-                neg = token_vecs[neg_idx]  # (b, k, d)
-                neg_score = _sigmoid(np.einsum("bd,bkd->bk", g, neg))
-                loss = float(
-                    -np.mean(np.log(pos_score + 1e-12)
-                             + np.sum(np.log(1.0 - neg_score + 1e-12), axis=1))
-                )
-                grad_pos = (pos_score - 1.0)[:, None]  # d/d(g.t)
-                grad_g = grad_pos * t + np.einsum("bk,bkd->bd", neg_score, neg)
-                grad_t = grad_pos * g
-                grad_neg = neg_score[:, :, None] * g[:, None, :]
-                # batch SGD: average the accumulated per-pair gradients
-                scale = lr / len(batch)
-                np.add.at(graph_vecs, g_idx, -scale * grad_g)
-                np.add.at(token_vecs, t_idx, -scale * grad_t)
-                np.add.at(token_vecs, neg_idx.ravel(),
-                          -scale * grad_neg.reshape(-1, dim))
-            epoch_loss += float(loss)
+            neg_idx = rng.choice(n_vocab, size=(len(batch), cfg.negatives), p=noise)
+            t = token_vecs[t_idx]
+            pos_score = _sigmoid(np.einsum("bd,bd->b", g, t))
+            neg = token_vecs[neg_idx]  # (b, k, d)
+            neg_score = _sigmoid(np.einsum("bd,bkd->bk", g, neg))
+            loss = float(
+                -np.mean(np.log(pos_score + 1e-12)
+                         + np.sum(np.log(1.0 - neg_score + 1e-12), axis=1))
+            )
+            grad_pos = (pos_score - 1.0)[:, None]  # d/d(g.t)
+            grad_g = grad_pos * t + np.einsum("bk,bkd->bd", neg_score, neg)
+            grad_t = grad_pos * g
+            grad_neg = neg_score[:, :, None] * g[:, None, :]
+            # batch SGD: average the accumulated per-pair gradients
+            scale = lr / len(batch)
+            np.add.at(graph_vecs, g_idx, -scale * grad_g)
+            np.add.at(token_vecs, t_idx, -scale * grad_t)
+            np.add.at(token_vecs, neg_idx.ravel(),
+                      -scale * grad_neg.reshape(-1, dim))
+            epoch_loss += loss
             n_batches += 1
         mean_loss = epoch_loss / max(1, n_batches)
         history.append(mean_loss)

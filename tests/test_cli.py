@@ -203,7 +203,7 @@ def two_row_table(tmp_path):
     return embs
 
 
-@pytest.mark.parametrize("raw", ["abc", "nan", "inf", "-inf", ""])
+@pytest.mark.parametrize("raw", ["abc", "nan", "inf", "-inf", "", "-1"])
 def test_bad_cut_threshold_flag_is_usage_error(tmp_path, capsys, two_row_table, raw):
     code = main(["cluster", str(two_row_table), "-o", str(tmp_path / "c.tsv"),
                  "--dendrogram", str(tmp_path / "d.json"), f"--cut-threshold={raw}"])
@@ -213,7 +213,7 @@ def test_bad_cut_threshold_flag_is_usage_error(tmp_path, capsys, two_row_table, 
     assert not (tmp_path / "c.tsv").exists()
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", '"nan"', '"inf"', "[1]"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", '"nan"', '"inf"', "[1]", "-1"])
 def test_bad_cut_threshold_in_config_is_data_error(tmp_path, capsys, two_row_table,
                                                    value):
     cfg = tmp_path / "cfg.json"
@@ -222,7 +222,7 @@ def test_bad_cut_threshold_in_config_is_data_error(tmp_path, capsys, two_row_tab
                  "--dendrogram", str(tmp_path / "d.json"), "--config", str(cfg)])
     assert code == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and err.count("\n") == 1
+    assert err.startswith(f"data error: invalid config {cfg}: ") and err.count("\n") == 1
 
 
 def test_finite_cut_threshold_flag_still_cuts(tmp_path, capsys, two_row_table):
@@ -659,8 +659,9 @@ def test_run_twice_with_one_seed_writes_identical_artifacts(tmp_path, fast_confi
 @pytest.mark.parametrize("config", [
     {"train": {"epochs": 1.5}}, {"train": {"embedding_dim": True}},
     {"train": {"negatives": 2.5}}, {"train": {"learning_rate": float("nan")}},
-    {"train": {"full_softmax": "yes"}}, {"train": {"seed": 3}}, {"profile": 5},
+    {"profile": {"alg1_literal": "yes"}}, {"train": {"seed": 3}}, {"profile": 5},
     {"cut_threshold": True}, {"cut_threshold": "0.5"}, {"cut_treshold": 0.5},
+    {"cut_threshold": -1}, {"profile": {"h": 10**400, "n": 3}},
 ], ids=json.dumps)
 def test_mistyped_or_unknown_config_field_is_data_error(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
@@ -673,7 +674,8 @@ def test_mistyped_or_unknown_config_field_is_data_error(tmp_path, capsys, config
 
 
 @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--smoothing", "-2"],
-                                  ["--gap-bridge", "-1"], ["--cut-threshold", "inf"]])
+                                  ["--gap-bridge", "-1"], ["--cut-threshold", "inf"],
+                                  ["--cut-threshold", "-1"]])
 def test_bad_flag_over_a_valid_config_is_usage_error(tmp_path, capsys, fast_config, flag):
     missing = str(tmp_path / "missing.json")
     for argv in (["run", missing, "-o", str(tmp_path / "out")], ["relations", missing]):
@@ -681,6 +683,7 @@ def test_bad_flag_over_a_valid_config_is_usage_error(tmp_path, capsys, fast_conf
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "missing.json" not in err  # refused before any scene is read
+        assert not (tmp_path / "out").exists()
 
 
 def test_unknown_profile_name_lists_the_named_profiles(tmp_path, capsys):

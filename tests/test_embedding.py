@@ -154,15 +154,6 @@ def test_train_loss_decreases_and_identical_graphs_converge():
     assert cosine_cost(g2, g3) < 0.05
 
 
-def test_train_full_softmax_mode():
-    ids, tokens, vocab = _toy_corpus()
-    cfg = TrainConfig(embedding_dim=8, epochs=60, batch_size=8, seed=0,
-                      learning_rate=0.3, full_softmax=True)
-    table = train(ids, tokens, vocab, cfg)
-    assert table.loss_history[-1] < table.loss_history[0]
-    assert table.vectors.shape == (6, 8)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow precedes the raise
 def test_train_divergence_guard():
     ids, tokens, vocab = _toy_corpus()
@@ -170,20 +161,6 @@ def test_train_divergence_guard():
                       learning_rate=5e4)
     with pytest.raises(DivergenceError):
         train(ids, tokens, vocab, cfg)
-
-
-def test_train_negative_initial_loss_is_not_divergence():
-    # one token: the softmax probability is 1 and the loss -log(1 + 1e-12) < 0,
-    # which a guard scaled by the signed initial loss took for divergence
-    tokens = [Counter(a=3), Counter(a=2)]
-    vocab = build_vocabulary(tokens)
-    cfg = TrainConfig(embedding_dim=4, epochs=3, batch_size=2, seed=0,
-                      learning_rate=0.1, full_softmax=True)
-    table = train(["g0", "g1"], tokens, vocab, cfg)
-    assert len(table.loss_history) == cfg.epochs
-    assert table.loss_history[0] < 0
-    oracle = embedding_oracle.train(["g0", "g1"], tokens, vocab, cfg)
-    assert oracle.loss_history == table.loss_history
 
 
 def test_train_config_validation():
@@ -195,7 +172,6 @@ def test_train_config_validation():
         TrainConfig(wl_depth=-1).validate()
     with pytest.raises(ValueError):
         TrainConfig(negatives=0).validate()
-    TrainConfig(negatives=0, full_softmax=True).validate()
     for name, high in (("embedding_dim", MAX_EMBEDDING_DIM),
                        ("negatives", MAX_NEGATIVES), ("wl_depth", MAX_WL_DEPTH)):
         TrainConfig(**{name: high}).validate()
@@ -296,7 +272,6 @@ def _train_cases(draw):
         negatives=draw(st.integers(1, 6)),
         epochs=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**32 - 1)),
-        full_softmax=draw(st.booleans()),
         min_lr_factor=draw(st.sampled_from([1e-4, 0.25, 1.0])),
     )
     return [f"g{i}" for i in range(n_graphs)], tokens, cfg
@@ -317,13 +292,11 @@ def test_train_matches_oracle_bitwise(case):
     assert _same_bits(got.loss_history, want.loss_history)
 
 
-@pytest.mark.parametrize("full_softmax", [False, True])
-def test_train_matches_oracle_on_ragged_batches(full_softmax):
+def test_train_matches_oracle_on_ragged_batches():
     # 6 graphs x 10 token occurrences = 60 pairs: batches of 7 leave a short last one
     ids, tokens, vocab = _toy_corpus()
     cfg = TrainConfig(embedding_dim=5, epochs=4, batch_size=7, negatives=3, seed=9,
-                      learning_rate=0.2, full_softmax=full_softmax,
-                      min_lr_factor=0.5)
+                      learning_rate=0.2, min_lr_factor=0.5)
     got = train(ids, tokens, vocab, cfg)
     want = embedding_oracle.train(ids, tokens, vocab, cfg)
     assert _same_bits(got.vectors, want.vectors)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -321,14 +322,14 @@ def test_config_over_a_base_keeps_the_base_and_reseeds_training():
 
 
 _INTS = {"smoothing": 0, "gap_bridge": 0, "temporal_cap": 0, "seed": 0, "h": 2,
-         "n": 1, "embedding_dim": 1, "batch_size": 1, "wl_depth": 0, "negatives": 0,
+         "n": 1, "embedding_dim": 1, "batch_size": 1, "wl_depth": 0, "negatives": 1,
          "epochs": 1}  # lowest allowed value
 _FLOATS = {"sed_threshold": (0, math.inf), "c_spat": (0, 1), "k_spat": (0, 1),
            "thresh_convex": (0, math.inf), "noise_ratio": (0, math.inf),
            "learning_rate": (0, math.inf), "min_lr_factor": (0, 1)}
 
-# valid values of each field, bar the odd draw that breaks n < h, negatives > 0
-# or learning_rate > 0 ...
+# valid values of each field, bar the odd draw that breaks n < h or
+# learning_rate > 0 ...
 _VALID = {
     **{name: st.integers(low, low + 30) for name, low in _INTS.items()},
     **{name: st.integers(0, 1) | st.floats(low, min(high, 10.0))
@@ -338,7 +339,7 @@ _VALID = {
     "linkage": st.sampled_from([m.value for m in Linkage]),
     "criterion": st.sampled_from([m.value for m in Criterion]),
     "cut_threshold": st.none() | st.just("auto") | st.floats(0.0, 1.0),
-    "alg1_literal": st.booleans(), "full_softmax": st.booleans(),
+    "alg1_literal": st.booleans(),
 }
 # ... and any JSON value, usually the wrong type or out of range
 _ANY = st.one_of(
@@ -380,7 +381,8 @@ def _assert_well_typed(cfg):
     assert isinstance(cfg.linkage, Linkage) and isinstance(cfg.criterion, Criterion)
     assert cfg.calculus in ("disr", "rcc5_on") and cfg.mode in ("embedding", "sed")
     assert cfg.cut_threshold is None or (
-        type(cfg.cut_threshold) in (int, float) and math.isfinite(cfg.cut_threshold))
+        type(cfg.cut_threshold) in (int, float) and math.isfinite(cfg.cut_threshold)
+        and cfg.cut_threshold >= 0)
     for obj in (cfg, cfg.profile, cfg.train):
         for f in fields(obj):
             value = getattr(obj, f.name)
@@ -390,10 +392,9 @@ def _assert_well_typed(cfg):
                 low, high = _FLOATS[f.name]
                 assert type(value) in (int, float) and math.isfinite(value), f.name
                 assert low <= value <= high, f.name
-    assert type(cfg.profile.alg1_literal) is bool and type(cfg.train.full_softmax) is bool
-    assert cfg.profile.n < cfg.profile.h
+    assert type(cfg.profile.alg1_literal) is bool
+    assert cfg.profile.n < cfg.profile.h <= sys.float_info.max
     assert cfg.train.learning_rate > 0
-    assert cfg.train.negatives > 0 or cfg.train.full_softmax
     assert cfg.train.embedding_dim <= emb.MAX_EMBEDDING_DIM
     assert cfg.train.negatives <= emb.MAX_NEGATIVES
     assert cfg.train.wl_depth <= emb.MAX_WL_DEPTH
@@ -424,4 +425,9 @@ def test_readme_config_example_is_a_complete_valid_config():
     assert cfg.train.seed == cfg.seed == data["seed"]
     # the example names every field, training's seed excepted
     assert set(data) == {f.name for f in fields(PipelineConfig)}
-    assert set(data["train"]) == {f.name for f in fields(emb.TrainConfig)} - {"seed"}
+    train_fields = {f.name for f in fields(emb.TrainConfig)} - {"seed"}
+    assert set(data["train"]) == train_fields
+    # and the list of train fields under it names each of them once
+    block = readme.split("The `train` fields, each optional, with its default:\n\n", 1)[1]
+    names = re.findall(r"^- `(\w+)`:", block.split("\n\n", 1)[0], re.MULTILINE)
+    assert sorted(names) == sorted(train_fields)
