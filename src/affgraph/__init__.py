@@ -18,8 +18,8 @@ from .qsr import DisrRelation, Rcc2Relation, Rcc5OnRelation
 from .temporal import AllenRelation, Calculus, Episode, Interval
 from .graphlet import AGraphlet, build_agraphlets, canonical_form, parse_canonical
 from .embedding import TrainConfig, Vocabulary, train, wl_tokens
-from .clustering import Criterion, Dendrogram, Linkage, cosine_cost, cut, sed_distance
-from .evaluation import LabeledCorpus, v_measure
+from .clustering import Criterion, Dendrogram, Linkage, cut
+from .evaluation import v_measure
 from .pipeline import PipelineConfig, PROFILES, run_pipeline
 from .synth import SyntheticScript, generate_synthetic
 
@@ -41,7 +41,6 @@ __all__ = [
     "EntityObservation",
     "Episode",
     "Interval",
-    "LabeledCorpus",
     "Linkage",
     "MaskRLE",
     "PROFILES",
@@ -55,14 +54,12 @@ __all__ = [
     "Vocabulary",
     "build_agraphlets",
     "canonical_form",
-    "cosine_cost",
     "cut",
     "generate_synthetic",
     "load_scene",
     "parse_canonical",
     "run_pipeline",
     "save_scene",
-    "sed_distance",
     "train",
     "v_measure",
     "wl_tokens",

@@ -17,10 +17,10 @@ import numpy as np
 from . import clustering as clust
 from . import embedding as emb
 from . import pipeline
-from .evaluation import LabeledCorpus, metrics_report, pca_project, v_measure
+from .evaluation import metrics_report, pca_project, v_measure
 from .pipeline import PROFILES, PipelineConfig, PipelineError, load_config
 from .scene import SceneError, load_scene, parse_json, save_scene
-from .synth import ScriptError, SyntheticScript, generate_synthetic
+from .synth import SCRIPT_KINDS, ScriptError, SyntheticScript, generate_synthetic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,7 +132,7 @@ def cmd_embed(args) -> int:
         records = pipeline.load_graphlet_corpus(args.corpus)
         if not records:
             raise CliError(EXIT_DATA, f"empty graphlet corpus: {args.corpus}")
-        _, table = pipeline.embed_corpus(records, cfg.train)
+        _, table = pipeline.embed_corpus(records, cfg.train, cfg.seed)
     except ValueError as exc:
         raise CliError(EXIT_DATA, f"{args.corpus}: {exc}") from exc
     emb.save_embeddings(table, args.output)
@@ -151,14 +151,15 @@ def cmd_cluster(args) -> int:
     try:
         table = emb.load_embeddings(args.embeddings)
         dist = clust.pairwise_cosine_costs(table.vectors)
-        dend, threshold, flat = pipeline.cluster_table(
+        dend, threshold, assignment = pipeline.cluster_table(
             dist, table.graph_ids, table.vectors, cfg.linkage, cfg.cut_threshold,
             cfg.criterion)
     except ValueError as exc:
         raise _table_error(args.embeddings, exc) from exc
     clust.export_dendrogram_json(dend, args.dendrogram)
-    pipeline.save_clusters(flat, table.graph_ids, args.output)
-    print(f"{flat.n_clusters()} clusters at threshold {threshold:g} -> {args.output}")
+    pipeline.save_clusters(assignment, table.graph_ids, args.output)
+    n_clusters = len(set(assignment.values()))
+    print(f"{n_clusters} clusters at threshold {threshold:g} -> {args.output}")
     return EXIT_OK
 
 
@@ -180,11 +181,11 @@ def _load_truth(path: str) -> dict[str, list[str]]:
 def cmd_evaluate(args) -> int:
     truth = _load_truth(args.truth)
     try:
-        predicted = pipeline.load_clusters(args.clusters).assignment
+        predicted = pipeline.load_clusters(args.clusters)
     except ValueError as exc:
         raise CliError(EXIT_DATA, f"{args.clusters}: {exc}") from exc
     try:
-        h, c, v = v_measure(LabeledCorpus(truth=truth, predicted=predicted))
+        h, c, v = v_measure(truth, predicted)
     except ValueError as exc:  # no truth id names a clustered graph
         raise CliError(EXIT_DATA, f"{args.truth}: {exc}") from exc
     sys.stdout.write(metrics_report(h, c, v))
@@ -228,18 +229,18 @@ def cmd_export(args) -> int:
         dend = clust.load_dendrogram_json(args.dendrogram)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_DATA, f"{args.dendrogram}: not a dendrogram: {exc!r}") from exc
-    flat = None
+    assignment = None
     if args.clusters:
         try:
-            flat = pipeline.load_clusters(args.clusters)
+            assignment = pipeline.load_clusters(args.clusters)
         except ValueError as exc:
             raise CliError(EXIT_DATA, f"{args.clusters}: {exc}") from exc
-        missing = [gid for gid in dend.leaf_ids if gid not in flat.assignment]
+        missing = [gid for gid in dend.leaf_ids if gid not in assignment]
         if missing:
             raise CliError(EXIT_DATA, f"{args.clusters}: no cluster for leaf "
                                       f"{missing[0]!r} of {args.dendrogram}")
     if args.format == "dot":
-        pipeline.export_dendrogram_dot(dend, flat, args.output)
+        pipeline.export_dendrogram_dot(dend, assignment, args.output)
     else:
         clust.export_dendrogram_json(dend, args.output)
     if args.pca:
@@ -258,8 +259,8 @@ def cmd_export(args) -> int:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="pipeline config file (JSON)")
     p.add_argument("--profile", choices=sorted(PROFILES))
-    p.add_argument("--calculus", choices=["disr", "rcc5_on"])
-    p.add_argument("--mode", choices=["embedding", "sed"])
+    p.add_argument("--calculus", choices=pipeline._CHOICES["calculus"])
+    p.add_argument("--mode", choices=pipeline._CHOICES["mode"])
     p.add_argument("--smoothing", type=int)
     p.add_argument("--gap-bridge", dest="gap_bridge", type=int)
     p.add_argument("--seed", type=int)
@@ -320,9 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
-    p.add_argument("kind", choices=[
-        "place-on", "put-into", "take-out", "push-adjacent", "occlude-pass-behind",
-    ])
+    p.add_argument("kind", choices=SCRIPT_KINDS)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--labels", help="write affordance labels JSON here")
     p.add_argument("--frames", type=int, default=36)
@@ -363,7 +362,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except PipelineError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC if exc.stage == "embed" else EXIT_DATA
+        return EXIT_DATA
     except (emb.DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -15,19 +15,6 @@ from .scene import parse_json
 from .temporal import Calculus
 
 
-def cosine_cost(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cosine similarity, in [0, 2]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine cost undefined for a zero vector")
-    return float(1.0 - np.dot(a, b) / (na * nb))
-
-
 class Linkage(str, Enum):
     AVERAGE = "average"
     COMPLETE = "complete"
@@ -96,7 +83,8 @@ class Dendrogram:
 
 
 def pairwise_cosine_costs(vectors: np.ndarray) -> np.ndarray:
-    """All-pairs ``cosine_cost`` as ``1 - Xn @ Xn.T``, clipped to [0, 2], zero diagonal."""
+    """All-pairs cosine cost (1 - cosine similarity) as ``1 - Xn @ Xn.T``,
+    clipped to [0, 2], zero diagonal."""
     x = np.asarray(vectors, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("cosine cost undefined for a non-finite vector")
@@ -185,14 +173,6 @@ def hierarchical_cluster(
     return dend
 
 
-@dataclass
-class FlatClustering:
-    assignment: dict[str, int]
-
-    def n_clusters(self) -> int:
-        return len(set(self.assignment.values()))
-
-
 def _effective_heights(dend: Dendrogram) -> list[float]:
     """Per node, the largest merge height in its subtree (-inf for a leaf)."""
     eff = [-math.inf] * (dend.n_leaves + len(dend.merges))
@@ -201,8 +181,9 @@ def _effective_heights(dend: Dendrogram) -> list[float]:
     return eff
 
 
-def cut(dend: Dendrogram, threshold: float) -> FlatClustering:
-    """Clusters are maximal subtrees whose internal merge heights are all < threshold."""
+def cut(dend: Dendrogram, threshold: float) -> dict[str, int]:
+    """``{leaf id: cluster}``, where clusters are maximal subtrees whose internal
+    merge heights are all < threshold."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     eff = _effective_heights(dend)
@@ -215,11 +196,8 @@ def cut(dend: Dendrogram, threshold: float) -> FlatClustering:
             top[m.left] = top[m.right] = top[node]
     # clusters are numbered in order of their lowest leaf
     number: dict[int, int] = {}
-    assignment = {
-        gid: number.setdefault(top[leaf], len(number))
-        for leaf, gid in enumerate(dend.leaf_ids)
-    }
-    return FlatClustering(assignment=assignment)
+    return {gid: number.setdefault(top[leaf], len(number))
+            for leaf, gid in enumerate(dend.leaf_ids)}
 
 
 class Criterion(str, Enum):
@@ -338,13 +316,6 @@ def sed_matrix(
         np.add.at(counts, tuple(np.array(ij, dtype=int).reshape(-1, 2).T), 1.0)
         dist += weight * l1_matrix(counts)
     return dist
-
-
-def sed_distance(
-    g_a: AGraphlet, g_b: AGraphlet, c_spat: float = 0.5, k_spat: float = 0.5
-) -> float:
-    """``sed_matrix`` of one pair."""
-    return float(sed_matrix([g_a, g_b], c_spat, k_spat)[0, 1])
 
 
 def export_dendrogram_json(dend: Dendrogram, path: str) -> None:

@@ -236,20 +236,16 @@ def object_convexity(
 
 
 def convexity_depth(
-    depth_values: np.ndarray, convexity: ConvexityType, h: int, n: int
+    dmin: float, dmax: float, convexity: ConvexityType, h: int, n: int
 ) -> ConcavityBounds:
-    """Depth band of a concave object's indentation.
+    """Depth band of a concave object's indentation, from the object's depth
+    range [dmin, dmax].
 
     Concave objects take the n deepest of h equal sections of their depth
     range; other types span the full range.
     """
-    depth_values = np.asarray(depth_values, dtype=float)
-    if depth_values.size == 0:
-        raise ValueError("depth_values must be non-empty")
     if not (1 <= n < h):
         raise ValueError(f"require 1 <= n < h, got n={n}, h={h}")
-    dmin = float(depth_values.min())
-    dmax = float(depth_values.max())
     if convexity is ConvexityType.CONCAVE:
         sections = (dmax - dmin) / h
         return ConcavityBounds(dc_min=dmax - n * sections, dc_max=dmax)

@@ -80,7 +80,6 @@ class TrainConfig:
     wl_depth: int = 14
     negatives: int = 5
     epochs: int = 200
-    seed: int = 0
     min_lr_factor: float = 1e-4
 
     def validate(self) -> None:
@@ -183,24 +182,26 @@ def _noise_sampler(cdf: np.ndarray):
     return draw
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run raises below
 def train(
     corpus_ids: list[str],
     corpus_tokens: list[Counter],
     vocab: Vocabulary,
     cfg: TrainConfig,
+    seed: int,
 ) -> EmbeddingTable:
     """Train per-graph vectors so each graph predicts its own WL tokens.
 
     Each (graph, token) occurrence is a positive pair, scored against
     ``cfg.negatives`` tokens drawn from the unigram^0.75 noise distribution
-    (skip-gram with negative sampling).  Deterministic under a fixed seed.
+    (skip-gram with negative sampling).  Deterministic under a fixed ``seed``.
     """
     cfg.validate()
     n_graphs = len(corpus_ids)
     n_vocab = len(vocab)
     if n_graphs == 0 or n_vocab == 0:
         raise ValueError("empty corpus or vocabulary")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     dim = cfg.embedding_dim
     graph_vecs = (rng.random((n_graphs, dim)) - 0.5) / dim
     token_vecs = np.zeros((n_vocab, dim))

@@ -4,39 +4,25 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass
-class LabeledCorpus:
-    """Groundtruth label sets and predicted cluster ids per graph id.
-
-    Graphs without groundtruth labels are excluded from the metrics.
-    """
-
-    truth: dict[str, list[str]] = field(default_factory=dict)
-    predicted: dict[str, int] = field(default_factory=dict)
-
-    def pairs(self) -> list[tuple[str, int]]:
-        """(label, cluster) datapoints with multi-label expansion."""
-        out: list[tuple[str, int]] = []
-        for gid, labels in sorted(self.truth.items()):
-            if gid not in self.predicted or not labels:
-                continue
-            for label in labels:
-                out.append((label, self.predicted[gid]))
-        return out
 
 
 def _entropy(counts: Counter, total: int) -> float:
     return -sum((c / total) * math.log(c / total) for c in counts.values() if c)
 
 
-def v_measure(corpus: LabeledCorpus) -> tuple[float, float, float]:
-    """(homogeneity, completeness, V) of the predicted clustering."""
-    pairs = corpus.pairs()
+def v_measure(
+    truth: dict[str, list[str]], predicted: dict[str, int]
+) -> tuple[float, float, float]:
+    """(homogeneity, completeness, V) of the ``predicted`` cluster ids against
+    the ``truth`` label lists, both keyed by graph id.
+
+    Each label of a graph is one (label, cluster) datapoint; a graph without
+    labels, or without a cluster, is left out.
+    """
+    pairs = [(label, predicted[gid]) for gid in sorted(truth) if gid in predicted
+             for label in truth[gid]]
     if not pairs:
         raise ValueError("no labeled datapoints to evaluate")
     n = len(pairs)

@@ -59,14 +59,6 @@ class AGraphlet:
             adj[v].add(u)
         return adj
 
-    def validate(self) -> None:
-        order = {ENTITY: 0, SPATIAL: 1, TEMPORAL: 2}
-        for u, v in self.edges:
-            du = order[self.vertex_layers[u]]
-            dv = order[self.vertex_layers[v]]
-            if abs(du - dv) != 1:
-                raise ValueError(f"edge ({u},{v}) joins non-adjacent layers")
-
 
 def _episode_sort_key(ep: Episode) -> tuple:
     return (ep.interval.start, ep.calculus.value, ep.relation, ep.interval.end)

@@ -22,7 +22,7 @@ from .convexity import (
     object_convexity,  # not called here; bench/tracer.py wraps this name
     track_convexity,
 )
-from .evaluation import LabeledCorpus, metrics_report, v_measure
+from .evaluation import metrics_report, v_measure
 from .graphlet import AGraphlet, build_agraphlets, canonical_form, parse_canonical
 from .qsr import EntityFrameState, disr, rcc2, rcc5_on
 from .scene import ROW_BREAKS, SceneSequence, build_semantic_depth_map, parse_json
@@ -84,8 +84,8 @@ class PipelineConfig:
 
 
 # Inclusive bounds, which None (an "auto" cut) passes; TrainConfig.validate checks
-# the training fields but the seed. h stops at the largest float, as
-# convexity_depth divides by it.
+# the training fields. h stops at the largest float, as convexity_depth divides
+# by it.
 _RANGES = {name: (0, math.inf) for name in (
     "cut_threshold", "sed_threshold", "thresh_convex", "noise_ratio", "smoothing",
     "gap_bridge", "temporal_cap", "seed")}
@@ -106,9 +106,9 @@ def _has_type(value, kind: type) -> bool:
 
 
 def config_from_dict(data: dict, base: Optional[PipelineConfig] = None) -> PipelineConfig:
-    """``base`` (by default the default config) with the fields ``data`` sets;
-    training takes its seed from ``seed``. An unknown key, or a value of the
-    wrong type or range, raises TypeError or ValueError."""
+    """``base`` (by default the default config) with the fields ``data`` sets.
+    An unknown key, or a value of the wrong type or range, raises TypeError or
+    ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"a config is a JSON object, not {type(data).__name__}")
     changes = dict(data)
@@ -127,11 +127,10 @@ def config_from_dict(data: dict, base: Optional[PipelineConfig] = None) -> Pipel
         if key in changes:
             changes[key] = enum(changes[key])
     train = changes.pop("train", {})
-    if not isinstance(train, dict) or "seed" in train:
-        raise ValueError(f"train must be an object without a seed, got {train!r}")
+    if not isinstance(train, dict):
+        raise ValueError(f"train must be an object, got {train!r}")
     cfg = replace(base or PipelineConfig(), **changes)
-    cfg.train = replace(cfg.train, seed=cfg.seed,
-                        **_known_keys("in train", emb.TrainConfig, train))
+    cfg.train = replace(cfg.train, **_known_keys("in train", emb.TrainConfig, train))
     cfg.validate()
     return cfg
 
@@ -214,7 +213,7 @@ def compute_frame_relations(
             states[eid] = EntityFrameState(
                 bbox=obs.bbox, convexity=conv, depth_range=span,
                 concavity_bounds=None if span is None
-                else convexity_depth(span, conv, prof.h, prof.n))
+                else convexity_depth(depth.dmin, depth.dmax, conv, prof.h, prof.n))
         ids = sorted(states)
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
@@ -309,12 +308,12 @@ def load_graphlet_corpus(path: str) -> list[dict]:
 
 
 def embed_corpus(
-    records: list[dict], cfg: emb.TrainConfig
+    records: list[dict], cfg: emb.TrainConfig, seed: int
 ) -> tuple[emb.Vocabulary, emb.EmbeddingTable]:
     """Tokenise each distinct form once (equal forms share one ``Counter``), index
-    the tokens and train.  A record without a well-formed ``form``, or whose
-    ``id`` is not a string free of tabs and line breaks or repeats an earlier
-    record's, raises ValueError."""
+    the tokens and train under ``seed``.  A record without a well-formed
+    ``form``, or whose ``id`` is not a string free of tabs and line breaks or
+    repeats an earlier record's, raises ValueError."""
     by_id, by_form = {}, {}
     for n, rec in enumerate(records, 1):
         try:
@@ -336,7 +335,7 @@ def embed_corpus(
             raise ValueError(f"record {n}: {exc}") from exc
     tokens = list(by_id.values())
     vocab = emb.build_vocabulary(tokens)
-    return vocab, emb.train(list(by_id), tokens, vocab, cfg)
+    return vocab, emb.train(list(by_id), tokens, vocab, cfg, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +345,7 @@ def embed_corpus(
 def cluster_table(
     dist: np.ndarray, leaf_ids: list[str], vectors: Optional[np.ndarray],
     linkage: clust.Linkage, threshold: Optional[float], criterion: clust.Criterion,
-) -> tuple[clust.Dendrogram, float, clust.FlatClustering]:
+) -> tuple[clust.Dendrogram, float, dict[str, int]]:
     """Agglomerate ``dist`` and cut at ``threshold``, or, when it is None, at
     the height ``criterion`` selects on ``vectors``."""
     dend = clust.hierarchical_cluster(dist, linkage, leaf_ids=leaf_ids)
@@ -355,16 +354,16 @@ def cluster_table(
     return dend, threshold, clust.cut(dend, threshold)
 
 
-def save_clusters(flat: clust.FlatClustering, leaf_ids: list[str], path: str) -> None:
+def save_clusters(assignment: dict[str, int], leaf_ids: list[str], path: str) -> None:
     """One ``id<TAB>cluster`` line per leaf, in ``leaf_ids`` order."""
     with open(path, "w", encoding="utf-8") as fh:
         for gid in leaf_ids:
-            fh.write(f"{gid}\t{flat.assignment[gid]}\n")
+            fh.write(f"{gid}\t{assignment[gid]}\n")
 
 
-def load_clusters(path: str) -> clust.FlatClustering:
-    """Read ``save_clusters`` output; a malformed line, or one that repeats an
-    id, raises ``ValueError``."""
+def load_clusters(path: str) -> dict[str, int]:
+    """Read ``save_clusters`` output as ``{graph id: cluster}``; a malformed
+    line, or one that repeats an id, raises ``ValueError``."""
     assignment = {}
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
@@ -376,7 +375,7 @@ def load_clusters(path: str) -> clust.FlatClustering:
                     assignment[gid] = int(cid)
                 except ValueError as exc:
                     raise ValueError(f"line {n}: {exc}") from exc
-    return clust.FlatClustering(assignment=assignment)
+    return assignment
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +446,7 @@ def run_pipeline(
 
     ids = [rec["id"] for rec in records]
     if cfg.mode == "embedding":
-        try:
-            vocab, table = embed_corpus(records, cfg.train)
-        except emb.DivergenceError as exc:
-            raise PipelineError("embed", str(exc)) from exc
+        vocab, table = embed_corpus(records, cfg.train, cfg.seed)
         emb.save_vocabulary(vocab, artifact("vocabulary.tsv"))
         emb.save_embeddings(table, artifact("embeddings.tsv"))
         dist = clust.pairwise_cosine_costs(table.vectors)
@@ -459,19 +455,15 @@ def run_pipeline(
         dist = clust.sed_matrix(graphlets, cfg.c_spat, cfg.k_spat)
         vectors, threshold = None, cfg.sed_threshold
 
-    dend, threshold, flat = cluster_table(
+    dend, threshold, assignment = cluster_table(
         dist, ids, vectors, cfg.linkage, threshold, cfg.criterion)
     clust.export_dendrogram_json(dend, artifact("dendrogram.json"))
-    save_clusters(flat, ids, artifact("clusters.tsv"))
+    save_clusters(assignment, ids, artifact("clusters.tsv"))
 
     hom = comp = v = None
     if groundtruth:
-        corpus = LabeledCorpus(
-            truth={gid: labels for gid, labels in groundtruth.items()},
-            predicted=flat.assignment,
-        )
         try:
-            hom, comp, v = v_measure(corpus)
+            hom, comp, v = v_measure(groundtruth, assignment)
         except ValueError as exc:
             raise PipelineError("evaluate", str(exc)) from exc
         with open(artifact("metrics.txt"), "w", encoding="utf-8") as fh:
@@ -479,7 +471,7 @@ def run_pipeline(
 
     report = RunReport(
         n_graphlets=len(graphlets),
-        n_clusters=flat.n_clusters(),
+        n_clusters=len(set(assignment.values())),
         cut_threshold=float(threshold),
         homogeneity=hom, completeness=comp, v_measure=v,
         artifacts=artifacts,
@@ -490,7 +482,7 @@ def run_pipeline(
 
 
 def export_dendrogram_dot(
-    dend: clust.Dendrogram, flat: Optional[clust.FlatClustering], path: str
+    dend: clust.Dendrogram, assignment: Optional[dict[str, int]], path: str
 ) -> None:
     """DOT rendering with leaves annotated by id and colored by cluster."""
     palette = [
@@ -502,8 +494,8 @@ def export_dendrogram_dot(
         gid = dend.leaf_ids[leaf]
         label = gid.replace("\\", "\\\\").replace('"', '\\"')  # a DOT quoted string
         color = ""
-        if flat is not None:
-            cluster = flat.assignment[gid]
+        if assignment is not None:
+            cluster = assignment[gid]
             label += f"\\ncluster {cluster}"
             color = f', style=filled, fillcolor="{palette[cluster % len(palette)]}"'
         lines.append(f'  n{leaf} [label="{label}"{color}];')

@@ -92,18 +92,6 @@ class MaskRLE:
         flat = np.repeat(np.arange(len(self.runs)) % 2 == 1, self.runs)
         return flat.reshape(self.height, self.width)
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "MaskRLE":
-        """Encode a boolean (height, width) array."""
-        flat = np.asarray(arr, dtype=bool).ravel()
-        runs = [0]
-        if flat.size:
-            bounds = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-            runs = np.diff(np.concatenate(([0], bounds, [flat.size]))).tolist()
-            if flat[0]:
-                runs.insert(0, 0)  # the first run is background, here empty
-        return cls(width=arr.shape[1], height=arr.shape[0], runs=tuple(runs))
-
 
 @dataclass(frozen=True)
 class DepthSample:

@@ -84,9 +84,9 @@ HAND = "hand"
 
 
 def _rect_mask(x0: int, y0: int, x1: int, y1: int) -> MaskRLE:
-    """The runs of a non-empty rectangle, as ``MaskRLE.from_array`` of the
-    filled grid gives them: background up to the first pixel, then each row's
-    width and the gap to the next row; full-width rows make one run."""
+    """The run-length encoding of a non-empty rectangle's filled grid:
+    background up to the first pixel, then each row's width and the gap to the
+    next row; full-width rows make one run."""
     w = x1 - x0
     if w == WIDTH:
         runs = [y0 * WIDTH, (y1 - y0) * WIDTH]

@@ -10,7 +10,7 @@ recomputes each subtree's largest internal height recursively, and
 symmetric difference per pair, where ``sed_matrix`` takes one L1 distance
 over label-count matrices.  ``root``, ``children``, ``height`` and
 ``leaves_under`` walk a ``Dendrogram``'s merge tree, and ``labels_for`` lists a
-``FlatClustering``'s labels in a given id order, for these references and for
+flat clustering's labels in a given id order, for these references and for
 the tests.
 """
 
@@ -24,14 +24,25 @@ import numpy as np
 from affgraph.clustering import (
     Criterion,
     Dendrogram,
-    FlatClustering,
     Linkage,
     Merge,
     _VAR_FLOOR,
-    cosine_cost,
 )
 from affgraph.graphlet import AGraphlet
 from affgraph.temporal import Calculus
+
+
+def cosine_cost(a: np.ndarray, b: np.ndarray) -> float:
+    """1 - cosine similarity, in [0, 2]."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("dimension mismatch")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine cost undefined for a zero vector")
+    return float(1.0 - np.dot(a, b) / (na * nb))
 
 
 def root(dend: Dendrogram) -> int:
@@ -64,9 +75,9 @@ def leaves_under(dend: Dendrogram, node: int) -> list[int]:
     return sorted(out)
 
 
-def labels_for(flat: FlatClustering, ids: list[str]) -> list[int]:
+def labels_for(assignment: dict[str, int], ids: list[str]) -> list[int]:
     """The cluster of each id, in the order of ``ids``."""
-    return [flat.assignment[i] for i in ids]
+    return [assignment[i] for i in ids]
 
 
 def pairwise_cosine_costs(vectors: np.ndarray) -> np.ndarray:
@@ -135,7 +146,7 @@ def hierarchical_cluster(
     return dend
 
 
-def cut(dend: Dendrogram, threshold: float) -> FlatClustering:
+def cut(dend: Dendrogram, threshold: float) -> dict[str, int]:
     """Clusters are maximal subtrees whose internal merge heights are all < threshold."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
@@ -165,7 +176,7 @@ def cut(dend: Dendrogram, threshold: float) -> FlatClustering:
     for ci, leaves in enumerate(clusters):
         for leaf in leaves:
             assignment[dend.leaf_ids[leaf]] = ci
-    return FlatClustering(assignment=assignment)
+    return assignment
 
 
 def _criterion_score(
@@ -215,8 +226,7 @@ def select_threshold(
     best_score = math.inf
     ids = dend.leaf_ids
     for t in candidates:
-        flat = cut(dend, t)
-        labels = labels_for(flat, ids)
+        labels = labels_for(cut(dend, t), ids)
         score = _criterion_score(np.asarray(vectors, dtype=float), labels, criterion)
         if score < best_score - 1e-12:
             best_score = score

@@ -1,4 +1,4 @@
-"""Shared builders for randomized graphlets and synthetic corpora."""
+"""Shared builders for randomized graphlets, synthetic corpora and masks."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from affgraph.graphlet import ENTITY, SPATIAL, TEMPORAL, AGraphlet
+from affgraph.scene import MaskRLE
 from affgraph.temporal import Calculus
 
 DISR_LABELS = ["DiSR:Sup", "DiSR:Supi", "DiSR:Cont", "DiSR:Conti", "DiSR:Adj", "DiSR:NI"]
@@ -67,6 +68,18 @@ def permute_graphlet(g: AGraphlet, perm: list[int]) -> AGraphlet:
                     vertex_layers=layers, vertex_labels=labels, edges=edges,
                     spatial_calculus={perm[v]: c for v, c in g.spatial_calculus.items()})
     return out
+
+
+def mask_from_array(arr: np.ndarray) -> MaskRLE:
+    """Run-length encode a boolean (height, width) array."""
+    flat = np.asarray(arr, dtype=bool).ravel()
+    runs = [0]
+    if flat.size:
+        bounds = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+        runs = np.diff(np.concatenate(([0], bounds, [flat.size]))).tolist()
+        if flat[0]:
+            runs.insert(0, 0)  # the first run is background, here empty
+    return MaskRLE(width=arr.shape[1], height=arr.shape[0], runs=tuple(runs))
 
 
 @pytest.fixture

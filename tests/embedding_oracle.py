@@ -34,15 +34,16 @@ def train(
     corpus_tokens: list[Counter],
     vocab: Vocabulary,
     cfg: TrainConfig,
+    seed: int,
 ) -> EmbeddingTable:
     """Train per-graph vectors so each graph predicts its own WL tokens:
-    skip-gram with negative sampling, deterministic under a fixed seed."""
+    skip-gram with negative sampling, deterministic under a fixed ``seed``."""
     cfg.validate()
     n_graphs = len(corpus_ids)
     n_vocab = len(vocab)
     if n_graphs == 0 or n_vocab == 0:
         raise ValueError("empty corpus or vocabulary")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     dim = cfg.embedding_dim
     graph_vecs = (rng.random((n_graphs, dim)) - 0.5) / dim
     token_vecs = np.zeros((n_vocab, dim))

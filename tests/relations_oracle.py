@@ -170,7 +170,7 @@ def compute_frame_relations(
             bounds = None
             vals = per_frame_vals.get((eid, f))
             if vals is not None and conv is not None:
-                bounds = convexity_depth(vals, conv, prof.h, prof.n)
+                bounds = convexity_depth(vals.min(), vals.max(), conv, prof.h, prof.n)
             resolved[eid] = EntityFrameState(
                 bbox=st.bbox, depth_range=st.depth_range,
                 concavity_bounds=bounds, convexity=conv)

@@ -7,25 +7,22 @@ The end-to-end tests share one 60-scene synthetic corpus fixture.
 import itertools
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from affgraph import embedding as emb
-from affgraph.clustering import (
-    cosine_cost,
-    hierarchical_cluster,
-    sed_distance,
-)
+from affgraph.clustering import hierarchical_cluster
 from affgraph.convexity import ConcavityBounds, ConvexityType, convexity_depth, surviving_holes
-from affgraph.evaluation import LabeledCorpus, v_measure
+from affgraph.evaluation import v_measure
 from affgraph.graphlet import canonical_form, parse_canonical
 from affgraph.pipeline import PipelineConfig, load_graphlet_corpus, run_pipeline
 from affgraph.qsr import DisrRelation, disr
 from affgraph.synth import SyntheticScript, generate_synthetic
 from affgraph.temporal import AllenRelation, Interval, allen
 
-from clustering_oracle import leaves_under
+from clustering_oracle import cosine_cost, leaves_under
 from conftest import permute_vertices, random_graphlet
 from test_convexity import flood_fill_hole_count
 from test_evaluation import _v_oracle
@@ -133,8 +130,7 @@ def test_concavity_band_direct_substitution_1000_tuples():
         dmax = dmin + float(rng.uniform(0.0, 50.0))
         h = int(rng.integers(2, 12))
         n = int(rng.integers(1, h))
-        vals = np.array([dmin, dmax])
-        bounds = convexity_depth(vals, CONCAVE, h=h, n=n)
+        bounds = convexity_depth(dmin, dmax, CONCAVE, h=h, n=n)
         expect_min = dmax - n * ((dmax - dmin) / h)
         assert bounds.dc_min == expect_min  # exact substitution, no tolerance
         assert bounds.dc_max == dmax
@@ -215,10 +211,8 @@ def test_v_measure_matches_brute_force_500_labelings():
         n = int(rng.integers(1, 13))
         labels = [str(rng.integers(0, 4)) for _ in range(n)]
         clusters = [int(rng.integers(0, 4)) for _ in range(n)]
-        corpus = LabeledCorpus(
-            truth={f"g{i}": [labels[i]] for i in range(n)},
-            predicted={f"g{i}": clusters[i] for i in range(n)})
-        got = v_measure(corpus)
+        got = v_measure({f"g{i}": [labels[i]] for i in range(n)},
+                        {f"g{i}": clusters[i] for i in range(n)})
         want = _v_oracle(labels, clusters)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -266,7 +260,6 @@ def synthetic_experiment(tmp_path_factory):
 
     out_emb = tmp_path_factory.mktemp("e2e_embedding")
     cfg = PipelineConfig(seed=7, cut_threshold=None)
-    cfg.train.seed = 7
     start = time.perf_counter()
     report_emb = run_pipeline(scenes, cfg, str(out_emb), groundtruth=truth)
     elapsed = time.perf_counter() - start
@@ -281,7 +274,7 @@ def synthetic_experiment(tmp_path_factory):
         "sed_report": report_sed,
         "elapsed": elapsed,
         "out_emb": out_emb,
-        "train_cfg": cfg.train,
+        "cfg": cfg,
     }
 
 
@@ -307,20 +300,10 @@ def test_sed_baseline_strictly_below_embedding(synthetic_experiment):
 
 def test_training_loss_decreases_and_identical_graphlets_converge(synthetic_experiment):
     out = synthetic_experiment["out_emb"]
-    cfg = synthetic_experiment["train_cfg"]
+    cfg = synthetic_experiment["cfg"]
     records = load_graphlet_corpus(str(out / "graphlets.jsonl"))
-    tokens = []
-    for rec in records:
-        labels, edges = parse_canonical(rec["form"])
-        tokens.append(emb.wl_tokens(labels, edges, cfg.wl_depth))
-    vocab = emb.build_vocabulary(tokens)
-    table = emb.train([rec["id"] for rec in records], tokens, vocab, cfg)
-    # this retraining reproduces the pipeline's embeddings deterministically
-    saved = emb.load_embeddings(str(out / "embeddings.tsv"))
-    np.testing.assert_array_equal(saved.vectors, table.vectors)
-
-    assert table.loss_history[9] < table.loss_history[0]
-
+    # identical graphlets end close together in the run's own embeddings
+    table = emb.load_embeddings(str(out / "embeddings.tsv"))
     by_form = {}
     for rec in records:
         by_form.setdefault(rec["form"], []).append(rec["id"])
@@ -329,3 +312,14 @@ def test_training_loss_decreases_and_identical_graphlets_converge(synthetic_expe
     row = {gid: i for i, gid in enumerate(table.graph_ids)}
     for ga, gb in identical_pairs:
         assert cosine_cost(table.vectors[row[ga]], table.vectors[row[gb]]) < 0.05
+
+    # the loss falls every epoch at the benchmark's budget (25 epochs at lr 4.0),
+    # and by more than a third in all
+    train_cfg = replace(cfg.train, epochs=25, learning_rate=4.0)
+    tokens = [emb.wl_tokens(*parse_canonical(rec["form"]), train_cfg.wl_depth)
+              for rec in records]
+    vocab = emb.build_vocabulary(tokens)
+    history = emb.train([rec["id"] for rec in records], tokens, vocab, train_cfg,
+                        cfg.seed).loss_history
+    assert all(b < a for a, b in zip(history, history[1:])), history
+    assert history[-1] < history[0] * 2 / 3, history

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config resolution, exit codes."""
 
+import argparse
 import ast
 import gc
 import json
@@ -12,7 +13,7 @@ import weakref
 import pytest
 
 import affgraph
-from affgraph import cli, pipeline
+from affgraph import cli, pipeline, synth
 from affgraph.cli import (
     CONFIG_ENV,
     EXIT_DATA,
@@ -157,7 +158,6 @@ def test_synth_jitter_and_seed_bounds_are_accepted(tmp_path):
         assert main(["synth", "place-on", "-o", str(tmp_path / "x.json"), *flags]) == EXIT_OK
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow precedes the raise
 def test_divergent_training_is_numeric_error(tmp_path, scene_file, capsys):
     corpus = tmp_path / "corpus.jsonl"
     assert main(["graphlets", str(scene_file), "-o", str(corpus)]) == EXIT_OK
@@ -168,6 +168,36 @@ def test_divergent_training_is_numeric_error(tmp_path, scene_file, capsys):
                  "--config", str(cfg)])
     assert code == EXIT_NUMERIC
     capsys.readouterr()
+
+
+def test_overflowing_run_and_embed_print_one_numeric_error_line(tmp_path, scene_file):
+    # in a fresh interpreter, so that numpy's warnings reach stderr as a user
+    # sees them: the overflow on the way to the divergence guard warns nothing
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["graphlets", str(scene_file), "-o", str(corpus)]) == EXIT_OK
+    cfg = tmp_path / "hot.json"
+    cfg.write_text(json.dumps({"train": {"learning_rate": 1e308, "epochs": 2}}))
+    src = os.path.dirname(os.path.dirname(affgraph.__file__))
+    for argv in (["run", str(scene_file), "-o", str(tmp_path / "out")],
+                 ["embed", str(corpus), "-o", str(tmp_path / "emb.tsv")]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "affgraph.cli", *argv, "--config", str(cfg)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == EXIT_NUMERIC, proc.stderr
+        assert proc.stderr.startswith("numeric error: epoch ") \
+            and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_parser_choices_come_from_the_tables_that_own_them():
+    def choices(action_dest, command):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[command]
+        return next(a.choices for a in sub._actions if a.dest == action_dest)
+
+    for command in ("relations", "episodes", "graphlets", "embed", "cluster", "run"):
+        assert choices("calculus", command) == pipeline._CHOICES["calculus"]
+        assert choices("mode", command) == pipeline._CHOICES["mode"]
+    assert choices("kind", "synth") == synth.SCRIPT_KINDS
 
 
 @pytest.mark.parametrize("table", [
@@ -696,18 +726,20 @@ def test_unknown_profile_name_lists_the_named_profiles(tmp_path, capsys):
         "(cad-like, load-like, wnp-like)\n")
 
 
-@pytest.mark.parametrize("config, section", [
-    ({"epochz": 3}, "at the top level"),
-    ({"profile": {"thresh_convex": 2.0, "epochz": 3}}, "in profile"),
-    ({"train": {"epochs": 3, "epochz": 3}}, "in train"),
-], ids=["top", "profile", "train"])
-def test_unknown_config_key_is_named_with_its_section(tmp_path, capsys, config, section):
+@pytest.mark.parametrize("config, key, section", [
+    ({"epochz": 3}, "epochz", "at the top level"),
+    ({"profile": {"thresh_convex": 2.0, "epochz": 3}}, "epochz", "in profile"),
+    ({"train": {"epochs": 3, "epochz": 3}}, "epochz", "in train"),
+    ({"train": {"seed": 3}}, "seed", "in train"),  # the run's one seed is top-level
+], ids=["top", "profile", "train", "train-seed"])
+def test_unknown_config_key_is_named_with_its_section(tmp_path, capsys, config, key,
+                                                      section):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["relations", str(tmp_path / "missing.json"), "--config", str(cfg)]) \
         == EXIT_DATA
     assert capsys.readouterr().err == (
-        f"data error: invalid config {cfg}: unknown key 'epochz' {section}\n")
+        f"data error: invalid config {cfg}: unknown key '{key}' {section}\n")
 
 
 @pytest.mark.parametrize("dend", [

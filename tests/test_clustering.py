@@ -12,14 +12,12 @@ from affgraph.clustering import (
     Criterion,
     Dendrogram,
     Linkage,
-    cosine_cost,
     cut,
     export_dendrogram_json,
     hierarchical_cluster,
     l1_matrix,
     load_dendrogram_json,
     pairwise_cosine_costs,
-    sed_distance,
     sed_matrix,
     select_threshold,
 )
@@ -28,7 +26,7 @@ from affgraph.qsr import Rcc5OnRelation
 from affgraph.temporal import Calculus
 
 import clustering_oracle as oracle
-from clustering_oracle import labels_for, leaves_under
+from clustering_oracle import cosine_cost, labels_for, leaves_under
 from conftest import random_graphlet
 
 
@@ -191,13 +189,17 @@ def test_clustering_matches_oracle(linkage, grid, seed):
     assert dend.to_dict() == oracle.hierarchical_cluster(dist, linkage).to_dict()
     top = dend.merges[-1].height
     for t in [0.0, top + 1.0] + [m.height for m in dend.merges]:
-        assert cut(dend, t).assignment == oracle.cut(dend, t).assignment
+        assert cut(dend, t) == oracle.cut(dend, t)
     for crit in Criterion:
         assert select_threshold(dend, vecs, crit) == \
             oracle.select_threshold(dend, vecs, crit)
 
 
 # -- cuts ---------------------------------------------------------------------
+
+def _n_clusters(assignment):
+    return len(set(assignment.values()))
+
 
 def _chain_dendrogram(heights):
     """Leaves 0..n merged left-to-right at the given heights."""
@@ -215,8 +217,8 @@ def test_cut_deep_chain():
     # a recursive subtree walk exceeds Python's recursion limit here
     dend = _chain_dendrogram([0.001 * k for k in range(1, 1500)])
     assert dend.n_leaves == 1500
-    assert cut(dend, 2.0).n_clusters() == 1
-    assert cut(dend, 0.0).n_clusters() == 1500
+    assert _n_clusters(cut(dend, 2.0)) == 1
+    assert _n_clusters(cut(dend, 0.0)) == 1500
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,7 +240,7 @@ def test_non_monotone_tree_matches_oracle(seed):
         active[n + k] = size
     vecs = rng.normal(size=(n, 2))
     for t in {0.0, 0.05, 0.15, 0.25, 0.35, 1.0} | {m.height for m in dend.merges}:
-        assert cut(dend, t).assignment == oracle.cut(dend, t).assignment
+        assert cut(dend, t) == oracle.cut(dend, t)
     for crit in Criterion:
         assert select_threshold(dend, vecs, crit) == \
             oracle.select_threshold(dend, vecs, crit)
@@ -253,16 +255,16 @@ def test_select_threshold_rejects_vector_count_mismatch():
 def test_cut_examples():
     dend = _chain_dendrogram([0.01, 0.05])
     # threshold 0: every leaf is its own cluster (strict < comparison)
-    assert cut(dend, 0.0).n_clusters() == 3
+    assert _n_clusters(cut(dend, 0.0)) == 3
     # above the root: one cluster
-    assert cut(dend, 1.0).n_clusters() == 1
+    assert _n_clusters(cut(dend, 1.0)) == 1
     # between the merge heights: {p0,p1} and {p2}
     flat = cut(dend, 0.02)
-    assert flat.n_clusters() == 2
-    assert flat.assignment["p0"] == flat.assignment["p1"]
-    assert flat.assignment["p0"] != flat.assignment["p2"]
+    assert _n_clusters(flat) == 2
+    assert flat["p0"] == flat["p1"]
+    assert flat["p0"] != flat["p2"]
     # threshold equal to a height excludes that merge (strict <)
-    assert cut(dend, 0.01).n_clusters() == 3
+    assert _n_clusters(cut(dend, 0.01)) == 3
     with pytest.raises(ValueError):
         cut(dend, -0.1)
 
@@ -301,7 +303,7 @@ def test_select_threshold_two_blobs():
     dend = hierarchical_cluster(pairwise_cosine_costs(vecs))
     for crit in (Criterion.BIC, Criterion.AIC):
         t = select_threshold(dend, vecs, crit)
-        assert cut(dend, t).n_clusters() == 2
+        assert _n_clusters(cut(dend, t)) == 2
 
 
 def test_select_threshold_single_blob():
@@ -309,7 +311,7 @@ def test_select_threshold_single_blob():
     vecs = _blobs(rng, [(1.0, 1.0, 0.5)], per=12, spread=0.005)
     dend = hierarchical_cluster(pairwise_cosine_costs(vecs))
     t = select_threshold(dend, vecs, Criterion.BIC)
-    assert cut(dend, t).n_clusters() == 1
+    assert _n_clusters(cut(dend, t)) == 1
 
 
 def test_select_threshold_recovers_five_groups():
@@ -319,7 +321,7 @@ def test_select_threshold_recovers_five_groups():
     dend = hierarchical_cluster(pairwise_cosine_costs(vecs))
     t = select_threshold(dend, vecs, Criterion.BIC)
     flat = cut(dend, t)
-    assert flat.n_clusters() == 5
+    assert _n_clusters(flat) == 5
     labels = labels_for(flat, dend.leaf_ids)
     for g in range(5):
         assert len({labels[g * 20 + i] for i in range(20)}) == 1
@@ -331,7 +333,7 @@ def test_select_threshold_handles_duplicate_points():
     vecs = np.array([[1.0, 0.0]] * 20 + [[0.0, 1.0]] * 20)
     dend = hierarchical_cluster(pairwise_cosine_costs(vecs))
     t = select_threshold(dend, vecs, Criterion.BIC)
-    assert cut(dend, t).n_clusters() == 2
+    assert _n_clusters(cut(dend, t)) == 2
 
 
 # -- sED ----------------------------------------------------------------------
@@ -368,28 +370,28 @@ def _graphlet_from_labels(disr_spat=(), disr_temp=(), rcc2_spat=(), rcc2_temp=()
 def test_sed_self_distance_zero():
     g = _graphlet_from_labels(disr_spat=("DiSR:Sup", "DiSR:NI"), disr_temp=("m",),
                               rcc2_spat=("RCC2:C", "RCC2:DC"), rcc2_temp=("d",))
-    assert sed_distance(g, g) == 0.0
+    assert sed_matrix([g, g])[0, 1] == 0.0
 
 
 def test_sed_one_extra_spatial_vertex():
     a = _graphlet_from_labels(disr_spat=("DiSR:Sup", "DiSR:NI"))
     b = _graphlet_from_labels(disr_spat=("DiSR:Sup", "DiSR:NI", "DiSR:NI"))
-    assert sed_distance(a, b) == pytest.approx(0.5)  # c_spat * 1
+    assert sed_matrix([a, b])[0, 1] == pytest.approx(0.5)  # c_spat * 1
 
 
 def test_sed_one_swapped_temporal_label():
     a = _graphlet_from_labels(disr_spat=("DiSR:Sup", "DiSR:NI"), disr_temp=("di",))
     b = _graphlet_from_labels(disr_spat=("DiSR:Sup", "DiSR:NI"), disr_temp=("o",))
     # symmetric difference 2 at temporal weight 0.5
-    assert sed_distance(a, b) == pytest.approx(1.0)
+    assert sed_matrix([a, b])[0, 1] == pytest.approx(1.0)
 
 
 def test_sed_weights_and_validation():
     a = _graphlet_from_labels(rcc2_spat=("RCC2:C",))
     b = _graphlet_from_labels(rcc2_spat=("RCC2:DC",))
-    assert sed_distance(a, b, k_spat=0.3) == pytest.approx(0.6)
+    assert sed_matrix([a, b], k_spat=0.3)[0, 1] == pytest.approx(0.6)
     with pytest.raises(ValueError):
-        sed_distance(a, b, c_spat=1.5)
+        sed_matrix([a, b], c_spat=1.5)
 
 
 def _sed_oracle(g_a, g_b, c_spat=0.5, k_spat=0.5):
@@ -429,11 +431,11 @@ def test_sed_matches_multiset_oracle_and_is_pseudometric(seed):
     ga = random_graphlet(rng)
     gb = random_graphlet(rng)
     gc = random_graphlet(rng)
-    dab = sed_distance(ga, gb)
+    dab = sed_matrix([ga, gb])[0, 1]
     assert dab == pytest.approx(_sed_oracle(ga, gb), abs=1e-12)
-    assert dab == pytest.approx(sed_distance(gb, ga), abs=1e-12)
-    assert sed_distance(ga, ga) == 0.0
-    assert dab <= sed_distance(ga, gc) + sed_distance(gc, gb) + 1e-12
+    assert dab == pytest.approx(sed_matrix([gb, ga])[0, 1], abs=1e-12)
+    assert sed_matrix([ga, ga])[0, 1] == 0.0
+    assert dab <= sed_matrix([ga, gc])[0, 1] + sed_matrix([gc, gb])[0, 1] + 1e-12
 
 
 def _rcc5_on_graphlet(spatial, temporal):
@@ -463,8 +465,8 @@ def test_sed_weighs_rcc5_on_episodes_by_c_spat(c_spat, k_spat):
     base = _rcc5_on_graphlet(("RCC5On:PO", "RCC5On:DR"), ("m",))
     other_spatial = _rcc5_on_graphlet(("RCC5On:PO", "RCC5On:On"), ("m",))
     other_temporal = _rcc5_on_graphlet(("RCC5On:PO", "RCC5On:DR"), ("o",))
-    assert sed_distance(base, other_spatial, c_spat, k_spat) == c_spat * 2
-    assert sed_distance(base, other_temporal, c_spat, k_spat) == (1.0 - c_spat) * 2
+    assert sed_matrix([base, other_spatial], c_spat, k_spat)[0, 1] == c_spat * 2
+    assert sed_matrix([base, other_temporal], c_spat, k_spat)[0, 1] == (1.0 - c_spat) * 2
 
 
 def _with_rcc5_on(g, rng):
@@ -521,7 +523,7 @@ def test_dendrogram_json_round_trip(tmp_path):
     export_dendrogram_json(dend, str(path))
     loaded = load_dendrogram_json(str(path))
     assert loaded.to_dict() == dend.to_dict()
-    assert cut(loaded, 0.5).assignment == cut(dend, 0.5).assignment
+    assert cut(loaded, 0.5) == cut(dend, 0.5)
 
 
 @pytest.mark.parametrize("linkage", list(Linkage))

@@ -248,13 +248,12 @@ def test_object_convexity_depth_offset_invariance():
 
 
 def test_convexity_depth_direct_substitution():
-    vals = np.array([10.0, 14.0, 20.0])
-    b = convexity_depth(vals, ConvexityType.CONCAVE, h=5, n=3)
+    b = convexity_depth(10.0, 20.0, ConvexityType.CONCAVE, h=5, n=3)
     assert b == ConcavityBounds(dc_min=14.0, dc_max=20.0)
-    b = convexity_depth(vals, ConvexityType.CONVEX, h=5, n=3)
+    b = convexity_depth(10.0, 20.0, ConvexityType.CONVEX, h=5, n=3)
     assert b == ConcavityBounds(dc_min=10.0, dc_max=20.0)
     # zero-range degenerate case
-    b = convexity_depth(np.array([9.0]), ConvexityType.CONCAVE, h=5, n=3)
+    b = convexity_depth(9.0, 9.0, ConvexityType.CONCAVE, h=5, n=3)
     assert b == ConcavityBounds(dc_min=9.0, dc_max=9.0)
 
 
@@ -262,20 +261,20 @@ def test_convexity_depth_direct_substitution():
        st.integers(2, 12), st.data())
 def test_convexity_depth_invariant_and_monotone(dmin, span, h, data):
     n = data.draw(st.integers(1, h - 1))
-    vals = np.array([dmin, dmin + span])
-    b = convexity_depth(vals, ConvexityType.CONCAVE, h=h, n=n)
-    assert vals.min() <= b.dc_min + 1e-9
+    dmax = dmin + span
+    b = convexity_depth(dmin, dmax, ConvexityType.CONCAVE, h=h, n=n)
+    assert dmin <= b.dc_min + 1e-9
     assert b.dc_min <= b.dc_max
-    assert b.dc_max == vals.max()
+    assert b.dc_max == dmax
     if n + 1 < h:
         # dc_min non-increasing in n
-        b2 = convexity_depth(vals, ConvexityType.CONCAVE, h=h, n=n + 1)
+        b2 = convexity_depth(dmin, dmax, ConvexityType.CONCAVE, h=h, n=n + 1)
         assert b2.dc_min <= b.dc_min + 1e-9
 
 
 def test_convexity_depth_rejects_bad_sections():
     with pytest.raises(ValueError):
-        convexity_depth(np.array([1.0]), ConvexityType.CONCAVE, h=3, n=3)
+        convexity_depth(1.0, 1.0, ConvexityType.CONCAVE, h=3, n=3)
 
 
 def _ring_and_solid():

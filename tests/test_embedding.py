@@ -1,6 +1,7 @@
 """WL token extraction and graph-vector training."""
 
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -26,6 +27,7 @@ from affgraph.embedding import (
 )
 
 import embedding_oracle
+from clustering_oracle import cosine_cost
 from conftest import permute_vertices
 
 
@@ -130,10 +132,9 @@ def _same_bits(a, b) -> bool:
 
 def test_train_deterministic_bitwise():
     ids, tokens, vocab = _toy_corpus()
-    cfg = TrainConfig(embedding_dim=8, epochs=20, batch_size=4, seed=3,
-                      learning_rate=0.1)
-    t1 = train(ids, tokens, vocab, cfg)
-    t2 = train(ids, tokens, vocab, cfg)
+    cfg = TrainConfig(embedding_dim=8, epochs=20, batch_size=4, learning_rate=0.1)
+    t1 = train(ids, tokens, vocab, cfg, 3)
+    t2 = train(ids, tokens, vocab, cfg, 3)
     assert t1.graph_ids == t2.graph_ids
     assert _same_bits(t1.vectors, t2.vectors)
     assert _same_bits(t1.loss_history, t2.loss_history)
@@ -141,26 +142,25 @@ def test_train_deterministic_bitwise():
 
 def test_train_loss_decreases_and_identical_graphs_converge():
     ids, tokens, vocab = _toy_corpus()
-    cfg = TrainConfig(embedding_dim=16, epochs=120, batch_size=8, seed=0,
-                      learning_rate=0.2)
-    table = train(ids, tokens, vocab, cfg)
+    cfg = TrainConfig(embedding_dim=16, epochs=120, batch_size=8, learning_rate=0.2)
+    table = train(ids, tokens, vocab, cfg, 0)
     assert len(table.loss_history) == cfg.epochs
     assert table.loss_history[-1] < table.loss_history[0]
     # graphs with identical token multisets end up close in cosine
-    from affgraph.clustering import cosine_cost
     g0, g1, g2, g3 = table.vectors[:4]
     assert ids == table.graph_ids
     assert cosine_cost(g0, g1) < 0.05
     assert cosine_cost(g2, g3) < 0.05
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow precedes the raise
 def test_train_divergence_guard():
+    # the overflow on the way to the raise warns nothing
     ids, tokens, vocab = _toy_corpus()
-    cfg = TrainConfig(embedding_dim=8, epochs=50, batch_size=2, seed=0,
-                      learning_rate=5e4)
-    with pytest.raises(DivergenceError):
-        train(ids, tokens, vocab, cfg)
+    cfg = TrainConfig(embedding_dim=8, epochs=50, batch_size=2, learning_rate=5e4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            train(ids, tokens, vocab, cfg, 0)
 
 
 def test_train_config_validation():
@@ -181,9 +181,8 @@ def test_train_config_validation():
 
 def test_embeddings_round_trip(tmp_path):
     ids, tokens, vocab = _toy_corpus()
-    cfg = TrainConfig(embedding_dim=8, epochs=5, batch_size=4, seed=1,
-                      learning_rate=0.1)
-    table = train(ids, tokens, vocab, cfg)
+    cfg = TrainConfig(embedding_dim=8, epochs=5, batch_size=4, learning_rate=0.1)
+    table = train(ids, tokens, vocab, cfg, 1)
     path = tmp_path / "emb.tsv"
     save_embeddings(table, str(path))
     loaded = load_embeddings(str(path))
@@ -271,19 +270,18 @@ def _train_cases(draw):
         batch_size=draw(st.integers(1, 64)),
         negatives=draw(st.integers(1, 6)),
         epochs=draw(st.integers(1, 3)),
-        seed=draw(st.integers(0, 2**32 - 1)),
         min_lr_factor=draw(st.sampled_from([1e-4, 0.25, 1.0])),
     )
-    return [f"g{i}" for i in range(n_graphs)], tokens, cfg
+    return [f"g{i}" for i in range(n_graphs)], tokens, cfg, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_train_cases())
 def test_train_matches_oracle_bitwise(case):
-    ids, tokens, cfg = case
+    ids, tokens, cfg, seed = case
     vocab = build_vocabulary(tokens)
-    got = _train_or_divergence(train, ids, tokens, vocab, cfg)
-    want = _train_or_divergence(embedding_oracle.train, ids, tokens, vocab, cfg)
+    got = _train_or_divergence(train, ids, tokens, vocab, cfg, seed)
+    want = _train_or_divergence(embedding_oracle.train, ids, tokens, vocab, cfg, seed)
     if isinstance(want, str):
         assert got == want
         return
@@ -295,10 +293,10 @@ def test_train_matches_oracle_bitwise(case):
 def test_train_matches_oracle_on_ragged_batches():
     # 6 graphs x 10 token occurrences = 60 pairs: batches of 7 leave a short last one
     ids, tokens, vocab = _toy_corpus()
-    cfg = TrainConfig(embedding_dim=5, epochs=4, batch_size=7, negatives=3, seed=9,
+    cfg = TrainConfig(embedding_dim=5, epochs=4, batch_size=7, negatives=3,
                       learning_rate=0.2, min_lr_factor=0.5)
-    got = train(ids, tokens, vocab, cfg)
-    want = embedding_oracle.train(ids, tokens, vocab, cfg)
+    got = train(ids, tokens, vocab, cfg, 9)
+    want = embedding_oracle.train(ids, tokens, vocab, cfg, 9)
     assert _same_bits(got.vectors, want.vectors)
     assert _same_bits(got.loss_history, want.loss_history)
 
@@ -313,9 +311,9 @@ def test_train_matches_oracle_across_negative_blocks(batch_size):
     ids, vocab = [f"g{i}" for i in range(8)], build_vocabulary(tokens)
     assert sum(sum(c.values()) for c in tokens) > 2 * batch_size
     cfg = TrainConfig(embedding_dim=12, epochs=3, batch_size=batch_size, negatives=4,
-                      seed=5, learning_rate=0.3)
-    got = train(ids, tokens, vocab, cfg)
-    want = embedding_oracle.train(ids, tokens, vocab, cfg)
+                      learning_rate=0.3)
+    got = train(ids, tokens, vocab, cfg, 5)
+    want = embedding_oracle.train(ids, tokens, vocab, cfg, 5)
     assert _same_bits(got.vectors, want.vectors)
     assert _same_bits(got.loss_history, want.loss_history)
 
@@ -324,12 +322,12 @@ def test_train_holds_no_full_negative_array():
     # 800 pairs, so the first batch is full; one (batch, negatives, dim)
     # float64 array would be 10.5 MB
     tokens = [Counter({f"t{j}": 1 for j in range(i, i + 100)}) for i in range(8)]
-    cfg = TrainConfig(embedding_dim=64, epochs=1, batch_size=512, negatives=40, seed=0)
+    cfg = TrainConfig(embedding_dim=64, epochs=1, batch_size=512, negatives=40)
     full = cfg.batch_size * cfg.negatives * cfg.embedding_dim * 8
     vocab = build_vocabulary(tokens)
     tracemalloc.start()
     try:
-        train([f"g{i}" for i in range(8)], tokens, vocab, cfg)
+        train([f"g{i}" for i in range(8)], tokens, vocab, cfg, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,34 +7,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affgraph.evaluation import (
-    LabeledCorpus,
-    metrics_report,
-    pca_project,
-    v_measure,
-)
+from affgraph.evaluation import metrics_report, pca_project, v_measure
 
 
 def _corpus(truth_labels, clusters):
+    """``v_measure``'s (truth, predicted) arguments, one graph per label."""
     truth = {f"g{i}": [lbl] for i, lbl in enumerate(truth_labels)}
     predicted = {f"g{i}": c for i, c in enumerate(clusters)}
-    return LabeledCorpus(truth=truth, predicted=predicted)
+    return truth, predicted
 
 
 def test_perfect_clustering():
     corpus = _corpus(["a", "a", "b", "b", "c"], [0, 0, 1, 1, 2])
-    assert v_measure(corpus) == (1.0, 1.0, 1.0)
+    assert v_measure(*corpus) == (1.0, 1.0, 1.0)
 
 
 def test_single_cluster_is_complete_not_homogeneous():
     corpus = _corpus(["a", "a", "b", "b"], [0, 0, 0, 0])
-    h, c, v = v_measure(corpus)
+    h, c, v = v_measure(*corpus)
     assert (h, c, v) == (0.0, 1.0, 0.0)
 
 
 def test_singletons_are_homogeneous_not_complete():
     corpus = _corpus(["a", "a", "b", "b"], [0, 1, 2, 3])
-    h, c, v = v_measure(corpus)
+    h, c, v = v_measure(*corpus)
     assert h == 1.0
     # H(cluster|class) = log 2, H(cluster) = log 4
     assert c == pytest.approx(0.5)
@@ -44,7 +40,7 @@ def test_singletons_are_homogeneous_not_complete():
 def test_hand_computed_split_class():
     # class a split across two pure clusters: h=1, c<1
     corpus = _corpus(["a", "a", "b", "b"], [0, 1, 2, 2])
-    h, c, v = v_measure(corpus)
+    h, c, v = v_measure(*corpus)
     assert h == pytest.approx(1.0)
     # H(cluster)=1.5 ln2 bits-nats, H(cluster|class)=0.5 ln2
     expect_c = 1.0 - (0.5 * math.log(2)) / (1.5 * math.log(2))
@@ -56,7 +52,7 @@ def test_independent_labels_score_exactly_zero():
     # every cluster holds the classes in the same proportion: I(class; cluster)
     # is 0, and rounding must not push h or c below 0
     corpus = _corpus(["a", "a", "a", "b", "b", "b"], [0, 1, 1, 0, 1, 1])
-    assert v_measure(corpus) == (0.0, 0.0, 0.0)
+    assert v_measure(*corpus) == (0.0, 0.0, 0.0)
 
 
 def _entropy_oracle(xs):
@@ -87,14 +83,14 @@ def _v_oracle(labels, clusters):
 def test_v_measure_matches_contingency_oracle(points):
     labels = [p[0] for p in points]
     clusters = [p[1] for p in points]
-    h, c, v = v_measure(_corpus(labels, clusters))
+    h, c, v = v_measure(*_corpus(labels, clusters))
     oh, oc, ov = _v_oracle(labels, clusters)
     assert (h, c, v) == pytest.approx((oh, oc, ov))
     assert 0.0 <= h <= 1.0 and 0.0 <= c <= 1.0
     assert min(h, c) - 1e-12 <= v <= max(h, c) + 1e-12
     # relabeling clusters leaves every metric unchanged
     remap = {cl: 9 - cl for cl in set(clusters)}
-    h2, c2, v2 = v_measure(_corpus(labels, [remap[cl] for cl in clusters]))
+    h2, c2, v2 = v_measure(*_corpus(labels, [remap[cl] for cl in clusters]))
     assert (h2, c2, v2) == pytest.approx((h, c, v))
 
 
@@ -104,9 +100,9 @@ def test_v_measure_matches_contingency_oracle(points):
 def test_h_c_swap_under_role_exchange(points):
     labels = [p[0] for p in points]
     clusters = [str(p[1]) for p in points]
-    h1, c1, v1 = v_measure(_corpus(labels, [ord(c) for c in clusters]))
+    h1, c1, v1 = v_measure(*_corpus(labels, [ord(c) for c in clusters]))
     # swapping the roles of classes and clusters swaps h and c
-    h2, c2, v2 = v_measure(_corpus(clusters, [ord(l) for l in labels]))
+    h2, c2, v2 = v_measure(*_corpus(clusters, [ord(l) for l in labels]))
     assert h2 == pytest.approx(c1)
     assert c2 == pytest.approx(h1)
     assert v2 == pytest.approx(v1)
@@ -121,26 +117,25 @@ def test_refining_clusters_never_decreases_homogeneity(labels, data):
     # refine: split each coarse cluster by drawing sub-ids
     fine = [(c, data.draw(st.integers(0, 1))) for c in coarse]
     fine_ids = {f: i for i, f in enumerate(sorted(set(fine)))}
-    h1, _, _ = v_measure(_corpus(labels, coarse))
-    h2, _, _ = v_measure(_corpus(labels, [fine_ids[f] for f in fine]))
+    h1, _, _ = v_measure(*_corpus(labels, coarse))
+    h2, _, _ = v_measure(*_corpus(labels, [fine_ids[f] for f in fine]))
     assert h2 >= h1 - 1e-12
 
 
 def test_multi_label_expansion():
     # one graph with two labels contributes two datapoints
-    corpus = LabeledCorpus(
-        truth={"g0": ["a", "b"], "g1": ["a"], "g2": []},
-        predicted={"g0": 0, "g1": 0, "g2": 1})
-    assert corpus.pairs() == [("a", 0), ("b", 0), ("a", 0)]
+    truth = {"g0": ["a", "b"], "g1": ["a"], "g2": []}
+    predicted = {"g0": 0, "g1": 0, "g2": 1}
+    expanded = v_measure(*_corpus(["a", "b", "a"], [0, 0, 0]))
+    assert v_measure(truth, predicted) == expanded == (0.0, 1.0, 0.0)
     # unlabeled and unpredicted graphs are excluded, not errors
-    corpus.truth["g3"] = ["c"]
-    h, c, v = v_measure(corpus)
-    assert 0.0 <= v <= 1.0
+    truth["g3"] = ["c"]
+    assert v_measure(truth, predicted) == expanded
 
 
 def test_v_measure_requires_datapoints():
     with pytest.raises(ValueError):
-        v_measure(LabeledCorpus())
+        v_measure({}, {})
 
 
 # -- PCA ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ from affgraph import pipeline
 from affgraph.clustering import (
     Criterion,
     Dendrogram,
-    FlatClustering,
     Linkage,
     Merge,
     sed_matrix,
@@ -45,9 +44,9 @@ from conftest import label_multiset
 
 
 def _small_cfg(mode="embedding", **kwargs):
-    cfg = PipelineConfig(mode=mode, cut_threshold=None, **kwargs)
+    cfg = PipelineConfig(mode=mode, cut_threshold=None, seed=5, **kwargs)
     cfg.train = emb.TrainConfig(embedding_dim=16, epochs=10, batch_size=64,
-                                wl_depth=4, learning_rate=0.25, seed=5)
+                                wl_depth=4, learning_rate=0.25)
     return cfg
 
 
@@ -74,7 +73,7 @@ def test_config_from_dict_profiles_and_auto():
     assert cfg.profile == PROFILES["wnp-like"]
     assert cfg.cut_threshold is None
     assert cfg.mode == "sed"
-    assert cfg.train.seed == 9  # seed propagates into training
+    assert cfg.seed == 9
     cfg = config_from_dict({"profile": {"thresh_convex": 2.0, "h": 4, "n": 2},
                             "cut_threshold": 0.05,
                             "train": {"embedding_dim": 32, "epochs": 3}})
@@ -138,10 +137,28 @@ def test_embedding_stage_reproducible_from_corpus_file(small_corpus, tmp_path):
         labels, edges = parse_canonical(rec["form"])
         tokens.append(emb.wl_tokens(labels, edges, cfg.train.wl_depth))
     vocab = emb.build_vocabulary(tokens)
-    table = emb.train([rec["id"] for rec in records], tokens, vocab, cfg.train)
+    table = emb.train([rec["id"] for rec in records], tokens, vocab, cfg.train, cfg.seed)
     saved = emb.load_embeddings(str(out / "embeddings.tsv"))
     assert saved.graph_ids == table.graph_ids
     np.testing.assert_array_equal(saved.vectors, table.vectors)
+
+
+def test_run_pipeline_trains_with_the_seed_of_a_config_built_in_code(small_corpus, tmp_path):
+    # no config file or dict is read here: the run's one seed reaches training
+    scenes, truth = small_corpus
+    train_cfg = emb.TrainConfig(embedding_dim=16, epochs=10, batch_size=64, wl_depth=4,
+                                learning_rate=0.25)
+    cfg = PipelineConfig(seed=7, cut_threshold=None, train=train_cfg)
+    out = tmp_path / "run"
+    run_pipeline(scenes, cfg, str(out), truth)
+    records = load_graphlet_corpus(str(out / "graphlets.jsonl"))
+    tokens = [emb.wl_tokens(*parse_canonical(rec["form"]), train_cfg.wl_depth)
+              for rec in records]
+    vocab = emb.build_vocabulary(tokens)
+    ids = [rec["id"] for rec in records]
+    saved = emb.load_embeddings(str(out / "embeddings.tsv")).vectors
+    assert saved.tobytes() == emb.train(ids, tokens, vocab, train_cfg, 7).vectors.tobytes()
+    assert saved.tobytes() != emb.train(ids, tokens, vocab, train_cfg, 0).vectors.tobytes()
 
 
 def test_embed_corpus_tokenises_each_distinct_form_once(small_corpus, monkeypatch):
@@ -155,10 +172,11 @@ def test_embed_corpus_tokenises_each_distinct_form_once(small_corpus, monkeypatc
                   for rec in records]
     calls, wl_tokens = [], emb.wl_tokens
     monkeypatch.setattr(emb, "wl_tokens", lambda *a: calls.append(a) or wl_tokens(*a))
-    vocab, table = embed_corpus(records, cfg.train)
+    vocab, table = embed_corpus(records, cfg.train, cfg.seed)
     assert len(calls) == len(forms)
     want_vocab = emb.build_vocabulary(per_record)
-    want = emb.train([rec["id"] for rec in records], per_record, want_vocab, cfg.train)
+    want = emb.train([rec["id"] for rec in records], per_record, want_vocab, cfg.train,
+                     cfg.seed)
     assert vocab == want_vocab
     assert table.graph_ids == want.graph_ids
     assert table.vectors.tobytes() == want.vectors.tobytes()
@@ -230,7 +248,7 @@ def test_export_dendrogram_dot_escapes_leaf_ids(tmp_path, clustered):
     ids = ['a"b', "c\\", 'd\\"e']
     dend = Dendrogram(n_leaves=3, leaf_ids=ids,
                       merges=[Merge(0, 1, 0.25, 2), Merge(2, 3, 0.5, 3)])
-    flat = FlatClustering({gid: i for i, gid in enumerate(ids)}) if clustered else None
+    flat = {gid: i for i, gid in enumerate(ids)} if clustered else None
     path = tmp_path / "dend.dot"
     export_dendrogram_dot(dend, flat, str(path))
     text = path.read_text()
@@ -246,7 +264,7 @@ def test_export_dendrogram_dot_escapes_leaf_ids(tmp_path, clustered):
 def test_export_dendrogram_dot_labels_each_leaf_once(tmp_path, clustered):
     dend = Dendrogram(n_leaves=3, leaf_ids=["g0", "g1", "g2"],
                       merges=[Merge(0, 1, 0.25, 2), Merge(2, 3, 0.5, 3)])
-    flat = FlatClustering({"g0": 0, "g1": 0, "g2": 1}) if clustered else None
+    flat = {"g0": 0, "g1": 0, "g2": 1} if clustered else None
     path = tmp_path / "dend.dot"
     export_dendrogram_dot(dend, flat, str(path))
     leaves = [line for line in path.read_text().splitlines() if re.match(r"  n[012] \[", line)]
@@ -317,8 +335,8 @@ def test_named_profile_is_a_copy(monkeypatch):
 def test_config_over_a_base_keeps_the_base_and_reseeds_training():
     base = config_from_dict({"seed": 2, "mode": "sed", "train": {"epochs": 3}})
     cfg = config_from_dict({"seed": 4}, base)
-    assert (cfg.mode, cfg.train.epochs, cfg.seed, cfg.train.seed) == ("sed", 3, 4, 4)
-    assert (base.seed, base.train.seed) == (2, 2)
+    assert (cfg.mode, cfg.train.epochs, cfg.seed) == ("sed", 3, 4)
+    assert base.seed == 2
 
 
 _INTS = {"smoothing": 0, "gap_bridge": 0, "temporal_cap": 0, "seed": 0, "h": 2,
@@ -363,8 +381,7 @@ def _configs(draw):
         return draw(_ANY)
     data = draw(_object_of(PipelineConfig))
     data["profile"] = draw(st.sampled_from(sorted(PROFILES)) | _object_of(DatasetProfile))
-    data["train"] = draw(_object_of(emb.TrainConfig).map(
-        lambda train: {k: v for k, v in train.items() if k != "seed"}))
+    data["train"] = draw(_object_of(emb.TrainConfig))
     if draw(st.booleans()):
         cls, target = draw(st.sampled_from([(PipelineConfig, data),
                                             (emb.TrainConfig, data["train"])]
@@ -398,7 +415,6 @@ def _assert_well_typed(cfg):
     assert cfg.train.embedding_dim <= emb.MAX_EMBEDDING_DIM
     assert cfg.train.negatives <= emb.MAX_NEGATIVES
     assert cfg.train.wl_depth <= emb.MAX_WL_DEPTH
-    assert cfg.train.seed == cfg.seed
 
 
 @settings(max_examples=300, deadline=None)
@@ -421,11 +437,10 @@ def test_readme_config_example_is_a_complete_valid_config():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("### Config file (JSON)", 1)[1].split("```json\n", 1)[1]
     data = json.loads(block.split("```", 1)[0])
-    cfg = config_from_dict(data)
-    assert cfg.train.seed == cfg.seed == data["seed"]
-    # the example names every field, training's seed excepted
+    config_from_dict(data)
+    # the example names every field
     assert set(data) == {f.name for f in fields(PipelineConfig)}
-    train_fields = {f.name for f in fields(emb.TrainConfig)} - {"seed"}
+    train_fields = {f.name for f in fields(emb.TrainConfig)}
     assert set(data["train"]) == train_fields
     # and the list of train fields under it names each of them once
     block = readme.split("The `train` fields, each optional, with its default:\n\n", 1)[1]

@@ -25,6 +25,8 @@ from affgraph.scene import (
 )
 from affgraph.synth import SCRIPT_KINDS, SyntheticScript, generate_synthetic
 
+from conftest import mask_from_array
+
 
 def _box(x0, y0, x1, y1):
     return BoundingBox(float(x0), float(y0), float(x1), float(y1))
@@ -34,7 +36,7 @@ def _mask(h, w, arr_slices):
     arr = np.zeros((h, w), dtype=bool)
     for sl in arr_slices:
         arr[sl] = True
-    return MaskRLE.from_array(arr)
+    return mask_from_array(arr)
 
 
 def test_bbox_rejects_degenerate():
@@ -51,7 +53,7 @@ def test_mask_rle_round_trip(bits, width):
     arr = np.zeros((height, width), dtype=bool)
     for i, b in enumerate(bits):
         arr[i // width, i % width] = b
-    mask = MaskRLE.from_array(arr)
+    mask = mask_from_array(arr)
     assert mask.runs[0] == 0 or not arr.ravel()[0] or arr.size == 0
     np.testing.assert_array_equal(mask.to_array(), arr)
     assert mask.foreground_count == int(arr.sum())
@@ -95,7 +97,7 @@ def _mask_arrays(draw):
 
 @given(_mask_arrays())
 def test_mask_rle_from_array_matches_loop_encoder(arr):
-    mask = MaskRLE.from_array(arr)
+    mask = mask_from_array(arr)
     assert mask.runs == _rle_runs_oracle(arr)
     assert all(type(r) is int for r in mask.runs)
     assert (mask.height, mask.width) == arr.shape
@@ -136,7 +138,7 @@ def _assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
 
 @given(_mask_arrays())
 def test_mask_rle_decoders_match_run_loops(arr):
-    mask = MaskRLE.from_array(arr)
+    mask = mask_from_array(arr)
     _assert_same_array(mask.to_array(), _to_array_oracle(mask))
     _assert_same_array(np.flatnonzero(mask.to_array()), _foreground_indices_oracle(mask))
 
@@ -153,10 +155,10 @@ def test_mask_rle_decoders_edge_cases(runs, width, height):
 
 
 def test_mask_rle_from_array_edge_cases():
-    assert MaskRLE.from_array(np.zeros((0, 3), dtype=bool)).runs == (0,)
-    assert MaskRLE.from_array(np.zeros((2, 3), dtype=bool)).runs == (6,)
-    assert MaskRLE.from_array(np.ones((2, 3), dtype=bool)).runs == (0, 6)
-    assert MaskRLE.from_array(np.array([[1, 0, 0, 1]], dtype=bool)).runs == (0, 1, 2, 1)
+    assert mask_from_array(np.zeros((0, 3), dtype=bool)).runs == (0,)
+    assert mask_from_array(np.zeros((2, 3), dtype=bool)).runs == (6,)
+    assert mask_from_array(np.ones((2, 3), dtype=bool)).runs == (0, 6)
+    assert mask_from_array(np.array([[1, 0, 0, 1]], dtype=bool)).runs == (0, 1, 2, 1)
 
 
 def test_mask_rle_validates_total():
@@ -490,7 +492,7 @@ def _scene_dicts(draw, valid=False):
                             draw(st.integers(y0 + 1, max(h, y0 + 1)))]}
             if w > 0 and h > 0 and draw(st.booleans()):
                 pixels = draw(st.lists(st.booleans(), min_size=w * h, max_size=w * h))
-                obs["mask_rle"] = list(MaskRLE.from_array(np.reshape(pixels, (h, w))).runs)
+                obs["mask_rle"] = list(mask_from_array(np.reshape(pixels, (h, w))).runs)
                 if draw(st.booleans()):
                     obs["depth_mm"] = draw(st.lists(
                         st.floats(1, 2000), min_size=sum(pixels), max_size=sum(pixels)))

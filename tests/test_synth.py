@@ -15,7 +15,6 @@ from affgraph.scene import (
     BoundingBox,
     DepthSample,
     EntityObservation,
-    MaskRLE,
     save_scene,
     scene_to_dict,
 )
@@ -26,6 +25,8 @@ from affgraph.synth import (
     SyntheticScript,
     generate_synthetic,
 )
+
+from conftest import mask_from_array
 
 
 @pytest.mark.parametrize("kind", SCRIPT_KINDS)
@@ -88,7 +89,7 @@ def test_script_validation_errors():
 def _band_holds(h, n):
     """Whether the mover's depth band (16, 20) is a proper part of the concavity
     band that ``convexity_depth`` gives the bowl's depth range (10, 22)."""
-    bounds = convexity_depth(np.array([10.0, 22.0]), ConvexityType.CONCAVE, h, n)
+    bounds = convexity_depth(10.0, 22.0, ConvexityType.CONCAVE, h, n)
     return dpp((16.0, 20.0), bounds)
 
 
@@ -106,7 +107,7 @@ def _filled_rect_mask(x0, y0, x1, y1):
     """The ``_rect_mask`` that ``synth`` used before: fill the grid, encode it."""
     arr = np.zeros((synth.HEIGHT, synth.WIDTH), dtype=bool)
     arr[y0:y1, x0:x1] = True
-    return MaskRLE.from_array(arr)
+    return mask_from_array(arr)
 
 
 _W, _H = synth.WIDTH, synth.HEIGHT
