@@ -18,7 +18,7 @@ from .qsr import DisrRelation, Rcc2Relation, Rcc5OnRelation
 from .temporal import AllenRelation, Calculus, Episode, Interval
 from .graphlet import AGraphlet, build_agraphlets, canonical_form, parse_canonical
 from .embedding import TrainConfig, Vocabulary, train, wl_tokens
-from .clustering import Criterion, Dendrogram, Linkage, cut
+from .clustering import Dendrogram, cut
 from .evaluation import v_measure
 from .pipeline import PipelineConfig, PROFILES, run_pipeline
 from .synth import SyntheticScript, generate_synthetic
@@ -32,7 +32,6 @@ __all__ = [
     "Calculus",
     "ConcavityBounds",
     "ConvexityType",
-    "Criterion",
     "Dendrogram",
     "DepthSample",
     "DisrRelation",
@@ -41,7 +40,6 @@ __all__ = [
     "EntityObservation",
     "Episode",
     "Interval",
-    "Linkage",
     "MaskRLE",
     "PROFILES",
     "PipelineConfig",

@@ -140,22 +140,15 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _table_error(path: str, exc: ValueError) -> CliError:
-    """A data error that names ``path`` and, for a malformed row, its line."""
-    line = f"line {exc.line}: " if isinstance(exc, emb.RowError) else ""
-    return CliError(EXIT_DATA, f"{path}: {line}{exc}")
-
-
 def cmd_cluster(args) -> int:
     cfg = _config(args)
     try:
         table = emb.load_embeddings(args.embeddings)
         dist = clust.pairwise_cosine_costs(table.vectors)
         dend, threshold, assignment = pipeline.cluster_table(
-            dist, table.graph_ids, table.vectors, cfg.linkage, cfg.cut_threshold,
-            cfg.criterion)
+            dist, table.graph_ids, table.vectors, cfg.cut_threshold)
     except ValueError as exc:
-        raise _table_error(args.embeddings, exc) from exc
+        raise CliError(EXIT_DATA, f"{args.embeddings}: {exc}") from exc
     clust.export_dendrogram_json(dend, args.dendrogram)
     pipeline.save_clusters(assignment, table.graph_ids, args.output)
     n_clusters = len(set(assignment.values()))
@@ -248,10 +241,10 @@ def cmd_export(args) -> int:
             table = emb.load_embeddings(args.embeddings)
             proj = pca_project(table.vectors, 2)
         except ValueError as exc:
-            raise _table_error(args.embeddings, exc) from exc
+            raise CliError(EXIT_DATA, f"{args.embeddings}: {exc}") from exc
         with open(args.pca, "w", encoding="utf-8") as fh:
             for gid, (x, y) in zip(table.graph_ids, proj):
-                fh.write(f"{gid}\t{x!r}\t{y!r}\n")
+                fh.write(f"{gid}\t{float(x)!r}\t{float(y)!r}\n")
     print(f"dendrogram -> {args.output}")
     return EXIT_OK
 
@@ -265,7 +258,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gap-bridge", dest="gap_bridge", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--cut-threshold", dest="cut_threshold",
-                   help="cut height, or 'auto' for criterion-based selection")
+                   help="cut height, or 'auto' for BIC selection")
 
 
 def build_parser() -> argparse.ArgumentParser:

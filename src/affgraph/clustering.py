@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -13,12 +12,6 @@ import numpy as np
 from .graphlet import SPATIAL, TEMPORAL, AGraphlet
 from .scene import parse_json
 from .temporal import Calculus
-
-
-class Linkage(str, Enum):
-    AVERAGE = "average"
-    COMPLETE = "complete"
-    SINGLE = "single"
 
 
 @dataclass
@@ -97,12 +90,9 @@ def pairwise_cosine_costs(vectors: np.ndarray) -> np.ndarray:
     return dist
 
 
-def hierarchical_cluster(
-    dist: np.ndarray,
-    linkage: Linkage = Linkage.AVERAGE,
-    leaf_ids: Optional[list[str]] = None,
-) -> Dendrogram:
-    """Agglomerate a precomputed distance matrix into a full merge tree.
+def hierarchical_cluster(dist: np.ndarray, leaf_ids: Optional[list[str]] = None) -> Dendrogram:
+    """Agglomerate a precomputed distance matrix into a full merge tree under
+    average linkage.
 
     Each step merges the active pair with the smallest key
     ``(cost, min rep, max rep)``, where a cluster's rep is the lowest leaf id
@@ -147,12 +137,7 @@ def hierarchical_cluster(
         left, right = sorted((node[a], node[b]))
         dend.merges.append(Merge(left=left, right=right, height=float(d[a, b]),
                                  size=na + nb))
-        if linkage is Linkage.AVERAGE:
-            new = (na * d[a] + nb * d[b]) / (na + nb)
-        elif linkage is Linkage.COMPLETE:
-            new = np.maximum(d[a], d[b])
-        else:
-            new = np.minimum(d[a], d[b])
+        new = (na * d[a] + nb * d[b]) / (na + nb)
         new[a] = new[b] = math.inf
         d[a] = d[:, a] = new
         d[b] = d[:, b] = math.inf
@@ -200,18 +185,11 @@ def cut(dend: Dendrogram, threshold: float) -> dict[str, int]:
             for leaf, gid in enumerate(dend.leaf_ids)}
 
 
-class Criterion(str, Enum):
-    BIC = "bic"
-    AIC = "aic"
-
-
 _VAR_FLOOR = 1e-12
 
 
-def select_threshold(
-    dend: Dendrogram, vectors: np.ndarray, criterion: Criterion = Criterion.BIC
-) -> float:
-    """Scan cut thresholds at the merge heights and pick the criterion minimum.
+def select_threshold(dend: Dendrogram, vectors: np.ndarray) -> float:
+    """Scan cut thresholds at the merge heights and pick the BIC minimum.
 
     Candidates are each distinct merge height plus a value above the root so
     the single-cluster solution is reachable; ties go to the smaller threshold.
@@ -219,7 +197,7 @@ def select_threshold(
     Each candidate is scored under a spherical-Gaussian model (lower is
     better).  The variance is shared across clusters and fixed to the global
     data variance, so the likelihood stays bounded when clusters shrink to
-    duplicates and the criterion cannot degenerate into all-singletons.
+    duplicates and BIC cannot degenerate into all-singletons.
 
     One sweep applies the merges in order of effective height, keeping each
     cluster's size and vector sum, the running sum of ``nc * log(nc)`` and the
@@ -240,7 +218,6 @@ def select_threshold(
     centered = x - x.mean(axis=0)
     var = max(float((centered ** 2).sum()) / (n * dim), _VAR_FLOOR)
     log_norm = 0.5 * n * dim * math.log(2 * math.pi * var) + n * math.log(n)
-    penalty = math.log(n) if criterion is Criterion.BIC else 2.0
 
     eff = _effective_heights(dend)
     order = sorted(range(len(dend.merges)), key=lambda i: (eff[n + i], i))
@@ -265,7 +242,7 @@ def select_threshold(
             k -= 1
             applied += 1
         log_lik = n_log_n - log_norm - 0.5 * within / var
-        score = (k * dim + k) * penalty - 2.0 * log_lik
+        score = (k * dim + k) * math.log(n) - 2.0 * log_lik
         if score < best_score - 1e-12:
             best_score = score
             best_t = t

@@ -99,16 +99,6 @@ class DivergenceError(RuntimeError):
     """Raised when the training loss blows up past the divergence guard."""
 
 
-class RowError(ValueError):
-    """A malformed row of an embedding table. The message is the problem as
-    found (a conversion error keeps Python's own text), and ``line`` is the
-    row's 1-based line, which the CLI prints before it."""
-
-    def __init__(self, line: int, detail: str):
-        super().__init__(detail)
-        self.line = line
-
-
 @dataclass
 class EmbeddingTable:
     graph_ids: list[str]
@@ -294,9 +284,15 @@ def save_embeddings(table: EmbeddingTable, path: str) -> None:
             fh.write(f"{gid}\t{len(vec)}\t{values}\n")
 
 
+# Largest magnitude a loaded table entry may have: squared it is 1e200, so a
+# sum of squares over any table that fits in memory stays finite.
+MAX_ENTRY = 1e100
+
+
 def load_embeddings(path: str) -> EmbeddingTable:
-    """Read ``save_embeddings`` output, skipping blank lines; a malformed row
-    raises ``RowError``."""
+    """Read ``save_embeddings`` output, skipping blank lines; a malformed row,
+    or an entry that is not finite or beyond ``MAX_ENTRY`` in magnitude, raises
+    ``ValueError("line N: ...")``."""
     rows: dict[str, np.ndarray] = {}  # graph id -> vector, in file order
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
@@ -310,12 +306,13 @@ def load_embeddings(path: str) -> EmbeddingTable:
                 vec = np.array(list(map(float, values.split())))
                 if len(vec) != int(dim):
                     raise ValueError(f"vector length mismatch for {gid}")
-                if not np.isfinite(vec).all():
-                    raise ValueError(f"non-finite value in the vector for {gid}")
+                if not (np.abs(vec) <= MAX_ENTRY).all():  # NaN fails this too
+                    raise ValueError(f"non-finite value or one beyond {MAX_ENTRY:g} "
+                                     f"in the vector for {gid}")
                 if gid in rows:
                     raise ValueError(f"repeated id {gid!r}")
             except ValueError as exc:
-                raise RowError(n, str(exc)) from exc
+                raise ValueError(f"line {n}: {exc}") from exc
             rows[gid] = vec
     if not rows:
         raise ValueError("no embedding rows")

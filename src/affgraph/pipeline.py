@@ -54,9 +54,7 @@ class PipelineConfig:
     gap_bridge: int = 0
     temporal_cap: int = 256
     train: emb.TrainConfig = field(default_factory=emb.TrainConfig)
-    linkage: clust.Linkage = clust.Linkage.AVERAGE
-    cut_threshold: Optional[float] = 0.02  # None selects via criterion below
-    criterion: clust.Criterion = clust.Criterion.BIC
+    cut_threshold: Optional[float] = 0.02  # None selects the BIC minimum
     sed_threshold: float = 1.0
     c_spat: float = 0.5
     k_spat: float = 0.5
@@ -123,9 +121,6 @@ def config_from_dict(data: dict, base: Optional[PipelineConfig] = None) -> Pipel
         changes["profile"] = DatasetProfile(**_known_keys("in profile", DatasetProfile, prof))
     if changes.get("cut_threshold") == "auto":
         changes["cut_threshold"] = None
-    for key, enum in (("linkage", clust.Linkage), ("criterion", clust.Criterion)):
-        if key in changes:
-            changes[key] = enum(changes[key])
     train = changes.pop("train", {})
     if not isinstance(train, dict):
         raise ValueError(f"train must be an object, got {train!r}")
@@ -344,13 +339,13 @@ def embed_corpus(
 
 def cluster_table(
     dist: np.ndarray, leaf_ids: list[str], vectors: Optional[np.ndarray],
-    linkage: clust.Linkage, threshold: Optional[float], criterion: clust.Criterion,
+    threshold: Optional[float],
 ) -> tuple[clust.Dendrogram, float, dict[str, int]]:
-    """Agglomerate ``dist`` and cut at ``threshold``, or, when it is None, at
-    the height ``criterion`` selects on ``vectors``."""
-    dend = clust.hierarchical_cluster(dist, linkage, leaf_ids=leaf_ids)
+    """Agglomerate ``dist`` under average linkage and cut at ``threshold``, or,
+    when it is None, at the height BIC selects on ``vectors``."""
+    dend = clust.hierarchical_cluster(dist, leaf_ids=leaf_ids)
     if threshold is None:
-        threshold = clust.select_threshold(dend, vectors, criterion)
+        threshold = clust.select_threshold(dend, vectors)
     return dend, threshold, clust.cut(dend, threshold)
 
 
@@ -455,8 +450,7 @@ def run_pipeline(
         dist = clust.sed_matrix(graphlets, cfg.c_spat, cfg.k_spat)
         vectors, threshold = None, cfg.sed_threshold
 
-    dend, threshold, assignment = cluster_table(
-        dist, ids, vectors, cfg.linkage, threshold, cfg.criterion)
+    dend, threshold, assignment = cluster_table(dist, ids, vectors, threshold)
     clust.export_dendrogram_json(dend, artifact("dendrogram.json"))
     save_clusters(assignment, ids, artifact("clusters.tsv"))
 

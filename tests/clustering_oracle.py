@@ -21,13 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from affgraph.clustering import (
-    Criterion,
-    Dendrogram,
-    Linkage,
-    Merge,
-    _VAR_FLOOR,
-)
+from affgraph.clustering import Dendrogram, Merge, _VAR_FLOOR
 from affgraph.graphlet import AGraphlet
 from affgraph.temporal import Calculus
 
@@ -89,12 +83,9 @@ def pairwise_cosine_costs(vectors: np.ndarray) -> np.ndarray:
     return dist
 
 
-def hierarchical_cluster(
-    dist: np.ndarray,
-    linkage: Linkage = Linkage.AVERAGE,
-    leaf_ids: Optional[list[str]] = None,
-) -> Dendrogram:
-    """Agglomerate a precomputed distance matrix into a full merge tree.
+def hierarchical_cluster(dist: np.ndarray, leaf_ids: Optional[list[str]] = None) -> Dendrogram:
+    """Agglomerate a precomputed distance matrix into a full merge tree under
+    average linkage.
 
     Ties at the minimum break toward the pair whose clusters contain the
     lowest leaf ids, making the merge sequence deterministic.
@@ -130,13 +121,7 @@ def hierarchical_cluster(
                 continue
             dik = d[(min(i, k), max(i, k))]
             djk = d[(min(j, k), max(j, k))]
-            if linkage is Linkage.AVERAGE:
-                val = (active[i] * dik + active[j] * djk) / size
-            elif linkage is Linkage.COMPLETE:
-                val = max(dik, djk)
-            else:
-                val = min(dik, djk)
-            d[(k, new)] = val
+            d[(k, new)] = (active[i] * dik + active[j] * djk) / size
         for key in [k for k in d if i in k or j in k]:
             del d[key]
         rep[new] = min(rep[i], rep[j])
@@ -179,14 +164,12 @@ def cut(dend: Dendrogram, threshold: float) -> dict[str, int]:
     return assignment
 
 
-def _criterion_score(
-    vectors: np.ndarray, labels: list[int], criterion: Criterion
-) -> float:
-    """Spherical-Gaussian shared-variance model score (lower is better).
+def _bic_score(vectors: np.ndarray, labels: list[int]) -> float:
+    """BIC under a spherical-Gaussian shared-variance model (lower is better).
 
     The variance is shared across clusters and fixed to the global data
     variance, so the likelihood stays bounded when clusters shrink to
-    duplicates and the criterion cannot degenerate into all-singletons.
+    duplicates and BIC cannot degenerate into all-singletons.
     """
     n, dim = vectors.shape
     clusters = sorted(set(labels))
@@ -204,15 +187,11 @@ def _criterion_score(
                     - 0.5 * nc * dim * math.log(2 * math.pi * var)
                     - 0.5 * sq / var)
     params = k * dim + (k - 1) + 1
-    if criterion is Criterion.BIC:
-        return params * math.log(n) - 2.0 * log_lik
-    return 2.0 * params - 2.0 * log_lik
+    return params * math.log(n) - 2.0 * log_lik
 
 
-def select_threshold(
-    dend: Dendrogram, vectors: np.ndarray, criterion: Criterion = Criterion.BIC
-) -> float:
-    """Scan cut thresholds at the merge heights and pick the criterion minimum.
+def select_threshold(dend: Dendrogram, vectors: np.ndarray) -> float:
+    """Scan cut thresholds at the merge heights and pick the BIC minimum.
 
     Candidates are each distinct merge height plus a value above the root so
     the single-cluster solution is reachable; ties go to the smaller threshold.
@@ -227,7 +206,7 @@ def select_threshold(
     ids = dend.leaf_ids
     for t in candidates:
         labels = labels_for(cut(dend, t), ids)
-        score = _criterion_score(np.asarray(vectors, dtype=float), labels, criterion)
+        score = _bic_score(np.asarray(vectors, dtype=float), labels)
         if score < best_score - 1e-12:
             best_score = score
             best_t = t

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import weakref
 
+import numpy as np
 import pytest
 
 import affgraph
@@ -22,6 +23,8 @@ from affgraph.cli import (
     EXIT_USAGE,
     main,
 )
+from affgraph.embedding import EmbeddingTable, save_embeddings
+from affgraph.evaluation import pca_project
 from affgraph.scene import MAX_FRAME_PIXELS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -321,6 +324,8 @@ def test_graphlets_keeps_argument_order(tmp_path, capsys):
 
 
 TWO_LEAVES = {"n_leaves": 2, "leaf_ids": ["g0", "g1"], "merges": [[0, 1, 0.5, 2]]}
+# finite, but its row norms overflow: every cosine cost would read 1.0
+HUGE_TABLE = "g0\t2\t1e308 1e308\ng1\t2\t1e308 -1e308\ng2\t2\t-1e308 1e308\n"
 
 
 @pytest.mark.parametrize("dend, clusters, bad", [
@@ -342,8 +347,9 @@ def test_export_bad_input_is_data_error(tmp_path, capsys, dend, clusters, bad):
 
 
 @pytest.mark.parametrize("table", ["g0\t3\t1.0 0.0\ng1\t2\t0.0 1.0\n",
-                                   "g0\t2\t1.0 0.0\ng1\t2\t0.0 1.0\n"],
-                         ids=["short-vector", "too-few-rows"])
+                                   "g0\t2\t1.0 0.0\ng1\t2\t0.0 1.0\n",
+                                   HUGE_TABLE],
+                         ids=["short-vector", "too-few-rows", "huge"])
 def test_export_bad_pca_table_is_data_error(tmp_path, capsys, table):
     dend = tmp_path / "dend.json"
     dend.write_text(json.dumps(TWO_LEAVES))
@@ -354,6 +360,21 @@ def test_export_bad_pca_table_is_data_error(tmp_path, capsys, table):
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {embs}: ") and err.count("\n") == 1
+
+
+def test_export_pca_rows_are_ids_and_the_projection_bit_for_bit(tmp_path):
+    dend = tmp_path / "dend.json"
+    dend.write_text(json.dumps(TWO_LEAVES))
+    vectors = np.array([[1.0, 0.3, -2.0], [0.1, 1.0, 0.7], [-0.4, 0.2, 1 / 3]])
+    embs, pca = tmp_path / "emb.tsv", tmp_path / "pca.tsv"
+    save_embeddings(EmbeddingTable(["g0", "g1", "g2"], vectors), str(embs))
+    assert main(["export", str(dend), "-o", str(tmp_path / "d.dot"),
+                 "--embeddings", str(embs), "--pca", str(pca)]) == EXIT_OK
+    rows = [line.split("\t") for line in pca.read_text().splitlines()]
+    assert [row[0] for row in rows] == ["g0", "g1", "g2"]
+    assert all(len(row) == 3 for row in rows)
+    read = np.array([[float(x), float(y)] for _, x, y in rows])
+    assert read.tobytes() == pca_project(vectors, 2).tobytes()
 
 
 def test_removed_per_frame_convexity_field_is_data_error(tmp_path, scene_file, capsys):
@@ -426,7 +447,8 @@ def test_bad_truth_file_is_data_error(tmp_path, capsys, scene_file, truth):
 @pytest.mark.parametrize("table", [
     "g0\t3\t1.0 0.0\ng1\t2\t0.0 1.0\n",
     "g0\t2\tnan 1.0\ng1\t2\t0.0 1.0\n",
-], ids=["short-vector", "nan"])
+    HUGE_TABLE,
+], ids=["short-vector", "nan", "huge"])
 def test_bad_table_error_names_the_path_once(tmp_path, capsys, table):
     embs = tmp_path / "emb.tsv"
     embs.write_text(table)
@@ -740,6 +762,22 @@ def test_unknown_config_key_is_named_with_its_section(tmp_path, capsys, config, 
         == EXIT_DATA
     assert capsys.readouterr().err == (
         f"data error: invalid config {cfg}: unknown key '{key}' {section}\n")
+
+
+@pytest.mark.parametrize("key, value", [("linkage", "average"), ("criterion", "bic")])
+def test_clustering_rule_keys_are_unknown(tmp_path, capsys, scene_file, two_row_table,
+                                          key, value):
+    # average linkage and BIC are the only rules, so no config can choose them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    for argv in (["run", str(scene_file), "-o", str(out), "--config", str(cfg)],
+                 ["cluster", str(two_row_table), "-o", str(out / "c.tsv"),
+                  "--dendrogram", str(out / "d.json"), "--config", str(cfg)]):
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: invalid config {cfg}: unknown key '{key}' at the top level\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dend", [

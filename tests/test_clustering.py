@@ -9,9 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from affgraph.clustering import (
-    Criterion,
     Dendrogram,
-    Linkage,
     cut,
     export_dendrogram_json,
     hierarchical_cluster,
@@ -75,13 +73,9 @@ def test_three_point_average_linkage():
     dist = np.array([[0.0, 0.1, 0.8],
                      [0.1, 0.0, 0.6],
                      [0.8, 0.6, 0.0]])
-    dend = hierarchical_cluster(dist, Linkage.AVERAGE)
+    dend = hierarchical_cluster(dist)
     assert dend.merges[0].height == pytest.approx(0.1)
     assert dend.merges[1].height == pytest.approx(0.7)  # mean of 0.8, 0.6
-    comp = hierarchical_cluster(dist, Linkage.COMPLETE)
-    assert comp.merges[1].height == pytest.approx(0.8)
-    sing = hierarchical_cluster(dist, Linkage.SINGLE)
-    assert sing.merges[1].height == pytest.approx(0.6)
 
 
 def _naive_average_linkage(dist):
@@ -117,7 +111,7 @@ def test_average_linkage_matches_naive_oracle(seed):
     m = rng.uniform(0.0, 1.0, size=(n, n))
     dist = (m + m.T) / 2
     np.fill_diagonal(dist, 0.0)
-    dend = hierarchical_cluster(dist, Linkage.AVERAGE)
+    dend = hierarchical_cluster(dist)
     oracle = _naive_average_linkage(dist)
     got = [(m.height, sorted(leaves_under(dend, dend.n_leaves + k)))
            for k, m in enumerate(dend.merges)]
@@ -175,24 +169,21 @@ def _random_distances(rng, n, grid):
 
 
 @pytest.mark.parametrize("grid", [False, True], ids=["uniform", "grid"])
-@pytest.mark.parametrize("linkage", list(Linkage), ids=lambda lk: lk.value)
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 100_000))
-def test_clustering_matches_oracle(linkage, grid, seed):
+def test_clustering_matches_oracle(grid, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 25))
     vecs = rng.normal(size=(n, 3))
     assert np.allclose(pairwise_cosine_costs(vecs), oracle.pairwise_cosine_costs(vecs),
                        rtol=0.0, atol=1e-12)
     dist = _random_distances(rng, n, grid)
-    dend = hierarchical_cluster(dist, linkage)
-    assert dend.to_dict() == oracle.hierarchical_cluster(dist, linkage).to_dict()
+    dend = hierarchical_cluster(dist)
+    assert dend.to_dict() == oracle.hierarchical_cluster(dist).to_dict()
     top = dend.merges[-1].height
     for t in [0.0, top + 1.0] + [m.height for m in dend.merges]:
         assert cut(dend, t) == oracle.cut(dend, t)
-    for crit in Criterion:
-        assert select_threshold(dend, vecs, crit) == \
-            oracle.select_threshold(dend, vecs, crit)
+    assert select_threshold(dend, vecs) == oracle.select_threshold(dend, vecs)
 
 
 # -- cuts ---------------------------------------------------------------------
@@ -241,9 +232,7 @@ def test_non_monotone_tree_matches_oracle(seed):
     vecs = rng.normal(size=(n, 2))
     for t in {0.0, 0.05, 0.15, 0.25, 0.35, 1.0} | {m.height for m in dend.merges}:
         assert cut(dend, t) == oracle.cut(dend, t)
-    for crit in Criterion:
-        assert select_threshold(dend, vecs, crit) == \
-            oracle.select_threshold(dend, vecs, crit)
+    assert select_threshold(dend, vecs) == oracle.select_threshold(dend, vecs)
 
 
 def test_select_threshold_rejects_vector_count_mismatch():
@@ -301,16 +290,15 @@ def test_select_threshold_two_blobs():
     rng = np.random.default_rng(0)
     vecs = _blobs(rng, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], per=8)
     dend = hierarchical_cluster(pairwise_cosine_costs(vecs))
-    for crit in (Criterion.BIC, Criterion.AIC):
-        t = select_threshold(dend, vecs, crit)
-        assert _n_clusters(cut(dend, t)) == 2
+    t = select_threshold(dend, vecs)
+    assert _n_clusters(cut(dend, t)) == 2
 
 
 def test_select_threshold_single_blob():
     rng = np.random.default_rng(1)
     vecs = _blobs(rng, [(1.0, 1.0, 0.5)], per=12, spread=0.005)
     dend = hierarchical_cluster(pairwise_cosine_costs(vecs))
-    t = select_threshold(dend, vecs, Criterion.BIC)
+    t = select_threshold(dend, vecs)
     assert _n_clusters(cut(dend, t)) == 1
 
 
@@ -319,7 +307,7 @@ def test_select_threshold_recovers_five_groups():
     eye = np.eye(5)
     vecs = _blobs(rng, [tuple(row) for row in eye], per=20, spread=0.02)
     dend = hierarchical_cluster(pairwise_cosine_costs(vecs))
-    t = select_threshold(dend, vecs, Criterion.BIC)
+    t = select_threshold(dend, vecs)
     flat = cut(dend, t)
     assert _n_clusters(flat) == 5
     labels = labels_for(flat, dend.leaf_ids)
@@ -328,11 +316,11 @@ def test_select_threshold_recovers_five_groups():
 
 
 def test_select_threshold_handles_duplicate_points():
-    # exact duplicates produce zero-height merges; the criterion must not
+    # exact duplicates produce zero-height merges; BIC must not
     # degenerate into all-singletons
     vecs = np.array([[1.0, 0.0]] * 20 + [[0.0, 1.0]] * 20)
     dend = hierarchical_cluster(pairwise_cosine_costs(vecs))
-    t = select_threshold(dend, vecs, Criterion.BIC)
+    t = select_threshold(dend, vecs)
     assert _n_clusters(cut(dend, t)) == 2
 
 
@@ -526,8 +514,7 @@ def test_dendrogram_json_round_trip(tmp_path):
     assert cut(loaded, 0.5) == cut(dend, 0.5)
 
 
-@pytest.mark.parametrize("linkage", list(Linkage))
-def test_exported_dendrograms_load(tmp_path, linkage):
+def test_exported_dendrograms_load(tmp_path):
     """Every tree the agglomeration writes passes ``Dendrogram.from_dict``'s
     checks, tied costs included."""
     rng = np.random.default_rng(11)
@@ -536,7 +523,7 @@ def test_exported_dendrograms_load(tmp_path, linkage):
         dist = rng.integers(0, 3, size=(n, n)).astype(float)  # many tied costs
         dist = dist + dist.T
         np.fill_diagonal(dist, 0.0)
-        dend = hierarchical_cluster(dist, linkage, leaf_ids=[f"g{i}" for i in range(n)])
+        dend = hierarchical_cluster(dist, leaf_ids=[f"g{i}" for i in range(n)])
         export_dendrogram_json(dend, str(path))
         assert load_dendrogram_json(str(path)).to_dict() == dend.to_dict()
 
@@ -554,7 +541,7 @@ def test_export_dendrogram_json_matches_streaming_writer(tmp_path, seed):
     n = int(rng.integers(2, 40))
     dist = _random_distances(rng, n, grid=seed % 2 == 1)
     leaf_ids = [f"scene_{i:03d}/obj_\u00e9/{i}" for i in range(n)]
-    dend = hierarchical_cluster(dist, Linkage.AVERAGE, leaf_ids=leaf_ids)
+    dend = hierarchical_cluster(dist, leaf_ids=leaf_ids)
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     export_dendrogram_json(dend, str(new))
     _export_dendrogram_json_streaming(dend, str(old))

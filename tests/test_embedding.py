@@ -1,5 +1,6 @@
 """WL token extraction and graph-vector training."""
 
+import math
 import tracemalloc
 import warnings
 from collections import Counter
@@ -12,6 +13,7 @@ from affgraph.embedding import (
     _NEG_BLOCK,
     _NOISE_BUCKETS,
     MAX_EMBEDDING_DIM,
+    MAX_ENTRY,
     MAX_NEGATIVES,
     MAX_WL_DEPTH,
     DivergenceError,
@@ -335,7 +337,7 @@ def test_train_holds_no_full_negative_array():
 
 
 def test_load_embeddings_reads_values_bit_for_bit(tmp_path):
-    values = [-0.0, 5e-324, -1e308, 0.1, 1 / 3, 2.0 ** -1074 * 3, 123456789.0]
+    values = [-0.0, 5e-324, -MAX_ENTRY, 0.1, 1 / 3, 2.0 ** -1074 * 3, 123456789.0]
     path = tmp_path / "emb.tsv"
     path.write_text(f"g0\t{len(values)}\t{' '.join(map(repr, values))}\n"
                     f"g1\t{len(values)}\t{' '.join(map(repr, values[::-1]))}\n")
@@ -343,5 +345,9 @@ def test_load_embeddings_reads_values_bit_for_bit(tmp_path):
     assert loaded.vectors.dtype == np.float64
     assert loaded.vectors.tobytes() == np.array([values, values[::-1]]).tobytes()
     path.write_text("g0\t2\t1.0 x\n")
-    with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
+    with pytest.raises(ValueError, match="^line 1: could not convert string to float: 'x'$"):
+        load_embeddings(str(path))
+    beyond = math.nextafter(-MAX_ENTRY, -math.inf)  # the next double past the bound
+    path.write_text(f"g0\t2\t1.0 0.0\ng1\t2\t0.0 {beyond!r}\n")
+    with pytest.raises(ValueError, match="^line 2: non-finite value or one beyond 1e"):
         load_embeddings(str(path))

@@ -15,13 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from affgraph import embedding as emb
 from affgraph import pipeline
-from affgraph.clustering import (
-    Criterion,
-    Dendrogram,
-    Linkage,
-    Merge,
-    sed_matrix,
-)
+from affgraph.clustering import Dendrogram, Merge, sed_matrix
 from affgraph.graphlet import parse_canonical
 from affgraph.pipeline import (
     PROFILES,
@@ -80,9 +74,9 @@ def test_config_from_dict_profiles_and_auto():
     assert cfg.profile.thresh_convex == 2.0
     assert cfg.cut_threshold == 0.05
     assert cfg.train.embedding_dim == 32
-    cfg = config_from_dict({"linkage": "complete", "criterion": "aic"})
-    assert cfg.linkage is Linkage.COMPLETE
-    assert cfg.criterion is Criterion.AIC
+    for key, value in (("linkage", "average"), ("criterion", "bic")):  # fixed rules
+        with pytest.raises(ValueError, match=f"^unknown key '{key}' at the top level$"):
+            config_from_dict({key: value})
 
 
 def test_config_validation_errors():
@@ -186,7 +180,7 @@ def test_embed_corpus_tokenises_each_distinct_form_once(small_corpus, monkeypatc
 def test_run_pipeline_sed_mode(small_corpus, tmp_path):
     scenes, truth = small_corpus
     report = run_pipeline(scenes, _small_cfg(mode="sed"), str(tmp_path / "sed"), truth)
-    assert report.cut_threshold == 1.0  # preset, not criterion-selected
+    assert report.cut_threshold == 1.0  # preset, not BIC-selected
     assert not (tmp_path / "sed" / "embeddings.tsv").exists()
     assert (tmp_path / "sed" / "dendrogram.json").exists()
     assert report.v_measure is not None
@@ -354,15 +348,13 @@ _VALID = {
        for name, (low, high) in _FLOATS.items()},
     "calculus": st.sampled_from(["disr", "rcc5_on"]),
     "mode": st.sampled_from(["embedding", "sed"]),
-    "linkage": st.sampled_from([m.value for m in Linkage]),
-    "criterion": st.sampled_from([m.value for m in Criterion]),
     "cut_threshold": st.none() | st.just("auto") | st.floats(0.0, 1.0),
     "alg1_literal": st.booleans(),
 }
 # ... and any JSON value, usually the wrong type or out of range
 _ANY = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(),
-    st.sampled_from(["auto", "x", "0.5", "disr", "sed", "average", "bic", *PROFILES]),
+    st.sampled_from(["auto", "x", "0.5", "disr", "sed", *PROFILES]),
     st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=3), st.none()),
 )
 
@@ -395,7 +387,6 @@ def _configs(draw):
 def _assert_well_typed(cfg):
     assert isinstance(cfg.profile, DatasetProfile)
     assert isinstance(cfg.train, emb.TrainConfig)
-    assert isinstance(cfg.linkage, Linkage) and isinstance(cfg.criterion, Criterion)
     assert cfg.calculus in ("disr", "rcc5_on") and cfg.mode in ("embedding", "sed")
     assert cfg.cut_threshold is None or (
         type(cfg.cut_threshold) in (int, float) and math.isfinite(cfg.cut_threshold)
