@@ -232,10 +232,7 @@ def cmd_export(args) -> int:
         if missing:
             raise CliError(EXIT_DATA, f"{args.clusters}: no cluster for leaf "
                                       f"{missing[0]!r} of {args.dendrogram}")
-    if args.format == "dot":
-        pipeline.export_dendrogram_dot(dend, assignment, args.output)
-    else:
-        clust.export_dendrogram_json(dend, args.output)
+    pipeline.export_dendrogram_dot(dend, assignment, args.output)
     if args.pca:
         try:
             table = emb.load_embeddings(args.embeddings)
@@ -249,20 +246,34 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+# Config flags' argparse settings in `run --help` order; a stage takes those it reads
+_CONFIG_FLAGS = {
+    "--profile": {"choices": sorted(PROFILES)},
+    "--calculus": {"choices": pipeline._CHOICES["calculus"]},
+    "--mode": {"choices": pipeline._CHOICES["mode"]},
+    "--smoothing": {"type": int},
+    "--gap-bridge": {"type": int},
+    "--seed": {"type": int},
+    "--cut-threshold": {"help": "cut height, or 'auto' for BIC selection"},
+}
+_EPISODE_FLAGS = ("--profile", "--calculus", "--smoothing", "--gap-bridge")
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
     p.add_argument("--config", help="pipeline config file (JSON)")
-    p.add_argument("--profile", choices=sorted(PROFILES))
-    p.add_argument("--calculus", choices=pipeline._CHOICES["calculus"])
-    p.add_argument("--mode", choices=pipeline._CHOICES["mode"])
-    p.add_argument("--smoothing", type=int)
-    p.add_argument("--gap-bridge", dest="gap_bridge", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cut-threshold", dest="cut_threshold",
-                   help="cut height, or 'auto' for BIC selection")
+    for name in names:
+        p.add_argument(name, **_CONFIG_FLAGS[name])
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one usage-error line, not a usage dump."""
+
+    def error(self, message: str):
+        raise CliError(EXIT_USAGE, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="affgraph",
         description="Interaction-graph affordance clustering pipeline",
     )
@@ -274,31 +285,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relations", help="per-frame relation tokens for one scene")
     p.add_argument("scene")
-    _add_config_flags(p)
+    _add_config_flags(p, "--profile", "--calculus")
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("episodes", help="episode segmentation for one scene")
     p.add_argument("scene")
-    _add_config_flags(p)
+    _add_config_flags(p, *_EPISODE_FLAGS)
     p.set_defaults(func=cmd_episodes)
 
     p = sub.add_parser("graphlets", help="build a graphlet corpus from scenes")
     p.add_argument("scenes", nargs="+")
     p.add_argument("-o", "--output", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, *_EPISODE_FLAGS)
     p.set_defaults(func=cmd_graphlets)
 
     p = sub.add_parser("embed", help="train embeddings for a graphlet corpus")
     p.add_argument("corpus")
     p.add_argument("-o", "--output", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "--seed")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("cluster", help="cluster an embedding table")
     p.add_argument("embeddings")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--dendrogram", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "--cut-threshold")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("evaluate", help="score a flat clustering against labels")
@@ -310,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenes", nargs="+")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.add_argument("--truth", help="groundtruth labels JSON")
-    _add_config_flags(p)
+    _add_config_flags(p, *_CONFIG_FLAGS)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
@@ -323,10 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("export", help="export a dendrogram (dot or json)")
+    p = sub.add_parser("export", help="export a dendrogram as Graphviz DOT")
     p.add_argument("dendrogram")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.add_argument("--clusters", help="flat clustering TSV for leaf coloring")
     p.add_argument("--embeddings", help="embedding table for PCA export")
     p.add_argument("--pca", help="write 2-D PCA coordinates here")
@@ -336,13 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # --help printed the usage
+        return EXIT_OK
     except CliError as exc:
         label = "data error" if exc.code == EXIT_DATA else "error"
         print(f"{label}: {exc}", file=sys.stderr)

@@ -306,6 +306,9 @@ def load_embeddings(path: str) -> EmbeddingTable:
                 vec = np.array(list(map(float, values.split())))
                 if len(vec) != int(dim):
                     raise ValueError(f"vector length mismatch for {gid}")
+                width = len(next(iter(rows.values()), vec))
+                if len(vec) != width:
+                    raise ValueError(f"{gid} has {len(vec)} entries, the first row has {width}")
                 if not (np.abs(vec) <= MAX_ENTRY).all():  # NaN fails this too
                     raise ValueError(f"non-finite value or one beyond {MAX_ENTRY:g} "
                                      f"in the vector for {gid}")

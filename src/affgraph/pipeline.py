@@ -52,7 +52,6 @@ class PipelineConfig:
     mode: str = "embedding"  # embedding | sed
     smoothing: int = 0
     gap_bridge: int = 0
-    temporal_cap: int = 256
     train: emb.TrainConfig = field(default_factory=emb.TrainConfig)
     cut_threshold: Optional[float] = 0.02  # None selects the BIC minimum
     sed_threshold: float = 1.0
@@ -86,7 +85,7 @@ class PipelineConfig:
 # by it.
 _RANGES = {name: (0, math.inf) for name in (
     "cut_threshold", "sed_threshold", "thresh_convex", "noise_ratio", "smoothing",
-    "gap_bridge", "temporal_cap", "seed")}
+    "gap_bridge", "seed")}
 _RANGES.update(c_spat=(0, 1), k_spat=(0, 1), n=(1, math.inf), h=(2, sys.float_info.max))
 _CHOICES = {"calculus": ("disr", "rcc5_on"), "mode": ("embedding", "sed")}
 
@@ -245,10 +244,7 @@ def scene_graphlets(
     """The scene's episodes and the interaction graphlets built from them."""
     episodes = compute_episodes(scene, cfg)
     non_interaction = "NI" if cfg.calculus == "disr" else "DR"
-    return episodes, build_agraphlets(
-        scene_id, episodes, temporal_cap=cfg.temporal_cap,
-        non_interaction=non_interaction,
-    )
+    return episodes, build_agraphlets(scene_id, episodes, non_interaction=non_interaction)
 
 
 def episode_records(episodes: list[Episode]) -> list[dict]:

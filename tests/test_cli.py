@@ -63,7 +63,9 @@ def test_missing_scene_file_is_usage_error(tmp_path):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument command: invalid choice: 'frobnicate'")
+    assert err.count("\n") == 1  # one line, no usage dump
 
 
 def test_relations_and_episodes_json_output(scene_file, capsys):
@@ -197,10 +199,58 @@ def test_parser_choices_come_from_the_tables_that_own_them():
                    if isinstance(a, argparse._SubParsersAction)).choices[command]
         return next(a.choices for a in sub._actions if a.dest == action_dest)
 
-    for command in ("relations", "episodes", "graphlets", "embed", "cluster", "run"):
+    for command in ("relations", "episodes", "graphlets", "run"):
         assert choices("calculus", command) == pipeline._CHOICES["calculus"]
-        assert choices("mode", command) == pipeline._CHOICES["mode"]
+    assert choices("mode", "run") == pipeline._CHOICES["mode"]
     assert choices("kind", "synth") == synth.SCRIPT_KINDS
+
+
+CONFIG_FLAGS = ["--config", "--profile", "--calculus", "--mode", "--smoothing",
+                "--gap-bridge", "--seed", "--cut-threshold"]
+
+
+def test_each_subcommand_takes_only_the_flags_its_stage_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices
+    episode = {"--config", "--profile", "--calculus", "--smoothing", "--gap-bridge"}
+    output = {"-o", "--output"}
+    expected = {
+        "relations": {"--config", "--profile", "--calculus"},
+        "episodes": episode,
+        "graphlets": episode | output,
+        "embed": {"--config", "--seed"} | output,
+        "cluster": {"--config", "--cut-threshold", "--dendrogram"} | output,
+        "run": {*CONFIG_FLAGS, "--truth"} | output,
+        "export": {"--clusters", "--embeddings", "--pca"} | output,
+    }
+    for command, flags in expected.items():
+        taken = {s for a in sub[command]._actions for s in a.option_strings}
+        assert taken - {"-h", "--help"} == flags, command
+    # run lists all of them, in the order its --help always had
+    assert [s for a in sub["run"]._actions for s in a.option_strings
+            if s in CONFIG_FLAGS] == CONFIG_FLAGS
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("cluster", ["--mode", "sed"]), ("cluster", ["--seed", "9"]),
+    ("embed", ["--cut-threshold", "auto"]), ("relations", ["--smoothing", "3"]),
+    ("export", ["--format", "json"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_flag_a_stage_does_not_read_is_a_one_line_usage_error(tmp_path, capsys,
+                                                              two_row_table, command,
+                                                              flag):
+    out = tmp_path / "out"
+    dend = tmp_path / "d.json"
+    dend.write_text(json.dumps(TWO_LEAVES))
+    argv = {"cluster": [str(two_row_table), "-o", str(out), "--dendrogram", str(dend)],
+            "embed": [str(tmp_path / "corpus.jsonl"), "-o", str(out)],
+            "relations": [str(tmp_path / "scene.json")],
+            "export": [str(dend), "-o", str(out)]}[command]
+    assert main([command, *argv, *flag]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "emb.tsv"]
 
 
 @pytest.mark.parametrize("table", [
@@ -398,25 +448,27 @@ def test_subcommand_chain_reproduces_run_artifacts(tmp_path, fast_config, capsys
                       for k, v in json.loads(labels.read_text()).items()})
     truth_path = tmp_path / "truth.json"
     truth_path.write_text(json.dumps(truth))
-    flags = ["--config", str(fast_config), "--seed", "3", "--cut-threshold", "auto"]
+    # each stage takes only its own flags: the seed trains, the cut clusters
+    cfg = ["--config", str(fast_config)]
+    seed, cut = ["--seed", "3"], ["--cut-threshold", "auto"]
     out, chain = tmp_path / "run", tmp_path / "chain"
     chain.mkdir()
     assert main(["run", *scenes, "-o", str(out), "--truth", str(truth_path),
-                 *flags]) == EXIT_OK
+                 *cfg, *seed, *cut]) == EXIT_OK
     assert main(["graphlets", *scenes, "-o", str(chain / "graphlets.jsonl"),
-                 *flags]) == EXIT_OK
+                 *cfg]) == EXIT_OK
     assert main(["embed", str(chain / "graphlets.jsonl"),
-                 "-o", str(chain / "embeddings.tsv"), *flags]) == EXIT_OK
+                 "-o", str(chain / "embeddings.tsv"), *cfg, *seed]) == EXIT_OK
     assert main(["cluster", str(chain / "embeddings.tsv"),
                  "-o", str(chain / "clusters.tsv"),
-                 "--dendrogram", str(chain / "dendrogram.json"), *flags]) == EXIT_OK
+                 "--dendrogram", str(chain / "dendrogram.json"), *cfg, *cut]) == EXIT_OK
     capsys.readouterr()
     for name in ("graphlets.jsonl", "embeddings.tsv", "dendrogram.json", "clusters.tsv"):
         assert (chain / name).read_bytes() == (out / name).read_bytes(), name
     episodes = json.loads((out / "episodes.json").read_text())
     assert sorted(episodes) == ["scene_0", "scene_1", "scene_2"]
     for i, scene in enumerate(scenes):
-        assert main(["episodes", scene, *flags]) == EXIT_OK
+        assert main(["episodes", scene, *cfg]) == EXIT_OK
         printed = capsys.readouterr().out
         assert printed == json.dumps(episodes[f"scene_{i}"], sort_keys=True) + "\n"
         assert printed.rstrip("\n") in (out / "episodes.json").read_text()
@@ -444,12 +496,13 @@ def test_bad_truth_file_is_data_error(tmp_path, capsys, scene_file, truth):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("table", [
-    "g0\t3\t1.0 0.0\ng1\t2\t0.0 1.0\n",
-    "g0\t2\tnan 1.0\ng1\t2\t0.0 1.0\n",
-    HUGE_TABLE,
-], ids=["short-vector", "nan", "huge"])
-def test_bad_table_error_names_the_path_once(tmp_path, capsys, table):
+@pytest.mark.parametrize("table, line", [
+    ("g0\t3\t1.0 0.0\ng1\t2\t0.0 1.0\n", 1),
+    ("g0\t2\tnan 1.0\ng1\t2\t0.0 1.0\n", 1),
+    (HUGE_TABLE, 1),
+    ("g0\t2\t1 0\ng1\t3\t0 0 1\n", 2),  # each row well-formed, the two unequal
+], ids=["short-vector", "nan", "huge", "ragged"])
+def test_bad_table_error_names_the_path_once(tmp_path, capsys, table, line):
     embs = tmp_path / "emb.tsv"
     embs.write_text(table)
     dend = tmp_path / "d.json"
@@ -460,7 +513,8 @@ def test_bad_table_error_names_the_path_once(tmp_path, capsys, table):
                   "--embeddings", str(embs), "--pca", str(tmp_path / "pca.tsv")]):
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: {embs}: ") and err.count(str(embs)) == 1
+        assert err.startswith(f"data error: {embs}: line {line}: ")
+        assert err.count(str(embs)) == 1 and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("observation", [
@@ -503,8 +557,8 @@ def test_bad_config_is_data_error_before_any_scene_is_read(tmp_path, capsys, con
 @pytest.mark.parametrize("config", [
     {"mode": "sed", "sed_threshold": -1}, {"sed_threshold": "x"},
     {"sed_threshold": float("nan")}, {"sed_threshold": True}, {"smoothing": -1},
-    {"smoothing": "2"}, {"gap_bridge": -5}, {"gap_bridge": True}, {"temporal_cap": -1},
-    {"temporal_cap": 1.5}, {"profile": {"noise_ratio": float("nan")}},
+    {"smoothing": "2"}, {"gap_bridge": -5}, {"gap_bridge": True},
+    {"profile": {"noise_ratio": float("nan")}},
     {"profile": {"thresh_convex": -1}}, {"profile": {"thresh_convex": "4"}},
     {"profile": {"thresh_convex": float("inf")}}, {"profile": {"h": 3, "n": 3}},
     {"profile": {"h": 5, "n": 0}}, {"profile": {"h": 5.0, "n": 3}},
@@ -729,8 +783,12 @@ def test_mistyped_or_unknown_config_field_is_data_error(tmp_path, capsys, config
                                   ["--gap-bridge", "-1"], ["--cut-threshold", "inf"],
                                   ["--cut-threshold", "-1"]])
 def test_bad_flag_over_a_valid_config_is_usage_error(tmp_path, capsys, fast_config, flag):
-    missing = str(tmp_path / "missing.json")
-    for argv in (["run", missing, "-o", str(tmp_path / "out")], ["relations", missing]):
+    missing, out = str(tmp_path / "missing.json"), str(tmp_path / "out")
+    reader = {"--seed": ["embed", missing, "-o", out],  # the stage that reads the flag
+              "--smoothing": ["episodes", missing],
+              "--gap-bridge": ["graphlets", missing, "-o", out],
+              "--cut-threshold": ["cluster", missing, "-o", out, "--dendrogram", out]}
+    for argv in (["run", missing, "-o", out], reader[flag[0]]):
         assert main([*argv, "--config", str(fast_config), *flag]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -753,7 +811,8 @@ def test_unknown_profile_name_lists_the_named_profiles(tmp_path, capsys):
     ({"profile": {"thresh_convex": 2.0, "epochz": 3}}, "epochz", "in profile"),
     ({"train": {"epochs": 3, "epochz": 3}}, "epochz", "in train"),
     ({"train": {"seed": 3}}, "seed", "in train"),  # the run's one seed is top-level
-], ids=["top", "profile", "train", "train-seed"])
+    ({"temporal_cap": 256}, "temporal_cap", "at the top level"),  # the cap is fixed
+], ids=["top", "profile", "train", "train-seed", "temporal-cap"])
 def test_unknown_config_key_is_named_with_its_section(tmp_path, capsys, config, key,
                                                       section):
     cfg = tmp_path / "cfg.json"

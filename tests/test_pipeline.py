@@ -333,8 +333,8 @@ def test_config_over_a_base_keeps_the_base_and_reseeds_training():
     assert base.seed == 2
 
 
-_INTS = {"smoothing": 0, "gap_bridge": 0, "temporal_cap": 0, "seed": 0, "h": 2,
-         "n": 1, "embedding_dim": 1, "batch_size": 1, "wl_depth": 0, "negatives": 1,
+_INTS = {"smoothing": 0, "gap_bridge": 0, "seed": 0, "h": 2, "n": 1,
+         "embedding_dim": 1, "batch_size": 1, "wl_depth": 0, "negatives": 1,
          "epochs": 1}  # lowest allowed value
 _FLOATS = {"sed_threshold": (0, math.inf), "c_spat": (0, 1), "k_spat": (0, 1),
            "thresh_convex": (0, math.inf), "noise_ratio": (0, math.inf),
@@ -416,8 +416,8 @@ def test_config_from_dict_returns_a_valid_config_or_a_data_error(data):
     except (KeyError, TypeError, ValueError):  # the errors the CLI reports as exit 2
         return
     _assert_well_typed(cfg)
-    for key in ("calculus", "mode", "smoothing", "gap_bridge", "temporal_cap",
-                "sed_threshold", "c_spat", "k_spat", "seed"):
+    for key in ("calculus", "mode", "smoothing", "gap_bridge", "sed_threshold",
+                "c_spat", "k_spat", "seed"):
         if key in data:
             assert getattr(cfg, key) == data[key]
     for key, value in data.get("train", {}).items():
