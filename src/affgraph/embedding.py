@@ -210,6 +210,15 @@ def train(
     scatter_graphs = _scatter_adder(graph_vecs)
     scatter_tokens = _scatter_adder(token_vecs)
 
+    # one step's working set, allocated once and written in place: graph
+    # rows, token rows (then their gradient), graph gradient and one negative
+    # block (then its gradient).  ``take`` with ``mode="clip"`` writes into
+    # ``out`` directly, where "raise" would buffer a copy; no index is out of
+    # range, as the pairs hold vocabulary ids and the noise CDF ends at 1.
+    size = min(cfg.batch_size, len(pairs))
+    g_buf, t_buf, grad_g_buf = (np.empty((size, dim)) for _ in range(3))
+    neg_buf = np.empty((min(size, _NEG_BLOCK), cfg.negatives, dim))
+
     total_steps = cfg.epochs * max(1, (len(pairs) + cfg.batch_size - 1) // cfg.batch_size)
     step = 0
     initial_loss = None
@@ -223,38 +232,42 @@ def train(
             frac = step / max(1, total_steps)
             lr = cfg.learning_rate * max(cfg.min_lr_factor, 1.0 - frac)
             step += 1
+            nb = len(batch)
             g_idx = batch[:, 0]
             t_idx = batch[:, 1]
-            g = graph_vecs[g_idx]
-            neg_idx = draw_negatives(rng.random((len(batch), cfg.negatives)))
-            t = token_vecs[t_idx]
+            g = np.take(graph_vecs, g_idx, axis=0, out=g_buf[:nb], mode="clip")
+            neg_idx = draw_negatives(rng.random((nb, cfg.negatives)))
+            t = np.take(token_vecs, t_idx, axis=0, out=t_buf[:nb], mode="clip")
             pos_score = _sigmoid(np.einsum("bd,bd->b", g, t))
             grad_pos = pos_score - 1.0  # d/d(g.t)
             # einsum writes each product once, as broadcasting does, but
             # adds it to a zeroed output, so a -0.0 product comes out +0.0.
             # No vector entry is ever -0.0 (none starts so, and x + y is
             # -0.0 only when both are), so every scattered sum is the same.
-            grad_g = np.einsum("b,bd->bd", grad_pos, t)
+            grad_g = np.einsum("b,bd->bd", grad_pos, t, out=grad_g_buf[:nb])
             neg_score = np.empty(neg_idx.shape)
-            # every block reads token_vecs before any of them is updated
-            blocks = [slice(i, i + _NEG_BLOCK) for i in range(0, len(batch), _NEG_BLOCK)]
-            for rows in blocks:
-                neg = token_vecs[neg_idx[rows]]  # (rows, k, d)
+            # every block reads token_vecs before any of them is updated; each
+            # uses the negative workspace's first rows
+            blocks = [(slice(i, i + _NEG_BLOCK), neg_buf[: nb - i])
+                      for i in range(0, nb, _NEG_BLOCK)]
+            for rows, block in blocks:
+                neg = np.take(token_vecs, neg_idx[rows], axis=0, out=block,
+                              mode="clip")  # (rows, k, d)
                 neg_score[rows] = _sigmoid(np.einsum("bd,bkd->bk", g[rows], neg))
                 grad_g[rows] += np.einsum("bk,bkd->bd", neg_score[rows], neg)
             loss = float(
                 -np.mean(np.log(pos_score + 1e-12)
                          + np.sum(np.log(1.0 - neg_score + 1e-12), axis=1))
             )
-            grad_t = np.einsum("b,bd->bd", grad_pos, g)
+            grad_t = np.einsum("b,bd->bd", grad_pos, g, out=t)
             # batch SGD: average the accumulated per-pair gradients
-            scale = -lr / len(batch)
+            scale = -lr / nb
             grad_g *= scale
             grad_t *= scale
             scatter_graphs(g_idx, grad_g)
             scatter_tokens(t_idx, grad_t)
-            for rows in blocks:  # block order keeps the oracle's row order
-                grad_neg = np.einsum("bk,bd->bkd", neg_score[rows], g[rows])
+            for rows, block in blocks:  # block order keeps the oracle's row order
+                grad_neg = np.einsum("bk,bd->bkd", neg_score[rows], g[rows], out=block)
                 grad_neg *= scale
                 scatter_tokens(neg_idx[rows].ravel(), grad_neg)
             epoch_loss += loss

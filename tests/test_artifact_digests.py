@@ -5,9 +5,10 @@ A change that keeps behaviour keeps every digest.  The pinned files carry no
 float written from a BLAS call (dendrogram.json is pinned only in SED mode,
 where its heights are set-edit distances), so the digests hold across numpy
 builds.  The negative-sampling trainer behind embeddings.tsv uses only
-elementwise ufuncs, ``ufunc.at`` and ``einsum`` without ``optimize``.  The
-trained clusters.tsv is cut at the default 0.02, far below the lowest cosine
-merge (about 0.76), so rounding cannot regroup it."""
+elementwise ufuncs, ``ufunc.at``, ``einsum`` without ``optimize``, and
+``take``, which copies rows and does no arithmetic.  The trained
+clusters.tsv is cut at the default 0.02, far below the lowest cosine merge
+(about 0.76), so rounding cannot regroup it."""
 
 import hashlib
 import os

@@ -303,15 +303,20 @@ def test_train_matches_oracle_on_ragged_batches():
     assert _same_bits(got.loss_history, want.loss_history)
 
 
-@pytest.mark.parametrize("batch_size", [40, 150])
+@pytest.mark.parametrize("batch_size", [40, 150, 321, 322, 10**12])
 def test_train_matches_oracle_across_negative_blocks(batch_size):
-    # 40 rows fit in one negative-sampling block; 150 rows end in a short block
-    assert batch_size < _NEG_BLOCK or batch_size % _NEG_BLOCK
+    # 40 rows fit in one negative-sampling block; 150 rows end in a short
+    # block; both leave each epoch a short last batch.  From 321, the pair
+    # count, one batch holds every pair and ends in a 1-row block, and the
+    # step's workspace has as many rows as there are pairs: one sized by a
+    # batch_size of 10**12 would not fit in memory.
     rng = np.random.default_rng(11)
     tokens = [Counter({f"t{j}": int(c) for j, c in enumerate(rng.integers(0, 5, 20)) if c})
               for _ in range(8)]
     ids, vocab = [f"g{i}" for i in range(8)], build_vocabulary(tokens)
-    assert sum(sum(c.values()) for c in tokens) > 2 * batch_size
+    n_pairs = sum(sum(c.values()) for c in tokens)
+    assert n_pairs == 321 and min(batch_size, n_pairs) % _NEG_BLOCK
+    assert batch_size >= n_pairs or n_pairs % batch_size
     cfg = TrainConfig(embedding_dim=12, epochs=3, batch_size=batch_size, negatives=4,
                       learning_rate=0.3)
     got = train(ids, tokens, vocab, cfg, 5)
@@ -334,6 +339,28 @@ def test_train_holds_no_full_negative_array():
     finally:
         tracemalloc.stop()
     assert peak < full
+
+
+def test_train_peak_holds_one_workspace():
+    # the same 800 pairs over 2 epochs: a batch of 512, then a short one of
+    # 288.  The draws, scores, scatter indices and tables a step also holds
+    # come to less than one more workspace; a trainer that allocates its
+    # (batch, dim) arrays each step holds the last step's while it makes the
+    # next step's, and goes past that
+    tokens = [Counter({f"t{j}": 1 for j in range(i, i + 100)}) for i in range(8)]
+    cfg = TrainConfig(embedding_dim=64, epochs=2, batch_size=512, negatives=40)
+    rows = cfg.batch_size * cfg.embedding_dim * 8  # one (batch, dim) float64 array
+    block = _NEG_BLOCK * cfg.negatives * cfg.embedding_dim * 8  # one negative block
+    workspace = 3 * rows + block  # graph rows, token rows, graph gradient, negatives
+    vocab = build_vocabulary(tokens)
+    np.random.default_rng(0)  # numpy imports numpy.random on first use: not train's
+    tracemalloc.start()
+    try:
+        train([f"g{i}" for i in range(8)], tokens, vocab, cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * workspace
 
 
 def test_load_embeddings_reads_values_bit_for_bit(tmp_path):
