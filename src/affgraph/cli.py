@@ -19,7 +19,7 @@ from . import embedding as emb
 from . import pipeline
 from .evaluation import metrics_report, pca_project, v_measure
 from .pipeline import PROFILES, PipelineConfig, PipelineError, load_config
-from .scene import SceneError, load_scene, parse_json, save_scene
+from .scene import ROW_BREAKS, SceneError, load_scene, parse_json, save_scene
 from .synth import SCRIPT_KINDS, ScriptError, SyntheticScript, generate_synthetic
 
 EXIT_OK = 0
@@ -81,10 +81,14 @@ class _SceneFiles(Mapping):
 
 def _load_scenes(paths: list[str]) -> _SceneFiles:
     """Scenes keyed by file basename, in argument order, read on lookup; a
-    basename clash is refused before any file is read."""
+    basename clash, or one that holds a tab or line break (it starts every
+    graphlet id, a table row's first field), is refused before any file is read."""
     seen: dict[str, str] = {}
     for path in paths:
         name = os.path.splitext(os.path.basename(path))[0]
+        if not ROW_BREAKS.isdisjoint(name):
+            raise CliError(EXIT_USAGE, f"scene {path!r}: its name holds a tab or "
+                                       "line break; rename it")
         if name in seen:
             raise CliError(EXIT_USAGE, f"scenes {seen[name]} and {path} share the "
                                        f"name {name!r}; rename one")

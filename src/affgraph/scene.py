@@ -195,7 +195,7 @@ class SceneSequence:
 
 _OBS_KEYS = {"frame", "bbox", "score", "mask_rle", "depth_mm"}
 ROW_BREAKS = frozenset("\t\n\r")  # split a row of the tab-separated tables
-_ID_BREAKS = ROW_BREAKS | {"/"}
+_ID_BREAKS = ROW_BREAKS | {"/", "|"}
 _INT = frozenset({int})
 _NUMBER = frozenset({int, float})
 
@@ -264,11 +264,11 @@ def scene_from_dict(data: dict) -> SceneSequence:
     for ent_raw in entities_raw:
         try:
             ent_id = ent_raw["id"]
-            # graphlet ids join scene/anchor/partner with "/", and are the
-            # first field of a tab-separated row in the written tables
+            # graphlet ids join scene/anchor/partner with "/" and are the first
+            # field of a tab-separated row; `relations` keys pairs "a|b"
             if type(ent_id) is not str or not _ID_BREAKS.isdisjoint(ent_id):
                 raise TypeError(f"entity id {ent_id!r} is not a JSON string "
-                                "without '/', tab or line break")
+                                "without '/', '|', tab or line break")
             kind = EntityKind(ent_raw["kind"])
             observations = ent_raw.get("observations", [])
         except (KeyError, TypeError, ValueError) as exc:

@@ -362,6 +362,24 @@ def test_scene_name_clash_is_usage_error(tmp_path, fast_config, capsys):
     assert not corpus.exists() and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"], ids=json.dumps)
+def test_scene_name_with_a_row_break_is_usage_error(tmp_path, fast_config, capsys, name):
+    # the name starts every graphlet id, the first field of each table row
+    path = str(tmp_path / f"{name}.json")
+    assert main(["synth", "place-on", "-o", path, "--seed", "1"]) == EXIT_OK
+    capsys.readouterr()
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+    for argv in (["graphlets", path, "-o", str(corpus)],
+                 ["run", path, "-o", str(out), "--config", str(fast_config)],
+                 ["run", path, "-o", str(out), "--mode", "sed"]):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert repr(path) in captured.err
+    assert not corpus.exists() and not out.exists()
+
+
 def test_graphlets_keeps_argument_order(tmp_path, capsys):
     paths = [str(tmp_path / f"{name}.json") for name in ("zz", "aa")]
     for seed, path in enumerate(paths):
@@ -591,6 +609,13 @@ def _scipy_modules(names: list[str]) -> list[str]:
 def test_import_loads_no_scipy_module():
     # the product runs on numpy alone; scipy is an oracle of the tests
     assert _scipy_modules(_modules_after("import affgraph.cli")) == []
+
+
+def test_import_of_one_stage_loads_no_other_stage():
+    # the package root re-exports nothing, so it pulls in no stage module
+    loaded = [m for m in _modules_after("import affgraph.scene")
+              if m == "affgraph" or m.startswith("affgraph.")]
+    assert loaded == ["affgraph", "affgraph.scene"]
 
 
 def test_no_command_loads_a_scipy_module(tmp_path):

@@ -372,7 +372,8 @@ def test_observation_numbers_must_be_json_numbers(fields):
         scene_from_dict(_scene_with_observation(**fields))
 
 
-@pytest.mark.parametrize("ent_id", [5, None, True, ["a"], "a/b", "/", "a\tb", "\n", "a\r"],
+@pytest.mark.parametrize("ent_id", [5, None, True, ["a"], "a/b", "/", "a|b", "a\tb", "\n",
+                                    "a\r"],
                          ids=json.dumps)
 def test_entity_id_must_be_a_string_without_a_slash(ent_id):
     data = _scene_with_observation()
@@ -530,7 +531,7 @@ _DEPTHS = (st.sampled_from([10, 10.0, 1e-05, 1e+16, 2.5e-300, 123456789.125])
 # entity ids whose JSON text holds an escape, a quote, or the key save_scene
 # splices its depth lists in after
 _IDS = (st.sampled_from(["\x00", '"', '"depth_mm":', '"depth_mm":null', "\u00e9", "a"])
-        | st.text(max_size=12).filter(lambda s: not {"/", "\t", "\n", "\r"} & set(s)))
+        | st.text(max_size=12).filter(lambda s: not {"/", "|", "\t", "\n", "\r"} & set(s)))
 
 
 @st.composite
