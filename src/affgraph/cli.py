@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from collections.abc import Mapping
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,6 +35,15 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+@contextmanager
+def _data_errors(path: str):
+    """Report a ValueError raised in the block as a data error in ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(EXIT_DATA, f"{path}: {exc}") from exc
 
 
 def _config(args) -> PipelineConfig:
@@ -132,13 +142,11 @@ def cmd_graphlets(args) -> int:
 
 def cmd_embed(args) -> int:
     cfg = _config(args)
-    try:
+    with _data_errors(args.corpus):
         records = pipeline.load_graphlet_corpus(args.corpus)
         if not records:
             raise CliError(EXIT_DATA, f"empty graphlet corpus: {args.corpus}")
         _, table = pipeline.embed_corpus(records, cfg.train, cfg.seed)
-    except ValueError as exc:
-        raise CliError(EXIT_DATA, f"{args.corpus}: {exc}") from exc
     emb.save_embeddings(table, args.output)
     print(f"{len(records)} embeddings -> {args.output}")
     return EXIT_OK
@@ -146,13 +154,11 @@ def cmd_embed(args) -> int:
 
 def cmd_cluster(args) -> int:
     cfg = _config(args)
-    try:
+    with _data_errors(args.embeddings):
         table = emb.load_embeddings(args.embeddings)
         dist = clust.pairwise_cosine_costs(table.vectors)
         dend, threshold, assignment = pipeline.cluster_table(
             dist, table.graph_ids, table.vectors, cfg.cut_threshold)
-    except ValueError as exc:
-        raise CliError(EXIT_DATA, f"{args.embeddings}: {exc}") from exc
     clust.export_dendrogram_json(dend, args.dendrogram)
     pipeline.save_clusters(assignment, table.graph_ids, args.output)
     n_clusters = len(set(assignment.values()))
@@ -177,14 +183,10 @@ def _load_truth(path: str) -> dict[str, list[str]]:
 
 def cmd_evaluate(args) -> int:
     truth = _load_truth(args.truth)
-    try:
+    with _data_errors(args.clusters):
         predicted = pipeline.load_clusters(args.clusters)
-    except ValueError as exc:
-        raise CliError(EXIT_DATA, f"{args.clusters}: {exc}") from exc
-    try:
+    with _data_errors(args.truth):  # no truth id names a clustered graph
         h, c, v = v_measure(truth, predicted)
-    except ValueError as exc:  # no truth id names a clustered graph
-        raise CliError(EXIT_DATA, f"{args.truth}: {exc}") from exc
     sys.stdout.write(metrics_report(h, c, v))
     return EXIT_OK
 
@@ -228,21 +230,17 @@ def cmd_export(args) -> int:
         raise CliError(EXIT_DATA, f"{args.dendrogram}: not a dendrogram: {exc!r}") from exc
     assignment = None
     if args.clusters:
-        try:
+        with _data_errors(args.clusters):
             assignment = pipeline.load_clusters(args.clusters)
-        except ValueError as exc:
-            raise CliError(EXIT_DATA, f"{args.clusters}: {exc}") from exc
         missing = [gid for gid in dend.leaf_ids if gid not in assignment]
         if missing:
             raise CliError(EXIT_DATA, f"{args.clusters}: no cluster for leaf "
                                       f"{missing[0]!r} of {args.dendrogram}")
     pipeline.export_dendrogram_dot(dend, assignment, args.output)
     if args.pca:
-        try:
+        with _data_errors(args.embeddings):
             table = emb.load_embeddings(args.embeddings)
             proj = pca_project(table.vectors, 2)
-        except ValueError as exc:
-            raise CliError(EXIT_DATA, f"{args.embeddings}: {exc}") from exc
         with open(args.pca, "w", encoding="utf-8") as fh:
             for gid, (x, y) in zip(table.graph_ids, proj):
                 fh.write(f"{gid}\t{float(x)!r}\t{float(y)!r}\n")

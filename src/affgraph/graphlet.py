@@ -6,11 +6,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
+from .qsr import NON_INTERACTION
 from .temporal import Calculus, Episode, allen
 
 ENTITY = "entity"
 SPATIAL = "spatial"
 TEMPORAL = "temporal"
+TEMPORAL_CAP = 256  # temporal vertices per graphlet at most, closest episode pairs first
 
 ROLE_ANCHOR = "anchor"
 ROLE_PARTNER = "partner"
@@ -69,18 +71,14 @@ def _pair_gap(a: Episode, b: Episode) -> int:
     return max(a.interval.start, b.interval.start) - min(a.interval.end, b.interval.end)
 
 
-def build_agraphlets(
-    scene_id: str,
-    episodes: list[Episode],
-    temporal_cap: int = 256,
-    non_interaction: str = "NI",
-) -> list[AGraphlet]:
-    """One graphlet per ordered object pair sharing a non-NI DiSR episode.
+def build_agraphlets(scene_id: str, episodes: list[Episode]) -> list[AGraphlet]:
+    """One graphlet per ordered object pair with an interacting episode, one
+    whose relation is not its calculus' ``NON_INTERACTION`` token.
 
-    Each graphlet combines the pair's DiSR episodes with the anchor's RCC2
+    Each graphlet combines the pair's object episodes with the anchor's RCC2
     episodes against its designated human part (the part with the most
     connected frames), plus Allen temporal vertices for episode pairs up to
-    ``temporal_cap``, closest in time first.
+    ``TEMPORAL_CAP``, closest in time first.
     """
     disr_by_pair: dict[tuple[str, str], list[Episode]] = {}
     rcc2_by_pair: dict[tuple[str, str], list[Episode]] = {}
@@ -90,7 +88,7 @@ def build_agraphlets(
 
     graphlets: list[AGraphlet] = []
     for (anchor, partner), disr_eps in sorted(disr_by_pair.items()):
-        if not any(ep.relation != non_interaction for ep in disr_eps):
+        if all(ep.relation == NON_INTERACTION[ep.calculus] for ep in disr_eps):
             continue
         # the human part with the most C frames against the anchor, first on ties
         parts = sorted(part for a, part in rcc2_by_pair if a == anchor)
@@ -118,7 +116,7 @@ def build_agraphlets(
 
         # closest in time first; a stable sort keeps index order among equal gaps
         near = sorted(combinations(included, 2), key=lambda p: _pair_gap(p[0][0], p[1][0]))
-        for pair in near[:temporal_cap]:
+        for pair in near[:TEMPORAL_CAP]:
             # canonical direction: earlier-starting episode first
             (ep_i, v_i), (ep_j, v_j) = sorted(pair, key=lambda iv: _episode_sort_key(iv[0]))
             v = g.add_vertex(TEMPORAL, allen(ep_i.interval, ep_j.interval).value)

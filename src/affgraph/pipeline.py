@@ -243,8 +243,7 @@ def scene_graphlets(
 ) -> tuple[list[Episode], list[AGraphlet]]:
     """The scene's episodes and the interaction graphlets built from them."""
     episodes = compute_episodes(scene, cfg)
-    non_interaction = "NI" if cfg.calculus == "disr" else "DR"
-    return episodes, build_agraphlets(scene_id, episodes, non_interaction=non_interaction)
+    return episodes, build_agraphlets(scene_id, episodes)
 
 
 def episode_records(episodes: list[Episode]) -> list[dict]:

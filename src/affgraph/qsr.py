@@ -10,6 +10,7 @@ import numpy as np
 
 from .convexity import ConcavityBounds, ConvexityType
 from .scene import BoundingBox
+from .temporal import Calculus
 
 
 class Rcc2Relation(str, Enum):
@@ -33,6 +34,10 @@ class Rcc5OnRelation(str, Enum):
     PPI = "PPi"
     ON = "On"
     ONI = "Oni"
+
+
+# each object-pair calculus' relation for a pair that does not interact
+NON_INTERACTION = {Calculus.DISR: DisrRelation.NI, Calculus.RCC5ON: Rcc5OnRelation.DR}
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Graphlet construction from episodes and canonical serialization."""
 
 import itertools
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -77,6 +78,24 @@ def test_build_skips_ni_only_pairs():
     assert build_agraphlets("scene", eps) == []
 
 
+@pytest.mark.parametrize("calculus, quiet, active", [
+    (Calculus.RCC5ON, "DR", "PO"),
+    (Calculus.DISR, "NI", "Adj"),
+])
+def test_build_reads_non_interaction_from_the_episode_calculus(calculus, quiet, active):
+    # the pair is `quiet` in every frame: its calculus' token for no interaction
+    eps = [
+        _ep(("a", "b"), calculus, quiet, 0, 9),
+        _ep(("a", "hand"), Calculus.RCC2, "C", 2, 5),
+    ]
+    assert build_agraphlets("s", eps) == []
+    eps.append(_ep(("a", "b"), calculus, active, 10, 14))
+    (g,) = build_agraphlets("s", eps)
+    assert g.id == "s/a/b"
+    assert label_multiset(g, SPATIAL) == sorted(
+        [f"{calculus.value}:{quiet}", f"{calculus.value}:{active}", "RCC2:C"])
+
+
 def test_build_one_graphlet_per_interacting_pair():
     eps = [
         _ep(("a", "b"), Calculus.DISR, "Sup", 0, 5),
@@ -107,10 +126,12 @@ def test_build_temporal_cap_prefers_closest_pairs():
         _ep(("a", "b"), Calculus.DISR, "Adj", 5, 9),
         _ep(("a", "b"), Calculus.DISR, "NI", 10, 30),
     ]
-    (g,) = build_agraphlets("scene", eps, temporal_cap=2)
+    with mock.patch.object(graphlet_mod, "TEMPORAL_CAP", 2):
+        (g,) = build_agraphlets("scene", eps)
     # three episode pairs exist; the cap keeps the two adjacent-in-time ones
     assert len(label_multiset(g, TEMPORAL)) == 2
     assert label_multiset(g, TEMPORAL) == ["m", "m"]
+    assert graphlet_mod.TEMPORAL_CAP == 256
     (g_full,) = build_agraphlets("scene", eps)
     assert sorted(label_multiset(g_full, TEMPORAL)) == ["<", "m", "m"]
 

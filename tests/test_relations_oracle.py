@@ -2,6 +2,7 @@
 (tests/relations_oracle.py), on every synthetic script kind."""
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,10 +37,22 @@ def _drop_depth(scene) -> None:
             for obs in ent.observations]
 
 
+def _product_graphlets(scene_id, episodes, cap):
+    with mock.patch.object(graphlet, "TEMPORAL_CAP", cap):
+        return pipeline.build_agraphlets(scene_id, episodes)
+
+
+def _oracle_graphlets(scene_id, episodes, cap, calculus):
+    non_interaction = "NI" if calculus == "disr" else "DR"
+    return oracle.build_agraphlets(scene_id, episodes, temporal_cap=cap,
+                                   non_interaction=non_interaction)
+
+
 def _stages(module, scene, cfg, monkeypatch) -> dict:
     """The per-pair DiSR inputs, relations, episode records and graphlets (one
-    list per temporal cap) from ``module``'s relation and graphlet functions."""
-    relations, agraphlets = module.compute_frame_relations, module.build_agraphlets
+    list per temporal cap) from ``module``'s relation and graphlet functions;
+    the product's cap is ``graphlet.TEMPORAL_CAP``, the oracle's an argument."""
+    relations = module.compute_frame_relations
     out = {"contexts": []}
 
     def record(scene, cfg):
@@ -56,10 +69,10 @@ def _stages(module, scene, cfg, monkeypatch) -> dict:
         episodes = pipeline.compute_episodes(scene, cfg)
     out["relations"] = list(out["relations"].items())  # insertion order too
     out["episodes"] = pipeline.episode_records(episodes)
-    non_interaction = "NI" if cfg.calculus == "disr" else "DR"
-    out["graphlets"] = [agraphlets("s", episodes, temporal_cap=cap,
-                                   non_interaction=non_interaction)
-                        for cap in TEMPORAL_CAPS]
+    out["graphlets"] = [
+        _product_graphlets("s", episodes, cap) if module is pipeline
+        else _oracle_graphlets("s", episodes, cap, cfg.calculus)
+        for cap in TEMPORAL_CAPS]
     return out
 
 
@@ -118,5 +131,5 @@ _EPISODES = st.lists(st.one_of(
 def test_graphlets_of_any_episodes_match_the_oracle(raw, cap):
     episodes = [Episode(pair, calculus, relation, Interval(start, start + length))
                 for (pair, calculus, relation), start, length in raw]
-    assert graphlet.build_agraphlets("s", episodes, temporal_cap=cap) \
+    assert _product_graphlets("s", episodes, cap) \
         == oracle.build_agraphlets("s", episodes, temporal_cap=cap)
