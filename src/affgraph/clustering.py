@@ -11,7 +11,6 @@ import numpy as np
 
 from .graphlet import SPATIAL, TEMPORAL, AGraphlet
 from .scene import parse_json
-from .temporal import Calculus
 
 
 @dataclass
@@ -90,9 +89,14 @@ def pairwise_cosine_costs(vectors: np.ndarray) -> np.ndarray:
     return dist
 
 
-def hierarchical_cluster(dist: np.ndarray, leaf_ids: Optional[list[str]] = None) -> Dendrogram:
+def hierarchical_cluster(dist: np.ndarray, leaf_ids: Optional[list[str]] = None,
+                         rows: Optional[list[int]] = None) -> Dendrogram:
     """Agglomerate a precomputed distance matrix into a full merge tree under
     average linkage.
+
+    ``rows[i]`` is leaf i's row of ``dist`` (row i by default), rows numbered
+    by first leaf.  Leaves that share a row merge first, at height 0.0, row by
+    row in leaf order; the rows then agglomerate, sized by their leaf counts.
 
     Each step merges the active pair with the smallest key
     ``(cost, min rep, max rep)``, where a cluster's rep is the lowest leaf id
@@ -108,16 +112,24 @@ def hierarchical_cluster(dist: np.ndarray, leaf_ids: Optional[list[str]] = None)
     """
     dist = np.asarray(dist, dtype=float)
     n = len(dist)
-    if n < 2:
+    rows = range(n) if rows is None else rows
+    if len(rows) < 2:
         raise ValueError("need at least 2 points")
     if dist.shape != (n, n):
         raise ValueError("distance matrix must be square")
+    dend = Dendrogram(n_leaves=len(rows), leaf_ids=leaf_ids or [str(i) for i in range(len(rows))])
+    if len(dend.leaf_ids) != len(rows) or list(dict.fromkeys(rows)) != list(range(n)):
+        raise ValueError("rows must map every leaf to a row, numbered by first leaf, none empty")
     d = np.where(np.tri(n, dtype=bool), dist.T, dist)
     if not np.isfinite(d).all():
         raise ValueError("distances must be finite")
     np.fill_diagonal(d, math.inf)  # inf marks the diagonal and merged-away rows
-    node = list(range(n))  # row -> id of the cluster's current tree node
-    size = [1] * n
+    node, size = [-1] * n, [0] * n  # row -> its cluster's tree node and leaf count
+    for r, leaf in sorted(zip(rows, range(len(rows)))):
+        if size[r]:
+            dend.merges.append(Merge(*sorted((node[r], leaf)), height=0.0, size=size[r] + 1))
+        node[r] = dend.n_leaves + len(dend.merges) - 1 if size[r] else leaf
+        size[r] += 1
     row_min = np.full(n, math.inf)
     row_arg = np.full(n, -1)
 
@@ -129,19 +141,16 @@ def hierarchical_cluster(dist: np.ndarray, leaf_ids: Optional[list[str]] = None)
 
     for k in range(n):
         refresh(k)
-    dend = Dendrogram(n_leaves=n, leaf_ids=leaf_ids or [str(i) for i in range(n)])
-    for step in range(n - 1):
+    for _ in range(n - 1):
         a = int(row_min.argmin())
         b = int(row_arg[a])
         na, nb = size[a], size[b]
-        left, right = sorted((node[a], node[b]))
-        dend.merges.append(Merge(left=left, right=right, height=float(d[a, b]),
-                                 size=na + nb))
+        dend.merges.append(Merge(*sorted((node[a], node[b])), height=float(d[a, b]), size=na + nb))
         new = (na * d[a] + nb * d[b]) / (na + nb)
         new[a] = new[b] = math.inf
         d[a] = d[:, a] = new
         d[b] = d[:, b] = math.inf
-        node[a], size[a] = n + step, na + nb
+        node[a], size[a] = dend.n_leaves + len(dend.merges) - 1, na + nb
         row_min[b], row_arg[b] = math.inf, -1
         # rows whose cached minimum sat in a merged column start over; rows
         # above a otherwise only compare against their new column-a entry
@@ -254,28 +263,30 @@ def l1_matrix(counts: np.ndarray) -> np.ndarray:
     return sum((np.abs(col[:, None] - col) for col in counts.T), np.zeros((len(counts),) * 2))
 
 
-def sed_matrix(
-    graphlets: list[AGraphlet], c_spat: float = 0.5, k_spat: float = 0.5
-) -> np.ndarray:
-    """All-pairs set edit distance: a weighted label-multiset symmetric
-    difference over four vertex classes.
+def sed_matrix(graphlets: list[AGraphlet], c_spat: float = 0.5,
+               k_spat: float = 0.5) -> tuple[np.ndarray, list[int]]:
+    """Set edit distance, a weighted label-multiset symmetric difference over
+    four vertex classes, between the distinct label profiles of ``graphlets``.
+    Returns ``(dist, rows)``, graphlet i in row ``rows[i]`` of ``dist``, rows
+    numbered by first graphlet.  Graphlets share a row exactly when their label
+    counts match in every class of non-zero weight.
 
-    Classes, in order, with their weights: spatial vertices not of RCC2 (DiSR,
-    or the RCC5On baseline) ``c_spat``; temporal vertices attached only to
-    those ``1 - c_spat``; RCC2 spatial vertices ``k_spat``; temporal vertices
-    touching an RCC2 spatial vertex ``1 - k_spat``.
+    Classes, in order, with their weights: spatial vertices not labelled
+    ``RCC2:`` (DiSR, or the RCC5On baseline) ``c_spat``; temporal vertices
+    attached only to those ``1 - c_spat``; RCC2 spatial vertices ``k_spat``;
+    temporal vertices touching an RCC2 spatial vertex ``1 - k_spat``.
 
     The symmetric difference of two label multisets is the L1 distance
     between their label-count vectors, so each class is one ``l1_matrix`` of a
-    (graphlets x labels) count matrix, exact in integers.  Each is scaled by
-    its weight and added in class order, so every entry equals the per-pair sum.
+    (profiles x labels) count matrix, exact in integers.  Each is scaled by its
+    weight and added in class order, so every entry equals the per-pair sum.
     """
     if not (0.0 <= c_spat <= 1.0 and 0.0 <= k_spat <= 1.0):
         raise ValueError("weights must be in [0,1]")
     columns: list[dict[str, int]] = [{}, {}, {}, {}]  # per class: label -> column
     cells: list[list[tuple[int, int]]] = [[], [], [], []]  # per class: (graphlet, column)
     for i, g in enumerate(graphlets):
-        rcc2 = {v for v, calc in g.spatial_calculus.items() if calc is Calculus.RCC2}
+        rcc2 = {v for v, label in enumerate(g.vertex_labels) if label.startswith("RCC2:")}
         attached = {w for u, v in g.edges for s, w in ((u, v), (v, u)) if s in rcc2}
         for v, (layer, label) in enumerate(zip(g.vertex_layers, g.vertex_labels)):
             if layer == SPATIAL:
@@ -285,14 +296,16 @@ def sed_matrix(
             else:
                 continue
             cells[k].append((i, columns[k].setdefault(label, len(columns[k]))))
-    n = len(graphlets)
-    dist = np.zeros((n, n))
-    for weight, cols, ij in zip((c_spat, 1.0 - c_spat, k_spat, 1.0 - k_spat),
-                                columns, cells):
-        counts = np.zeros((n, len(cols)))
-        np.add.at(counts, tuple(np.array(ij, dtype=int).reshape(-1, 2).T), 1.0)
-        dist += weight * l1_matrix(counts)
-    return dist
+    weights = (c_spat, 1.0 - c_spat, k_spat, 1.0 - k_spat)
+    counts = [np.zeros((len(graphlets), len(cols))) for cols in columns]
+    for c, ij in zip(counts, cells):
+        np.add.at(c, tuple(np.array(ij, dtype=int).reshape(-1, 2).T), 1.0)
+    first: dict[bytes, int] = {}  # profile -> its row
+    rows = [first.setdefault(p.tobytes(), len(first))
+            for p in np.hstack([c for w, c in zip(weights, counts) if w])]
+    pick = np.unique(rows, return_index=True)[1]  # each row's first graphlet
+    return sum((w * l1_matrix(c[pick]) for w, c in zip(weights, counts)),
+               np.zeros((len(pick),) * 2)), rows
 
 
 def export_dendrogram_json(dend: Dendrogram, path: str) -> None:

@@ -35,8 +35,6 @@ class AGraphlet:
     vertex_layers: list[str] = field(default_factory=list)
     vertex_labels: list[str] = field(default_factory=list)
     edges: list[tuple[int, int]] = field(default_factory=list)
-    # spatial vertex id -> source calculus, for the set-edit-distance baseline
-    spatial_calculus: dict[int, Calculus] = field(default_factory=dict)
     episode_ids: list[str] = field(default_factory=list)
 
     @property
@@ -110,7 +108,6 @@ def build_agraphlets(scene_id: str, episodes: list[Episode]) -> list[AGraphlet]:
             v = g.add_vertex(SPATIAL, f"{ep.calculus.value}:{ep.relation}")
             g.add_edge(v_anchor, v)
             g.add_edge(other, v)
-            g.spatial_calculus[v] = ep.calculus
             g.episode_ids.append(_episode_id(ep))
             included.append((ep, v))
 

@@ -334,11 +334,12 @@ def embed_corpus(
 
 def cluster_table(
     dist: np.ndarray, leaf_ids: list[str], vectors: Optional[np.ndarray],
-    threshold: Optional[float],
+    threshold: Optional[float], rows: Optional[list[int]] = None,
 ) -> tuple[clust.Dendrogram, float, dict[str, int]]:
-    """Agglomerate ``dist`` under average linkage and cut at ``threshold``, or,
-    when it is None, at the height BIC selects on ``vectors``."""
-    dend = clust.hierarchical_cluster(dist, leaf_ids=leaf_ids)
+    """Agglomerate ``dist``, leaf i in row ``rows[i]``, under average linkage
+    and cut at ``threshold``, or, when it is None, at the height BIC selects on
+    ``vectors``."""
+    dend = clust.hierarchical_cluster(dist, leaf_ids=leaf_ids, rows=rows)
     if threshold is None:
         threshold = clust.select_threshold(dend, vectors)
     return dend, threshold, clust.cut(dend, threshold)
@@ -439,13 +440,13 @@ def run_pipeline(
         vocab, table = embed_corpus(records, cfg.train, cfg.seed)
         emb.save_vocabulary(vocab, artifact("vocabulary.tsv"))
         emb.save_embeddings(table, artifact("embeddings.tsv"))
-        dist = clust.pairwise_cosine_costs(table.vectors)
+        dist, rows = clust.pairwise_cosine_costs(table.vectors), None
         vectors, threshold = table.vectors, cfg.cut_threshold
     else:
-        dist = clust.sed_matrix(graphlets, cfg.c_spat, cfg.k_spat)
+        dist, rows = clust.sed_matrix(graphlets, cfg.c_spat, cfg.k_spat)
         vectors, threshold = None, cfg.sed_threshold
 
-    dend, threshold, assignment = cluster_table(dist, ids, vectors, threshold)
+    dend, threshold, assignment = cluster_table(dist, ids, vectors, threshold, rows)
     clust.export_dendrogram_json(dend, artifact("dendrogram.json"))
     save_clusters(assignment, ids, artifact("clusters.tsv"))
 

@@ -234,16 +234,17 @@ def sed_distance(
         adj = g.neighbors()
         for v, (layer, label) in enumerate(zip(g.vertex_layers, g.vertex_labels)):
             if layer == "spatial":
-                calc = g.spatial_calculus.get(v, Calculus.DISR)
-                key = "rcc2_spat" if calc is Calculus.RCC2 else "disr_spat"
+                # a spatial label is "<calculus>:<relation>"
+                calc = label.split(":")[0]
+                key = "rcc2_spat" if calc == Calculus.RCC2.value else "disr_spat"
                 classes[key].append(label)
             elif layer == "temporal":
                 calcs = {
-                    g.spatial_calculus.get(u, Calculus.DISR)
+                    g.vertex_labels[u].split(":")[0]
                     for u in adj[v] if g.vertex_layers[u] == "spatial"
                 }
                 # temporal vertices touching an RCC2 episode count as RCC2-attached
-                key = "rcc2_temp" if Calculus.RCC2 in calcs else "disr_temp"
+                key = "rcc2_temp" if Calculus.RCC2.value in calcs else "disr_temp"
                 classes[key].append(label)
         return classes
 

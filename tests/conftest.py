@@ -7,7 +7,6 @@ import pytest
 
 from affgraph.graphlet import ENTITY, SPATIAL, TEMPORAL, AGraphlet
 from affgraph.scene import MaskRLE
-from affgraph.temporal import Calculus
 
 DISR_LABELS = ["DiSR:Sup", "DiSR:Supi", "DiSR:Cont", "DiSR:Conti", "DiSR:Adj", "DiSR:NI"]
 RCC2_LABELS = ["RCC2:C", "RCC2:DC"]
@@ -26,12 +25,10 @@ def random_graphlet(rng: np.random.Generator, max_spatial: int = 4,
     for _ in range(int(rng.integers(1, max_spatial + 1))):
         if rng.random() < 0.5:
             v = g.add_vertex(SPATIAL, DISR_LABELS[rng.integers(len(DISR_LABELS))])
-            g.spatial_calculus[v] = Calculus.DISR
             g.add_edge(v_anchor, v)
             g.add_edge(v_partner, v)
         else:
             v = g.add_vertex(SPATIAL, RCC2_LABELS[rng.integers(len(RCC2_LABELS))])
-            g.spatial_calculus[v] = Calculus.RCC2
             g.add_edge(v_anchor, v)
             g.add_edge(v_human, v)
         spatial.append(v)
@@ -65,8 +62,7 @@ def permute_graphlet(g: AGraphlet, perm: list[int]) -> AGraphlet:
     layers, _ = permute_vertices(g.vertex_layers, [], perm)
     out = AGraphlet(anchor=g.anchor, partner_object=g.partner_object,
                     human_part=g.human_part, scene_id=g.scene_id,
-                    vertex_layers=layers, vertex_labels=labels, edges=edges,
-                    spatial_calculus={perm[v]: c for v, c in g.spatial_calculus.items()})
+                    vertex_layers=layers, vertex_labels=labels, edges=edges)
     return out
 
 

@@ -251,7 +251,6 @@ def build_agraphlets(
             v = g.add_vertex(SPATIAL, f"{ep.calculus.value}:{ep.relation}")
             g.add_edge(v_anchor, v)
             g.add_edge(v_partner, v)
-            g.spatial_calculus[v] = ep.calculus
             g.episode_ids.append(_episode_id(ep))
             included.append((ep, v))
         for ep in sorted(human_eps, key=_episode_sort_key):
@@ -259,7 +258,6 @@ def build_agraphlets(
             g.add_edge(v_anchor, v)
             if v_human is not None:
                 g.add_edge(v_human, v)
-            g.spatial_calculus[v] = Calculus.RCC2
             g.episode_ids.append(_episode_id(ep))
             included.append((ep, v))
 

@@ -144,6 +144,24 @@ def test_hierarchical_cluster_rejects_bad_matrices():
         hierarchical_cluster(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
+@pytest.mark.parametrize("n_rows, leaf_ids, rows", [
+    (2, ["a", "b", "c"], [0, 1]),  # fewer rows entries than leaves
+    (2, ["a", "b"], [0, 1, 1]),  # more rows entries than leaves
+    (2, None, [0, 2]),  # past the last row
+    (2, None, [0, -1]),  # before the first row
+    (3, None, [0, 1, 1]),  # row 2 has no leaf
+    (3, None, [0, 0]),  # rows 1 and 2 have no leaf
+    (2, None, [1, 0]),  # not numbered by first leaf
+    (3, None, [0, 2, 1]),
+], ids=["short", "long", "above", "negative", "empty-last", "empty-two",
+        "unordered", "unordered-late"])
+def test_hierarchical_cluster_rejects_malformed_rows(n_rows, leaf_ids, rows):
+    # an empty row would start at size 0, and its first merge divide 0 by 0
+    dist = 1.0 - np.eye(n_rows)
+    with pytest.raises(ValueError, match="rows"):
+        hierarchical_cluster(dist, leaf_ids, rows)
+
+
 def test_pairwise_cosine_costs_matrix():
     vecs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     dist = pairwise_cosine_costs(vecs)
@@ -334,13 +352,11 @@ def _graphlet_from_labels(disr_spat=(), disr_temp=(), rcc2_spat=(), rcc2_temp=()
     disr_vs, rcc2_vs = [], []
     for lbl in disr_spat:
         v = g.add_vertex(SPATIAL, lbl)
-        g.spatial_calculus[v] = Calculus.DISR
         g.add_edge(va, v)
         g.add_edge(vp, v)
         disr_vs.append(v)
     for lbl in rcc2_spat:
         v = g.add_vertex(SPATIAL, lbl)
-        g.spatial_calculus[v] = Calculus.RCC2
         g.add_edge(va, v)
         g.add_edge(vh, v)
         rcc2_vs.append(v)
@@ -355,29 +371,36 @@ def _graphlet_from_labels(disr_spat=(), disr_temp=(), rcc2_spat=(), rcc2_temp=()
     return g
 
 
+def _expanded_sed(graphlets, *args, **kwargs):
+    """``sed_matrix`` as a graphlets x graphlets matrix: each graphlet's row
+    of the profile matrix, expanded."""
+    dist, rows = sed_matrix(graphlets, *args, **kwargs)
+    return dist[np.ix_(rows, rows)]
+
+
 def test_sed_self_distance_zero():
     g = _graphlet_from_labels(disr_spat=("DiSR:Sup", "DiSR:NI"), disr_temp=("m",),
                               rcc2_spat=("RCC2:C", "RCC2:DC"), rcc2_temp=("d",))
-    assert sed_matrix([g, g])[0, 1] == 0.0
+    assert _expanded_sed([g, g])[0, 1] == 0.0
 
 
 def test_sed_one_extra_spatial_vertex():
     a = _graphlet_from_labels(disr_spat=("DiSR:Sup", "DiSR:NI"))
     b = _graphlet_from_labels(disr_spat=("DiSR:Sup", "DiSR:NI", "DiSR:NI"))
-    assert sed_matrix([a, b])[0, 1] == pytest.approx(0.5)  # c_spat * 1
+    assert _expanded_sed([a, b])[0, 1] == pytest.approx(0.5)  # c_spat * 1
 
 
 def test_sed_one_swapped_temporal_label():
     a = _graphlet_from_labels(disr_spat=("DiSR:Sup", "DiSR:NI"), disr_temp=("di",))
     b = _graphlet_from_labels(disr_spat=("DiSR:Sup", "DiSR:NI"), disr_temp=("o",))
     # symmetric difference 2 at temporal weight 0.5
-    assert sed_matrix([a, b])[0, 1] == pytest.approx(1.0)
+    assert _expanded_sed([a, b])[0, 1] == pytest.approx(1.0)
 
 
 def test_sed_weights_and_validation():
     a = _graphlet_from_labels(rcc2_spat=("RCC2:C",))
     b = _graphlet_from_labels(rcc2_spat=("RCC2:DC",))
-    assert sed_matrix([a, b], k_spat=0.3)[0, 1] == pytest.approx(0.6)
+    assert _expanded_sed([a, b], k_spat=0.3)[0, 1] == pytest.approx(0.6)
     with pytest.raises(ValueError):
         sed_matrix([a, b], c_spat=1.5)
 
@@ -391,13 +414,14 @@ def _sed_oracle(g_a, g_b, c_spat=0.5, k_spat=0.5):
         adj = g.neighbors()
         for v, (lay, lbl) in enumerate(zip(g.vertex_layers, g.vertex_labels)):
             if lay == SPATIAL:
-                if g.spatial_calculus[v] is Calculus.DISR:
+                if lbl.split(":")[0] == Calculus.DISR.value:
                     out["ds"][lbl] += 1
                 else:
                     out["ks"][lbl] += 1
             elif lay == TEMPORAL:
                 ends = [u for u in adj[v] if g.vertex_layers[u] == SPATIAL]
-                if all(g.spatial_calculus[u] is Calculus.DISR for u in ends):
+                if all(g.vertex_labels[u].split(":")[0] == Calculus.DISR.value
+                       for u in ends):
                     out["dt"][lbl] += 1
                 else:
                     out["kt"][lbl] += 1
@@ -419,11 +443,11 @@ def test_sed_matches_multiset_oracle_and_is_pseudometric(seed):
     ga = random_graphlet(rng)
     gb = random_graphlet(rng)
     gc = random_graphlet(rng)
-    dab = sed_matrix([ga, gb])[0, 1]
+    dab = _expanded_sed([ga, gb])[0, 1]
     assert dab == pytest.approx(_sed_oracle(ga, gb), abs=1e-12)
-    assert dab == pytest.approx(sed_matrix([gb, ga])[0, 1], abs=1e-12)
-    assert sed_matrix([ga, ga])[0, 1] == 0.0
-    assert dab <= sed_matrix([ga, gc])[0, 1] + sed_matrix([gc, gb])[0, 1] + 1e-12
+    assert dab == pytest.approx(_expanded_sed([gb, ga])[0, 1], abs=1e-12)
+    assert _expanded_sed([ga, ga])[0, 1] == 0.0
+    assert dab <= _expanded_sed([ga, gc])[0, 1] + _expanded_sed([gc, gb])[0, 1] + 1e-12
 
 
 def _rcc5_on_graphlet(spatial, temporal):
@@ -435,7 +459,6 @@ def _rcc5_on_graphlet(spatial, temporal):
     vs = []
     for lbl in spatial:
         v = g.add_vertex(SPATIAL, lbl)
-        g.spatial_calculus[v] = Calculus.RCC5ON
         g.add_edge(va, v)
         g.add_edge(vp, v)
         vs.append(v)
@@ -453,15 +476,14 @@ def test_sed_weighs_rcc5_on_episodes_by_c_spat(c_spat, k_spat):
     base = _rcc5_on_graphlet(("RCC5On:PO", "RCC5On:DR"), ("m",))
     other_spatial = _rcc5_on_graphlet(("RCC5On:PO", "RCC5On:On"), ("m",))
     other_temporal = _rcc5_on_graphlet(("RCC5On:PO", "RCC5On:DR"), ("o",))
-    assert sed_matrix([base, other_spatial], c_spat, k_spat)[0, 1] == c_spat * 2
-    assert sed_matrix([base, other_temporal], c_spat, k_spat)[0, 1] == (1.0 - c_spat) * 2
+    assert _expanded_sed([base, other_spatial], c_spat, k_spat)[0, 1] == c_spat * 2
+    assert _expanded_sed([base, other_temporal], c_spat, k_spat)[0, 1] == (1.0 - c_spat) * 2
 
 
 def _with_rcc5_on(g, rng):
     """``g`` with about half its DiSR episodes relabelled as RCC5On ones."""
-    for v, calc in list(g.spatial_calculus.items()):
-        if calc is Calculus.DISR and rng.random() < 0.5:
-            g.spatial_calculus[v] = Calculus.RCC5ON
+    for v, label in enumerate(g.vertex_labels):
+        if label.startswith(f"{Calculus.DISR.value}:") and rng.random() < 0.5:
             members = list(Rcc5OnRelation)
             g.vertex_labels[v] = f"RCC5On:{members[rng.integers(len(members))].value}"
     return g
@@ -476,7 +498,8 @@ def test_sed_matrix_matches_per_pair_oracle_bit_for_bit(seed, n, c_spat, k_spat)
     rng = np.random.default_rng(seed)
     pool = [_with_rcc5_on(random_graphlet(rng), rng) for _ in range(rng.integers(1, n + 1))]
     gs = [pool[i] for i in rng.integers(len(pool), size=n)]  # with duplicates
-    got = sed_matrix(gs, c_spat, k_spat)
+    dist, rows = sed_matrix(gs, c_spat, k_spat)
+    got = dist[np.ix_(rows, rows)]
     want = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -484,6 +507,49 @@ def test_sed_matrix_matches_per_pair_oracle_bit_for_bit(seed, n, c_spat, k_spat)
     assert np.array_equal(got, want)
     assert np.array_equal(got, got.T)
     assert not got.diagonal().any()
+    # one row per profile, numbered by first graphlet
+    assert np.array_equal(want == 0.0, np.equal.outer(rows, rows))
+    assert list(dict.fromkeys(rows)) == list(range(len(dist)))
+
+
+_dyadic_weights = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 100_000), st.integers(2, 30), _dyadic_weights, _dyadic_weights)
+def test_row_level_tree_is_the_graphlet_level_tree(seed, n, c_spat, k_spat):
+    rng = np.random.default_rng(seed)
+    pool = [_with_rcc5_on(random_graphlet(rng), rng) for _ in range(rng.integers(1, n + 1))]
+    gs = [pool[i] for i in rng.integers(len(pool), size=n)]  # with duplicates
+    dist, rows = sed_matrix(gs, c_spat, k_spat)
+    ids = [f"g{i}" for i in range(n)]
+    dend = hierarchical_cluster(dist, ids, rows)
+    want = oracle.hierarchical_cluster(dist[np.ix_(rows, rows)], ids)
+    assert json.dumps(dend.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_sed_rows_ignore_object_pair_labels_at_zero_c_spat():
+    a = _graphlet_from_labels(disr_spat=("DiSR:Sup", "DiSR:NI"), rcc2_spat=("RCC2:C",))
+    b = _graphlet_from_labels(disr_spat=("DiSR:Cont", "DiSR:Adj", "DiSR:NI"),
+                              rcc2_spat=("RCC2:C",))
+    c = _rcc5_on_graphlet(("RCC5On:PO", "RCC5On:DR"), ())
+    dist, rows = sed_matrix([a, b, c], c_spat=0.0)
+    assert rows == [0, 0, 1]
+    assert dist.shape == (2, 2) and dist[0, 1] == 0.5  # k_spat * one RCC2 vertex
+    dist, rows = sed_matrix([a, b, c], c_spat=0.25)
+    assert rows == [0, 1, 2]
+
+
+def test_alike_graphlets_share_one_row_and_merge_at_zero():
+    g = _graphlet_from_labels(disr_spat=("DiSR:Sup", "DiSR:NI"), disr_temp=("m",),
+                              rcc2_spat=("RCC2:C",), rcc2_temp=("d",))
+    n = 5
+    dist, rows = sed_matrix([g] * n)
+    assert rows == [0] * n and dist.shape == (1, 1) and dist[0, 0] == 0.0
+    dend = hierarchical_cluster(dist, rows=rows)
+    assert [(m.height, m.size) for m in dend.merges] == [(0.0, k) for k in range(2, n + 1)]
+    assert dend.to_dict() == oracle.hierarchical_cluster(np.zeros((n, n))).to_dict()
+    assert len(set(cut(dend, 1e-9).values())) == 1
 
 
 @settings(max_examples=60, deadline=None)

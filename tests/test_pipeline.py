@@ -202,7 +202,9 @@ def test_sed_on_rcc5_on_graphlets_follows_c_spat(small_corpus):
     scenes, _ = small_corpus
     cfg = _small_cfg(calculus="rcc5_on")
     gs = [g for name in sorted(scenes) for g in scene_graphlets(name, scenes[name], cfg)[1]]
-    assert not np.array_equal(sed_matrix(gs, 0.0, 0.5), sed_matrix(gs, 1.0, 0.5))
+    expanded = [dist[np.ix_(rows, rows)]
+                for dist, rows in (sed_matrix(gs, c_spat, 0.5) for c_spat in (0.0, 1.0))]
+    assert not np.array_equal(*expanded)
 
 
 def test_run_pipeline_error_stages(small_corpus, tmp_path):
