@@ -94,9 +94,9 @@ def hierarchical_cluster(dist: np.ndarray, leaf_ids: Optional[list[str]] = None,
     """Agglomerate a precomputed distance matrix into a full merge tree under
     average linkage.
 
-    ``rows[i]`` is leaf i's row of ``dist`` (row i by default), rows numbered
-    by first leaf.  Leaves that share a row merge first, at height 0.0, row by
-    row in leaf order; the rows then agglomerate, sized by their leaf counts.
+    ``rows[i]`` is leaf i's row of ``dist``, an integer (row i by default),
+    rows numbered by first leaf.  Leaves sharing a row merge first, at height
+    0.0, row by row in leaf order; the rows then agglomerate, sized by leaf counts.
 
     Each step merges the active pair with the smallest key
     ``(cost, min rep, max rep)``, where a cluster's rep is the lowest leaf id
@@ -118,8 +118,11 @@ def hierarchical_cluster(dist: np.ndarray, leaf_ids: Optional[list[str]] = None,
     if dist.shape != (n, n):
         raise ValueError("distance matrix must be square")
     dend = Dendrogram(n_leaves=len(rows), leaf_ids=leaf_ids or [str(i) for i in range(len(rows))])
-    if len(dend.leaf_ids) != len(rows) or list(dict.fromkeys(rows)) != list(range(n)):
-        raise ValueError("rows must map every leaf to a row, numbered by first leaf, none empty")
+    if (len(dend.leaf_ids) != len(rows) or list(dict.fromkeys(rows)) != list(range(n))
+            or not all(isinstance(r, (int, np.integer)) and not isinstance(r, bool)
+                       for r in rows)):
+        raise ValueError("rows must map every leaf to an integer row, numbered by first leaf, "
+                         "none empty")
     d = np.where(np.tri(n, dtype=bool), dist.T, dist)
     if not np.isfinite(d).all():
         raise ValueError("distances must be finite")

@@ -132,10 +132,9 @@ def _episode_id(ep: Episode) -> str:
 # Canonical serialization
 
 
-def _refine(labels: list[str], adj: list[set[int]],
-            colors: list[int]) -> list[int]:
+def _refine(adj: list[set[int]], colors: list[int]) -> list[int]:
     """Iterate color refinement until the partition stabilizes."""
-    n = len(labels)
+    n = len(colors)
     while True:
         signatures = [
             (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)
@@ -182,7 +181,7 @@ def canonical_form(g: AGraphlet) -> str:
     def search(colors: list[int]) -> None:
         if leaves[0] >= _MAX_LEAVES:
             return
-        colors = _refine(labels, adj, colors)
+        colors = _refine(adj, colors)
         groups: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             groups.setdefault(c, []).append(v)

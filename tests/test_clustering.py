@@ -153,8 +153,10 @@ def test_hierarchical_cluster_rejects_bad_matrices():
     (3, None, [0, 0]),  # rows 1 and 2 have no leaf
     (2, None, [1, 0]),  # not numbered by first leaf
     (3, None, [0, 2, 1]),
+    (2, None, [0, 1.0]),  # equals a row, but is no integer
+    (2, None, [0, True]),
 ], ids=["short", "long", "above", "negative", "empty-last", "empty-two",
-        "unordered", "unordered-late"])
+        "unordered", "unordered-late", "float", "bool"])
 def test_hierarchical_cluster_rejects_malformed_rows(n_rows, leaf_ids, rows):
     # an empty row would start at size 0, and its first merge divide 0 by 0
     dist = 1.0 - np.eye(n_rows)
@@ -548,6 +550,7 @@ def test_alike_graphlets_share_one_row_and_merge_at_zero():
     assert rows == [0] * n and dist.shape == (1, 1) and dist[0, 0] == 0.0
     dend = hierarchical_cluster(dist, rows=rows)
     assert [(m.height, m.size) for m in dend.merges] == [(0.0, k) for k in range(2, n + 1)]
+    assert hierarchical_cluster(dist, rows=list(np.array(rows))).merges == dend.merges
     assert dend.to_dict() == oracle.hierarchical_cluster(np.zeros((n, n))).to_dict()
     assert len(set(cut(dend, 1e-9).values())) == 1
 

@@ -1,9 +1,10 @@
 """Allen relations and episode segmentation."""
 
 import itertools
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from affgraph.temporal import (
     AllenRelation,
@@ -12,6 +13,8 @@ from affgraph.temporal import (
     allen,
     extract_episodes,
 )
+
+import temporal_oracle
 
 
 ALLEN_CONVERSE = {
@@ -154,3 +157,31 @@ def test_fps_independence(tokens, k):
     for (e1, e2) in itertools.combinations(range(len(base)), 2):
         assert (allen(base[e1].interval, base[e2].interval)
                 is allen(scaled[e1].interval, scaled[e2].interval))
+
+
+@st.composite
+def _observed_relations(draw):
+    """Ascending frames with random gaps, over one to four distinct tokens."""
+    tokens = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True))
+    steps = draw(st.lists(st.integers(min_value=1, max_value=12), max_size=40))
+    return [(f, draw(st.sampled_from(tokens))) for f in itertools.accumulate(steps)]
+
+
+@settings(max_examples=500)
+@given(_observed_relations(), st.integers(0, 8), st.integers(0, 8))
+def test_extract_episodes_matches_frame_by_frame_oracle(relations, smoothing, gap_bridge):
+    args = (relations, ("a", "b"), Calculus.DISR, smoothing, gap_bridge)
+    assert extract_episodes(*args) == temporal_oracle.extract_episodes(*args)
+
+
+def test_bridged_gap_costs_no_memory_per_frame():
+    tracemalloc.start()
+    try:
+        eps = extract_episodes([(0, "A"), (10**6, "B")], ("a", "b"), Calculus.DISR,
+                               gap_bridge=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(e.relation, e.interval.start, e.interval.end) for e in eps] == [
+        ("A", 0, 10**6 - 1), ("B", 10**6, 10**6)]
+    assert peak < 2**20
