@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Optional
+from itertools import combinations, islice
+from typing import Iterator, Optional
 
 from .qsr import NON_INTERACTION
 from .temporal import Calculus, Episode, allen
@@ -111,9 +112,10 @@ def build_agraphlets(scene_id: str, episodes: list[Episode]) -> list[AGraphlet]:
             g.episode_ids.append(_episode_id(ep))
             included.append((ep, v))
 
-        # closest in time first; a stable sort keeps index order among equal gaps
-        near = sorted(combinations(included, 2), key=lambda p: _pair_gap(p[0][0], p[1][0]))
-        for pair in near[:TEMPORAL_CAP]:
+        # closest in time first, index order among equal gaps
+        near = heapq.nsmallest(TEMPORAL_CAP, combinations(included, 2),
+                               key=lambda p: _pair_gap(p[0][0], p[1][0]))
+        for pair in near:
             # canonical direction: earlier-starting episode first
             (ep_i, v_i), (ep_j, v_j) = sorted(pair, key=lambda iv: _episode_sort_key(iv[0]))
             v = g.add_vertex(TEMPORAL, allen(ep_i.interval, ep_j.interval).value)
@@ -159,48 +161,43 @@ def _serialize(order: list[int], layers: list[str], labels: list[str],
 _MAX_LEAVES = 10_000
 
 
+def _leaves(g: AGraphlet, colors: list[int]) -> Iterator[str]:
+    """Yield the serialization of each leaf of the individualization-refinement
+    search tree, depth first: at each node the lowest tied color is split by
+    individualizing its vertices, in index order, to color ``n + 1``."""
+    n = g.vertex_count()
+    adj = g.neighbors()
+    stack = []  # (refined colors, remaining vertices of the lowest tied color)
+    while True:
+        colors = _refine(adj, colors)
+        groups: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            groups.setdefault(c, []).append(v)
+        tied = [c for c, vs in groups.items() if len(vs) > 1]
+        if tied:
+            stack.append((colors, iter(groups[min(tied)])))
+        else:
+            order = sorted(range(n), key=lambda v: colors[v])
+            yield _serialize(order, g.vertex_layers, g.vertex_labels, g.edges)
+        # back up to the deepest node with a branch left
+        while stack and (v := next(stack[-1][1], None)) is None:
+            stack.pop()
+        if not stack:
+            return
+        colors = list(stack[-1][0])
+        colors[v] = n + 1  # individualize
+
+
 def canonical_form(g: AGraphlet) -> str:
     """Deterministic serialization invariant under vertex-id permutation.
 
     Color refinement orders most vertices; remaining ties are resolved by
     branching on each candidate and keeping the lexicographically smallest
-    serialization (bounded search; ties beyond the bound fall back to the
-    best form found, which covers all non-adversarial graphlets).
+    serialization among the first ``_MAX_LEAVES`` leaves of the search.
     """
-    n = g.vertex_count()
-    if n == 0:
-        return "V[]E[]"
-    adj = g.neighbors()
     labels = [f"{lay}|{lbl}" for lay, lbl in zip(g.vertex_layers, g.vertex_labels)]
     base = {lbl: i for i, lbl in enumerate(sorted(set(labels)))}
-    init = [base[lbl] for lbl in labels]
-
-    best: list[str] = []
-    leaves = [0]
-
-    def search(colors: list[int]) -> None:
-        if leaves[0] >= _MAX_LEAVES:
-            return
-        colors = _refine(adj, colors)
-        groups: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            groups.setdefault(c, []).append(v)
-        tied = sorted((c for c, vs in groups.items() if len(vs) > 1))
-        if not tied:
-            order = sorted(range(n), key=lambda v: colors[v])
-            s = _serialize(order, g.vertex_layers, g.vertex_labels, g.edges)
-            leaves[0] += 1
-            if not best or s < best[0]:
-                best[:] = [s]
-            return
-        target = groups[tied[0]]
-        for v in target:
-            branched = list(colors)
-            branched[v] = n + 1  # individualize
-            search(branched)
-
-    search(init)  # the first descent always reaches a leaf within the budget
-    return best[0]
+    return min(islice(_leaves(g, [base[lbl] for lbl in labels]), _MAX_LEAVES))
 
 
 def parse_canonical(form: str) -> tuple[list[str], list[tuple[int, int]]]:

@@ -422,7 +422,7 @@ def run_pipeline(
         try:
             episodes, scene_gs = scene_graphlets(scene_id, scene, cfg)
         except Exception as exc:
-            raise PipelineError("relations", f"scene {scene_id}: {exc}") from exc
+            raise PipelineError("graphlets", f"scene {scene_id}: {exc}") from exc
         del scene
         all_episodes[scene_id] = episode_records(episodes)
         graphlets.extend(scene_gs)

@@ -1,6 +1,8 @@
 """Graphlet construction from episodes and canonical serialization."""
 
 import itertools
+import sys
+import tracemalloc
 from unittest import mock
 
 import networkx as nx
@@ -20,6 +22,7 @@ from affgraph.graphlet import (
 )
 from affgraph.temporal import Calculus, Episode, Interval
 
+import graphlet_oracle
 from conftest import label_multiset, permute_graphlet, random_graphlet
 
 
@@ -134,6 +137,19 @@ def test_build_temporal_cap_prefers_closest_pairs():
     assert graphlet_mod.TEMPORAL_CAP == 256
     (g_full,) = build_agraphlets("scene", eps)
     assert sorted(label_multiset(g_full, TEMPORAL)) == ["<", "m", "m"]
+
+
+def test_build_holds_memory_for_the_cap_not_for_every_pair():
+    # 600 alternating one-frame episodes make 179,700 episode pairs
+    eps = [_ep(("a", "b"), Calculus.RCC5ON, ("PO", "DR")[i % 2], i, i) for i in range(600)]
+    tracemalloc.start()
+    try:
+        (g,) = build_agraphlets("scene", eps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert len(label_multiset(g, TEMPORAL)) == graphlet_mod.TEMPORAL_CAP == 256
 
 
 # -- canonical form -----------------------------------------------------------
@@ -259,3 +275,61 @@ def test_canonical_form_search_budget(monkeypatch, n_spatial):
     assert len(edges) == len(g.edges)
     perm = np.random.default_rng(n_spatial).permutation(g.vertex_count()).tolist()
     assert canonical_form(permute_graphlet(g, perm)) == form
+
+
+def _tied_graphlet(n_spatial: int) -> AGraphlet:
+    """Anchor and partner joined by ``n_spatial`` identical spatial vertices."""
+    g = AGraphlet(anchor="a", partner_object="b", human_part=None, scene_id="s")
+    v_anchor = g.add_vertex(ENTITY, "anchor")
+    v_partner = g.add_vertex(ENTITY, "partner")
+    for _ in range(n_spatial):
+        v = g.add_vertex(SPATIAL, "DiSR:Sup")
+        g.add_edge(v_anchor, v)
+        g.add_edge(v_partner, v)
+    return g
+
+
+def test_canonical_form_of_a_run_of_ties_deeper_than_the_recursion_limit(monkeypatch):
+    # each tie individualizes one vertex, so the first leaf lies this deep
+    g = _tied_graphlet(sys.getrecursionlimit() + 100)
+    monkeypatch.setattr(graphlet_mod, "_MAX_LEAVES", 1)
+    labels, edges = parse_canonical(canonical_form(g))
+    assert len(labels) == g.vertex_count()
+    assert len(edges) == len(g.edges)
+
+
+def test_canonical_form_of_the_empty_graphlet():
+    g = AGraphlet(anchor="a", partner_object="b", human_part=None, scene_id="s")
+    assert canonical_form(g) == graphlet_oracle.canonical_form(g, 1) == "V[]E[]"
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7, 10_000])
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 100_000))
+def test_canonical_form_matches_recursive_oracle_under_budget(budget, seed):
+    # one or two labels per layer tie many vertices, so small budgets cut the search
+    rng = np.random.default_rng(seed)
+    g = random_graphlet(rng, max_spatial=7, max_temporal=6)
+    k = int(rng.integers(1, 3))
+    g.vertex_labels = [lbl if lay == ENTITY else f"{lay}:{rng.integers(k)}"
+                       for lay, lbl in zip(g.vertex_layers, g.vertex_labels)]
+    with mock.patch.object(graphlet_mod, "_MAX_LEAVES", budget):
+        assert canonical_form(g) == graphlet_oracle.canonical_form(g, budget)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_canonical_form_cut_search_branches_in_index_order(seed):
+    # a 6-cycle and two triangles of temporal links over 12 identical spatial
+    # vertices: refinement ties all 12, yet they are not all alike, so the
+    # leaves a cut search keeps depend on the order it branches in
+    g = _tied_graphlet(12)
+    for ring in ([2, 3, 4, 5, 6, 7], [8, 9, 10], [11, 12, 13]):
+        for u, v in zip(ring, ring[1:] + ring[:1]):
+            t = g.add_vertex(TEMPORAL, "<")
+            g.add_edge(u, t)
+            g.add_edge(v, t)
+    perm = np.random.default_rng(seed).permutation(g.vertex_count()).tolist()
+    g = permute_graphlet(g, perm)
+    for budget in (1, 2, 7):
+        with mock.patch.object(graphlet_mod, "_MAX_LEAVES", budget):
+            assert canonical_form(g) == graphlet_oracle.canonical_form(g, budget)

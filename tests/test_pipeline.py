@@ -219,6 +219,20 @@ def test_run_pipeline_error_stages(small_corpus, tmp_path):
     assert exc.value.stage == "evaluate"
 
 
+def test_run_pipeline_labels_a_per_scene_failure_graphlets(small_corpus, tmp_path,
+                                                           monkeypatch):
+    # relations, episodes and graphlets run as one per-scene stage
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    scenes, _ = small_corpus
+    monkeypatch.setattr(pipeline, "extract_episodes", boom)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(scenes, _small_cfg(), str(tmp_path / "run"))
+    assert exc.value.stage == "graphlets"
+    assert str(exc.value) == f"[graphlets] scene {min(scenes)}: boom"
+
+
 def test_export_dendrogram_dot(small_corpus, tmp_path):
     from affgraph.clustering import cut, load_dendrogram_json
 
