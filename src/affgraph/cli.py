@@ -236,11 +236,12 @@ def cmd_export(args) -> int:
         if missing:
             raise CliError(EXIT_DATA, f"{args.clusters}: no cluster for leaf "
                                       f"{missing[0]!r} of {args.dendrogram}")
-    pipeline.export_dendrogram_dot(dend, assignment, args.output)
-    if args.pca:
+    if args.pca:  # read every input before writing anything
         with _data_errors(args.embeddings):
             table = emb.load_embeddings(args.embeddings)
             proj = pca_project(table.vectors, 2)
+    pipeline.export_dendrogram_dot(dend, assignment, args.output)
+    if args.pca:
         with open(args.pca, "w", encoding="utf-8") as fh:
             for gid, (x, y) in zip(table.graph_ids, proj):
                 fh.write(f"{gid}\t{float(x)!r}\t{float(y)!r}\n")

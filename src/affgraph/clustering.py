@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .graphlet import SPATIAL, TEMPORAL, AGraphlet
-from .scene import parse_json
+from .scene import parse_json, require
 
 
 @dataclass
@@ -40,24 +40,18 @@ class Dendrogram:
     def from_dict(cls, data: dict) -> "Dendrogram":
         """Read ``to_dict`` output; anything but a well-formed merge tree
         raises KeyError, TypeError or ValueError.  Counts, node ids and sizes
-        must be ints and heights ints or floats, never bools, and leaf ids
-        strings: nothing is converted, so nothing is truncated."""
-        def exact(what: str, value, *types: type):
-            if type(value) not in types:
-                names = " or ".join(t.__name__ for t in types)
-                raise TypeError(f"{what} {value!r} is not {names}")
-            return value
-
-        leaf_ids = exact("leaf_ids", data["leaf_ids"], list)
-        for leaf in leaf_ids:
-            exact("leaf id", leaf, str)
-        dend = cls(
-            n_leaves=exact("n_leaves", data["n_leaves"], int),
-            leaf_ids=leaf_ids,
-            merges=[Merge(exact("child", l, int), exact("child", r, int),
-                          float(exact("height", h, int, float)), exact("size", s, int))
-                    for l, r, h, s in data["merges"]],
-        )
+        must be integers and heights finite numbers, read as floats, never
+        bools, and leaf ids strings: nothing is truncated."""
+        leaf_ids, n_leaves = data["leaf_ids"], data["n_leaves"]
+        require(list, "leaf_ids", [leaf_ids])
+        require(str, "leaf id", leaf_ids)
+        require(int, "n_leaves", [n_leaves])
+        merges = []
+        for l, r, h, s in data["merges"]:
+            require(int, "child and size", [l, r, s])
+            require(float, "height", [h])
+            merges.append(Merge(l, r, float(h), s))
+        dend = cls(n_leaves=n_leaves, leaf_ids=leaf_ids, merges=merges)
         if len(dend.leaf_ids) != dend.n_leaves:
             raise ValueError(f"{len(dend.leaf_ids)} leaf ids for {dend.n_leaves} leaves")
         sizes, merged = [1] * dend.n_leaves, set()
@@ -66,8 +60,6 @@ class Dendrogram:
                 if not 0 <= child < len(sizes) or child in merged:
                     raise ValueError(f"merge {i}: child {child} is not an unmerged node")
                 merged.add(child)
-            if not math.isfinite(m.height):
-                raise ValueError(f"merge {i}: height {m.height} is not finite")
             if m.size != sizes[m.left] + sizes[m.right]:
                 raise ValueError(f"merge {i}: size {m.size} is not the sum of its children's")
             sizes.append(m.size)

@@ -25,7 +25,8 @@ from .convexity import (
 from .evaluation import metrics_report, v_measure
 from .graphlet import AGraphlet, build_agraphlets, canonical_form, parse_canonical
 from .qsr import EntityFrameState, disr, rcc2, rcc5_on
-from .scene import ROW_BREAKS, SceneSequence, build_semantic_depth_map, parse_json
+from .scene import (ROW_BREAKS, TYPE_NAMES, SceneSequence, build_semantic_depth_map,
+                    is_json, parse_json)
 from .temporal import Calculus, Episode, extract_episodes
 
 
@@ -66,8 +67,8 @@ class PipelineConfig:
             for f in fields(obj):
                 value, hint = getattr(obj, f.name), hints[f.name]
                 kinds = get_args(hint) or (hint,)  # Optional[X] is X or None
-                if not any(_has_type(value, kind) for kind in kinds):
-                    want = " or ".join(_TYPE_NAMES.get(k, k.__name__) for k in kinds)
+                if not any(is_json(value, kind) for kind in kinds):
+                    want = " or ".join(TYPE_NAMES.get(k, k.__name__) for k in kinds)
                     raise ValueError(f"{f.name} must be {want}, got {value!r}")
                 low, high = _RANGES.get(f.name, (None, None))
                 if low is not None and value is not None and not low <= value <= high:
@@ -88,18 +89,6 @@ _RANGES = {name: (0, math.inf) for name in (
     "gap_bridge", "seed")}
 _RANGES.update(c_spat=(0, 1), k_spat=(0, 1), n=(1, math.inf), h=(2, sys.float_info.max))
 _CHOICES = {"calculus": ("disr", "rcc5_on"), "mode": ("embedding", "sed")}
-
-_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
-               type(None): "null"}
-
-
-def _has_type(value, kind: type) -> bool:
-    """A bool is never a number, and a float field takes a finite int or float."""
-    if isinstance(value, bool):
-        return kind is bool
-    if kind is float:
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, kind)
 
 
 def config_from_dict(data: dict, base: Optional[PipelineConfig] = None) -> PipelineConfig:

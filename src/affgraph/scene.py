@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,6 +35,28 @@ def parse_json(text: str):
         return json.loads(text, parse_constant=_refuse_json_constant)
     except RecursionError as exc:
         raise ValueError("nested too deeply") from exc
+
+
+TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+              type(None): "null"}
+
+
+def is_json(value, kind: type) -> bool:
+    """A bool is never a number, and a float field takes a finite int or float."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def require(kind: type, what: str, values) -> None:
+    if {kind}.issuperset(map(type, values)) and (kind is not float
+                                                 or all(map(math.isfinite, values))):
+        return  # at C speed, as a scene holds tens of thousands of numbers
+    for value in values:
+        if not is_json(value, kind):
+            raise TypeError(f"{what}: {value!r} is not {TYPE_NAMES.get(kind, kind.__name__)}")
 
 
 class EntityKind(str, Enum):
@@ -196,17 +220,6 @@ class SceneSequence:
 _OBS_KEYS = {"frame", "bbox", "score", "mask_rle", "depth_mm"}
 ROW_BREAKS = frozenset("\t\n\r")  # split a row of the tab-separated tables
 _ID_BREAKS = ROW_BREAKS | {"/", "|"}
-_INT = frozenset({int})
-_NUMBER = frozenset({int, float})
-
-
-def _require(types: frozenset, key: str, values) -> None:
-    """Raise TypeError unless each value's exact type is in ``types``, so a
-    bool or a numeric string never passes for a number."""
-    if not types.issuperset(map(type, values)):
-        bad = next(v for v in values if type(v) not in types)
-        kind = "integers" if types is _INT else "numbers"
-        raise TypeError(f"{key} must hold JSON {kind}, not {bad!r}")
 
 
 def _list(raw: dict, key: str) -> Optional[list]:
@@ -225,15 +238,14 @@ def _obs_from_dict(entity_id: str, raw: dict, width: int, height: int) -> Entity
         raise SceneError(f"entity {entity_id}: unknown observation keys {unknown}")
     try:
         frame, score = raw["frame"], raw["score"]
-        _require(_INT, "frame", [frame])
-        _require(_NUMBER, "score", [score])
+        require(int, "frame", [frame])
         bb = _list(raw, "bbox")
         if bb is None or len(bb) != 4:
             raise TypeError(f"bbox must be a list of 4 numbers, got {bb!r}")
-        _require(_NUMBER, "bbox", bb)
+        require(float, "score and bbox", [score, *bb])
         runs = _list(raw, "mask_rle")
         if runs is not None:
-            _require(_INT, "mask_rle", runs)
+            require(int, "mask_rle", runs)
         depth = _list(raw, "depth_mm")
         return EntityObservation(
             frame=frame, bbox=BoundingBox(*map(float, bb)), score=float(score),
@@ -250,10 +262,10 @@ def _obs_from_dict(entity_id: str, raw: dict, width: int, height: int) -> Entity
 def scene_from_dict(data: dict) -> SceneSequence:
     try:
         width, height, frame_count = data["width"], data["height"], data["frame_count"]
-        _require(_INT, "width, height and frame_count", [width, height, frame_count])
+        require(int, "width, height and frame_count", [width, height, frame_count])
         fps = data.get("fps")
         if fps is not None:
-            _require(_NUMBER, "fps", [fps])
+            require(float, "fps", [fps])
             fps = float(fps)
         entities_raw = data["entities"]
     except (KeyError, TypeError, OverflowError) as exc:

@@ -430,6 +430,18 @@ def test_export_bad_pca_table_is_data_error(tmp_path, capsys, table):
     assert err.startswith(f"data error: {embs}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("table", ["g0\t2\t1.0 x\ng1\t2\t0.0 1.0\ng2\t2\t1.0 1.0\n",
+                                   HUGE_TABLE], ids=["non-number", "huge"])
+def test_export_reads_every_input_before_writing(tmp_path, capsys, table):
+    dend, embs = tmp_path / "dend.json", tmp_path / "emb.tsv"
+    dend.write_text(json.dumps(TWO_LEAVES))
+    embs.write_text(table)
+    assert main(["export", str(dend), "-o", str(tmp_path / "d.dot"), "--embeddings",
+                 str(embs), "--pca", str(tmp_path / "pca.tsv")]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {embs}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dend.json", "emb.tsv"]
+
+
 def test_export_pca_rows_are_ids_and_the_projection_bit_for_bit(tmp_path):
     dend = tmp_path / "dend.json"
     dend.write_text(json.dumps(TWO_LEAVES))

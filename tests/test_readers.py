@@ -1,10 +1,12 @@
-"""Fuzzing of the TSV and JSONL readers: every draw loads or is a data error.
+"""Fuzzing of the TSV, JSONL and dendrogram readers: every draw loads or is a
+data error.
 
 Each draw starts from a well-formed file and breaks it in one way: a field
-replaced by arbitrary text, a field dropped or added, blank lines, or bytes
-that are not UTF-8.  The reader must load it or raise ``ValueError``, the error
-its CLI command maps to exit 2, and the command itself must exit 0 or 2 with
-no traceback.
+replaced by arbitrary text or JSON value, a field dropped or added, blank lines,
+or bytes that are not UTF-8.  The reader must load it or raise ``ValueError``
+(the dendrogram reader also ``KeyError`` or ``TypeError``), the errors its CLI
+command maps to exit 2, and the command itself must exit 0 or 2 with no
+traceback.
 """
 
 import contextlib
@@ -13,9 +15,10 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affgraph.cli import EXIT_DATA, EXIT_OK, main
+from affgraph.clustering import load_dendrogram_json
 from affgraph.embedding import load_embeddings
 from affgraph.pipeline import load_clusters, load_graphlet_corpus
 
@@ -97,8 +100,8 @@ def _cli(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def _check(reader, data: bytes, argv) -> None:
-    """The reader loads ``data`` or raises ValueError; ``argv(path, dir)`` exits
+def _check(reader, data: bytes, argv, errors=ValueError) -> None:
+    """The reader loads ``data`` or raises ``errors``; ``argv(path, dir)`` exits
     0, or 2 with one ``data error:`` line."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in")
@@ -106,7 +109,7 @@ def _check(reader, data: bytes, argv) -> None:
             fh.write(data)
         try:
             reader(path)
-        except ValueError:
+        except errors:
             pass
         code, err = _cli(argv(path, tmp))
     assert code in (EXIT_OK, EXIT_DATA), err
@@ -144,3 +147,47 @@ def test_graphlet_corpus_reader_loads_or_is_a_data_error(data):
         return ["embed", path, "-o", os.path.join(tmp, "e.tsv"), "--config", cfg]
 
     _check(load_graphlet_corpus, _numbered(data, tsv=False), argv)
+
+
+# JSON texts to put in a dendrogram field; the last three are beyond a double
+JSON_VALUES = ["null", "true", "false", "0", "1", "-1", "2", "3", "0.5", "-0.0", "1e308",
+               '""', '"g0"', "[]", "[0, 1]", "[0, 1, 0.5, 2]", "{}", '{"n_leaves": 2}',
+               "1" + "0" * 399, "1e400", "-1e400"]
+_PLACEHOLDER = "\u0000placeholder"
+
+
+@st.composite
+def dendrogram_files(draw):
+    """A well-formed three-leaf dendrogram.json, broken one way."""
+    merges = [[0, 1, 0.25, 2], [3, 2, 0.5, 3]]
+    doc = {"n_leaves": 3, "leaf_ids": ["g0", "g1", "g2"], "merges": merges}
+    kind = draw(st.sampled_from(["intact", "replace", "drop", "add", "bytes"]))
+    box = draw(st.sampled_from([doc, doc["leaf_ids"], merges, *merges]))
+    keys = list(box) if isinstance(box, dict) else list(range(len(box)))
+    if kind == "replace":
+        box[draw(st.sampled_from(keys))] = _PLACEHOLDER
+    elif kind == "drop":
+        del box[draw(st.sampled_from(keys))]
+    elif kind == "add" and isinstance(box, dict):
+        box["extra"] = _PLACEHOLDER
+    elif kind == "add":
+        box.insert(draw(st.integers(0, len(box))), _PLACEHOLDER)
+    text = json.dumps(doc).replace(json.dumps(_PLACEHOLDER), draw(st.sampled_from(JSON_VALUES)))
+    data = text.encode("utf-8")
+    if kind == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    return data
+
+
+_BIG_HEIGHT = b'{"n_leaves": 2, "leaf_ids": ["g0", "g1"], "merges": [[0, 1, %s, 2]]}'
+
+
+@settings(max_examples=150, deadline=None)
+@given(dendrogram_files())
+@example(_BIG_HEIGHT % (b"1" + b"0" * 399))
+@example(_BIG_HEIGHT % b"1e400")
+def test_dendrogram_reader_loads_or_is_a_data_error(data):
+    _check(load_dendrogram_json, data,
+           lambda path, tmp: ["export", path, "-o", os.path.join(tmp, "d.dot")],
+           errors=(KeyError, TypeError, ValueError))

@@ -1,6 +1,7 @@
 """Scene data model: boxes, masks, semantic depth maps, file I/O."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,9 @@ from affgraph.scene import (
     SceneError,
     SceneSequence,
     build_semantic_depth_map,
+    is_json,
     load_scene,
+    require,
     save_scene,
     scene_from_dict,
     scene_to_dict,
@@ -391,6 +394,28 @@ def test_header_numbers_must_be_json_numbers(header):
         scene_from_dict({**_scene_with_observation(), **header})
 
 
+# each value, and the kinds it is: configs, scene files and dendrograms all
+# read numbers by this rule
+JSON_KINDS = {
+    "true": (True, {bool}), "int": (3, {int, float}), "float": (0.5, {float}),
+    "400-digit-int": (10**399, {int}), "inf": (float("inf"), set()),
+    "nan": (float("nan"), set()), "str": ("3", {str}), "list": ([3], {list}),
+    "null": (None, set()),
+}
+
+
+@pytest.mark.parametrize("kind", [int, float, bool, str, list], ids=lambda k: k.__name__)
+@pytest.mark.parametrize("name", list(JSON_KINDS))
+def test_is_json_is_the_one_type_rule(name, kind):
+    value, kinds = JSON_KINDS[name]
+    assert is_json(value, kind) is (kind in kinds)
+    if kind in kinds:
+        require(kind, "x", [value, value])
+    else:
+        with pytest.raises(TypeError, match=r"^x: "):
+            require(kind, "x", [value])
+
+
 def test_integers_are_numbers_where_numbers_are_wanted():
     scene = scene_from_dict({**_scene_with_observation(
         bbox=[0, 0, 2, 1], score=1, mask_rle=[0, 2, 6], depth_mm=[10, 11.5]), "fps": 30})
@@ -429,7 +454,10 @@ def test_depth_sample_keeps_its_readings_decoded_and_read_only():
 
 @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -1, 0, 0.0])
 def test_fps_must_be_finite_and_positive(fps):
-    with pytest.raises(SceneError, match="^fps must be a finite number > 0 or null"):
+    # a non-finite fps fails the type check, as it is not a finite number
+    message = ("^fps must be a finite number > 0 or null" if math.isfinite(fps)
+               else f"^malformed scene header: fps: {fps} is not a finite number")
+    with pytest.raises(SceneError, match=message):
         scene_from_dict({**_scene_with_observation(), "fps": fps})
 
 
