@@ -133,7 +133,7 @@ def cmd_graphlets(args) -> int:
     cfg = _config(args)
     scenes = _load_scenes(args.scenes)
     graphlets = []
-    for name in scenes:  # not .items(): it would hold a scene while reading the next
+    for name in sorted(scenes):  # as run does; .items() would hold a scene while reading the next
         graphlets.extend(pipeline.scene_graphlets(name, scenes[name], cfg)[1])
     pipeline.save_graphlet_corpus(pipeline.graphlet_records(graphlets), args.output)
     print(f"{len(graphlets)} graphlets -> {args.output}")

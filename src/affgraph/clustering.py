@@ -96,11 +96,12 @@ def hierarchical_cluster(dist: np.ndarray, leaf_ids: Optional[list[str]] = None,
     the merge sequence deterministic.  Only the upper triangle of ``dist`` is
     read, and it must be finite.
 
-    Each cluster lives in the row of its rep, so the key's tie-break is a row
-    and column order.  Every row caches the minimum of its entries right of
-    the diagonal (lowest column on ties); a merge rewrites the survivor's row
-    by the Lance-Williams update and recomputes only the rows whose cached
-    minimum it touched, so a step costs O(n) plus O(n) per such row.
+    Each cluster lives in the row and column of its rep, and ``inf`` fills
+    the diagonal and merged-away rows and columns, so the key's tie-break is
+    row-major order: each step takes the first minimum of the whole matrix,
+    and a merge rewrites the survivor's row and column by the Lance-Williams
+    update.  This is the primitive algorithm of Mullner (arXiv 1109.2378):
+    O(n^2) memory and O(n^3) time.
     """
     dist = np.asarray(dist, dtype=float)
     n = len(dist)
@@ -125,20 +126,8 @@ def hierarchical_cluster(dist: np.ndarray, leaf_ids: Optional[list[str]] = None,
             dend.merges.append(Merge(*sorted((node[r], leaf)), height=0.0, size=size[r] + 1))
         node[r] = dend.n_leaves + len(dend.merges) - 1 if size[r] else leaf
         size[r] += 1
-    row_min = np.full(n, math.inf)
-    row_arg = np.full(n, -1)
-
-    def refresh(k: int) -> None:
-        row = d[k, k + 1:]
-        if row.size:
-            j = int(row.argmin())
-            row_min[k], row_arg[k] = row[j], k + 1 + j
-
-    for k in range(n):
-        refresh(k)
     for _ in range(n - 1):
-        a = int(row_min.argmin())
-        b = int(row_arg[a])
+        a, b = divmod(int(d.argmin()), n)
         na, nb = size[a], size[b]
         dend.merges.append(Merge(*sorted((node[a], node[b])), height=float(d[a, b]), size=na + nb))
         new = (na * d[a] + nb * d[b]) / (na + nb)
@@ -146,19 +135,6 @@ def hierarchical_cluster(dist: np.ndarray, leaf_ids: Optional[list[str]] = None,
         d[a] = d[:, a] = new
         d[b] = d[:, b] = math.inf
         node[a], size[a] = dend.n_leaves + len(dend.merges) - 1, na + nb
-        row_min[b], row_arg[b] = math.inf, -1
-        # rows whose cached minimum sat in a merged column start over; rows
-        # above a otherwise only compare against their new column-a entry
-        stale = (row_arg[:b] == b)
-        stale[:a] |= row_arg[:a] == a
-        stale[a] = False  # refreshed below in any case
-        col, mins, args = new[:a], row_min[:a], row_arg[:a]
-        better = ~stale[:a] & ((col < mins) | ((col == mins) & (a < args)))
-        mins[better] = col[better]
-        args[better] = a
-        refresh(a)
-        for k in np.flatnonzero(stale):
-            refresh(int(k))
     return dend
 
 

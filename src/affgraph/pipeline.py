@@ -349,7 +349,10 @@ def load_clusters(path: str) -> dict[str, int]:
         for n, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    gid, cid = line.rstrip("\n").split("\t")
+                    fields = line.rstrip("\n").split("\t")
+                    if len(fields) != 2:
+                        raise ValueError(f"expected 2 tab-separated fields, got {len(fields)}")
+                    gid, cid = fields
                     if gid in assignment:
                         raise ValueError(f"repeated id {gid!r}")
                     assignment[gid] = int(cid)
@@ -393,7 +396,7 @@ def run_pipeline(
     Scenes are looked up one at a time, and each is dropped before the next
     lookup, so a mapping that reads on lookup holds one parsed scene at a time.
     A lookup's own error (a missing or malformed scene) propagates as it is,
-    and ``out_dir`` is created only once every scene has been processed."""
+    and ``out_dir`` is created only once every scene is read, if one has an interaction."""
     cfg.validate()
     if not scenes:
         raise PipelineError("input", "no scenes provided")
@@ -415,12 +418,12 @@ def run_pipeline(
         del scene
         all_episodes[scene_id] = episode_records(episodes)
         graphlets.extend(scene_gs)
+    if not graphlets:
+        raise PipelineError("graphlets", "no interactions found in any scene")
     os.makedirs(out_dir, exist_ok=True)
     with open(artifact("episodes.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(all_episodes, sort_keys=True))
 
-    if not graphlets:
-        raise PipelineError("graphlets", "no interactions found in any scene")
     records = graphlet_records(graphlets)
     save_graphlet_corpus(records, artifact("graphlets.jsonl"))
 

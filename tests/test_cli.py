@@ -279,6 +279,20 @@ def test_evaluate_non_integer_cluster_is_data_error(tmp_path, capsys):
     assert err.startswith("data error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("rows, line, fields", [("g0\t0\ng1\n", 2, 1),
+                                                ("g0\t0\t1\ng1\t1\n", 1, 3)],
+                         ids=["one-field", "three-fields"])
+def test_evaluate_cluster_row_names_its_field_count(tmp_path, capsys, rows, line, fields):
+    clusters = tmp_path / "clusters.tsv"
+    clusters.write_text(rows)
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"g0": ["a"], "g1": ["b"]}))
+    assert main(["evaluate", str(clusters), str(truth)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"line {line}: expected 2 tab-separated fields, got {fields}" in err
+    assert err.count("\n") == 1
+
+
 @pytest.fixture()
 def two_row_table(tmp_path):
     embs = tmp_path / "emb.tsv"
@@ -380,15 +394,28 @@ def test_scene_name_with_a_row_break_is_usage_error(tmp_path, fast_config, capsy
     assert not corpus.exists() and not out.exists()
 
 
-def test_graphlets_keeps_argument_order(tmp_path, capsys):
-    paths = [str(tmp_path / f"{name}.json") for name in ("zz", "aa")]
+def test_graphlets_reads_scenes_in_name_order(tmp_path, fast_config, capsys):
+    # as `run` does, so the argument order cannot change the corpus
+    paths = [str(tmp_path / f"{name}.json") for name in ("aa", "zz")]
     for seed, path in enumerate(paths):
         assert main(["synth", "place-on", "-o", path, "--seed", str(seed)]) == EXIT_OK
-    corpus = tmp_path / "corpus.jsonl"
-    assert main(["graphlets", *paths, "-o", str(corpus)]) == EXIT_OK
-    scenes = [json.loads(line)["scene"] for line in corpus.read_text().splitlines()]
-    assert scenes == ["zz", "zz", "aa", "aa"]
+    corpus, out, cfg = tmp_path / "corpus.jsonl", tmp_path / "run", ["--config", str(fast_config)]
+    assert main(["graphlets", *reversed(paths), "-o", str(corpus), *cfg]) == EXIT_OK
+    assert main(["run", *paths, "-o", str(out), *cfg]) == EXIT_OK
     capsys.readouterr()
+    assert corpus.read_bytes() == (out / "graphlets.jsonl").read_bytes()
+    scenes = [json.loads(line)["scene"] for line in corpus.read_text().splitlines()]
+    assert scenes == ["aa", "aa", "zz", "zz"]
+
+
+def test_run_without_an_interaction_writes_nothing(tmp_path, capsys):
+    scene, out = tmp_path / "scene.json", tmp_path / "out"
+    assert main(["synth", "occlude-pass-behind", "-o", str(scene)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", str(scene), "-o", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "no interactions found in any scene" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 TWO_LEAVES = {"n_leaves": 2, "leaf_ids": ["g0", "g1"], "merges": [[0, 1, 0.5, 2]]}

@@ -193,7 +193,7 @@ def _random_distances(rng, n, grid):
 @given(seed=st.integers(0, 100_000))
 def test_clustering_matches_oracle(grid, seed):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 25))
+    n = int(rng.integers(2, 61 if grid else 25))  # many tied rows pin the tie order
     vecs = rng.normal(size=(n, 3))
     assert np.allclose(pairwise_cosine_costs(vecs), oracle.pairwise_cosine_costs(vecs),
                        rtol=0.0, atol=1e-12)
