@@ -132,11 +132,11 @@ def cmd_episodes(args) -> int:
 def cmd_graphlets(args) -> int:
     cfg = _config(args)
     scenes = _load_scenes(args.scenes)
-    graphlets = []
+    records = []
     for name in sorted(scenes):  # as run does; .items() would hold a scene while reading the next
-        graphlets.extend(pipeline.scene_graphlets(name, scenes[name], cfg)[1])
-    pipeline.save_graphlet_corpus(pipeline.graphlet_records(graphlets), args.output)
-    print(f"{len(graphlets)} graphlets -> {args.output}")
+        records += pipeline.graphlet_records(pipeline.scene_graphlets(name, scenes[name], cfg)[1])
+    pipeline.save_graphlet_corpus(records, args.output)
+    print(f"{len(records)} graphlets -> {args.output}")
     return EXIT_OK
 
 

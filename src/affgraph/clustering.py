@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphlet import SPATIAL, TEMPORAL, AGraphlet
+from .graphlet import SPATIAL, TEMPORAL
 from .scene import parse_json, require
 
 
@@ -234,13 +234,14 @@ def l1_matrix(counts: np.ndarray) -> np.ndarray:
     return sum((np.abs(col[:, None] - col) for col in counts.T), np.zeros((len(counts),) * 2))
 
 
-def sed_matrix(graphlets: list[AGraphlet], c_spat: float = 0.5,
+def sed_matrix(forms: list[tuple[list[str], list[tuple[int, int]]]], c_spat: float = 0.5,
                k_spat: float = 0.5) -> tuple[np.ndarray, list[int]]:
     """Set edit distance, a weighted label-multiset symmetric difference over
-    four vertex classes, between the distinct label profiles of ``graphlets``.
-    Returns ``(dist, rows)``, graphlet i in row ``rows[i]`` of ``dist``, rows
-    numbered by first graphlet.  Graphlets share a row exactly when their label
-    counts match in every class of non-zero weight.
+    four vertex classes, between the distinct label profiles of ``forms``, each
+    a ``parse_canonical`` result (``layer|label`` vertex strings and edges).
+    Returns ``(dist, rows)``, form i in profile row ``rows[i]`` of ``dist``, rows
+    numbered by first form.  Forms share a row exactly when their label counts
+    match in every class of non-zero weight.
 
     Classes, in order, with their weights: spatial vertices not labelled
     ``RCC2:`` (DiSR, or the RCC5On baseline) ``c_spat``; temporal vertices
@@ -255,11 +256,12 @@ def sed_matrix(graphlets: list[AGraphlet], c_spat: float = 0.5,
     if not (0.0 <= c_spat <= 1.0 and 0.0 <= k_spat <= 1.0):
         raise ValueError("weights must be in [0,1]")
     columns: list[dict[str, int]] = [{}, {}, {}, {}]  # per class: label -> column
-    cells: list[list[tuple[int, int]]] = [[], [], [], []]  # per class: (graphlet, column)
-    for i, g in enumerate(graphlets):
-        rcc2 = {v for v, label in enumerate(g.vertex_labels) if label.startswith("RCC2:")}
-        attached = {w for u, v in g.edges for s, w in ((u, v), (v, u)) if s in rcc2}
-        for v, (layer, label) in enumerate(zip(g.vertex_layers, g.vertex_labels)):
+    cells: list[list[tuple[int, int]]] = [[], [], [], []]  # per class: (form, column)
+    for i, (labels, edges) in enumerate(forms):
+        vertices = [vertex.partition("|")[::2] for vertex in labels]  # (layer, label)
+        rcc2 = {v for v, (_, label) in enumerate(vertices) if label.startswith("RCC2:")}
+        attached = {w for u, v in edges for s, w in ((u, v), (v, u)) if s in rcc2}
+        for v, (layer, label) in enumerate(vertices):
             if layer == SPATIAL:
                 k = 2 if v in rcc2 else 0
             elif layer == TEMPORAL:
@@ -268,13 +270,13 @@ def sed_matrix(graphlets: list[AGraphlet], c_spat: float = 0.5,
                 continue
             cells[k].append((i, columns[k].setdefault(label, len(columns[k]))))
     weights = (c_spat, 1.0 - c_spat, k_spat, 1.0 - k_spat)
-    counts = [np.zeros((len(graphlets), len(cols))) for cols in columns]
+    counts = [np.zeros((len(forms), len(cols))) for cols in columns]
     for c, ij in zip(counts, cells):
         np.add.at(c, tuple(np.array(ij, dtype=int).reshape(-1, 2).T), 1.0)
     first: dict[bytes, int] = {}  # profile -> its row
     rows = [first.setdefault(p.tobytes(), len(first))
             for p in np.hstack([c for w, c in zip(weights, counts) if w])]
-    pick = np.unique(rows, return_index=True)[1]  # each row's first graphlet
+    pick = np.unique(rows, return_index=True)[1]  # each row's first form
     return sum((w * l1_matrix(c[pick]) for w, c in zip(weights, counts)),
                np.zeros((len(pick),) * 2)), rows
 

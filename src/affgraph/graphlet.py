@@ -203,7 +203,8 @@ def canonical_form(g: AGraphlet) -> str:
 def parse_canonical(form: str) -> tuple[list[str], list[tuple[int, int]]]:
     """Decode a canonical form back into vertex labels and an edge list.
 
-    Labels come back as "layer|label" strings in canonical vertex order.
+    Labels come back as "layer|label" strings in canonical vertex order.  A
+    malformed form, or an edge to a vertex it does not list, raises ValueError.
     """
     if not (form.startswith("V[") and "]E[" in form and form.endswith("]")):
         raise ValueError(f"malformed canonical form: {form[:40]!r}")
@@ -214,4 +215,6 @@ def parse_canonical(form: str) -> tuple[list[str], list[tuple[int, int]]]:
         for token in epart.split(";"):
             u, v = token.split("-")
             edges.append((int(u), int(v)))
+            if max(edges[-1]) >= len(labels):
+                raise ValueError(f"edge {token} names a vertex the form does not list")
     return labels, edges

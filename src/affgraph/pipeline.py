@@ -286,35 +286,43 @@ def load_graphlet_corpus(path: str) -> list[dict]:
     return records
 
 
-def embed_corpus(
-    records: list[dict], cfg: emb.TrainConfig, seed: int
-) -> tuple[emb.Vocabulary, emb.EmbeddingTable]:
-    """Tokenise each distinct form once (equal forms share one ``Counter``), index
-    the tokens and train under ``seed``.  A record without a well-formed
-    ``form``, or whose ``id`` is not a string free of tabs and line breaks or
-    repeats an earlier record's, raises ValueError."""
-    by_id, by_form = {}, {}
+def form_table(records: list[dict]) -> tuple[list[tuple], list[int]]:
+    """``(forms, rows)``: each distinct ``form`` of ``records`` parsed by
+    ``parse_canonical``, in first-seen order, and record i's index in ``forms``
+    as ``rows[i]``.  A record without a well-formed ``form``, or whose ``id`` is
+    not a string free of tabs and line breaks or repeats an earlier one, raises ValueError."""
+    index: dict[str, int] = {}  # form -> its index in forms
+    forms, rows = [], {}  # rows: id -> its form's index
     for n, rec in enumerate(records, 1):
         try:
             form = rec["form"]
-            labels, edges = parse_canonical(form)  # a str from here on
-            if form not in by_form:
-                by_form[form] = emb.wl_tokens(labels, edges, cfg.wl_depth)
+            if form not in index:
+                forms.append(parse_canonical(form))  # a str from here on
+                index[form] = len(index)
             gid = rec["id"]
             if type(gid) is not str:  # the table writes 1 and "1" alike
                 raise TypeError(f"id {gid!r} is not a string")
             if not ROW_BREAKS.isdisjoint(gid):  # the id is its row's first field
                 raise ValueError(f"id {gid!r} holds a tab or line break")
-            if gid in by_id:
+            if gid in rows:
                 raise ValueError(f"repeated id {gid!r}")
-            by_id[gid] = by_form[form]
+            rows[gid] = index[form]
         except KeyError as exc:
             raise ValueError(f"record {n} has no {exc} field") from exc
-        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"record {n}: {exc}") from exc
-    tokens = list(by_id.values())
-    vocab = emb.build_vocabulary(tokens)
-    return vocab, emb.train(list(by_id), tokens, vocab, cfg, seed)
+    return forms, list(rows.values())
+
+
+def embed_corpus(records: list[dict], cfg: emb.TrainConfig,
+                 seed: int) -> tuple[emb.Vocabulary, emb.EmbeddingTable]:
+    """Tokenise each form of ``form_table(records)`` once (records of one form
+    share one ``Counter``), index the tokens and train under ``seed``."""
+    forms, rows = form_table(records)
+    tokens = [emb.wl_tokens(labels, edges, cfg.wl_depth) for labels, edges in forms]
+    corpus = [tokens[r] for r in rows]
+    vocab = emb.build_vocabulary(corpus)
+    return vocab, emb.train([rec["id"] for rec in records], corpus, vocab, cfg, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +415,7 @@ def run_pipeline(
         artifacts[os.path.splitext(name)[0]] = name
         return os.path.join(out_dir, name)
 
-    graphlets: list[AGraphlet] = []
+    records: list[dict] = []
     all_episodes: dict[str, list[dict]] = {}
     for scene_id in sorted(scenes):
         scene = scenes[scene_id]
@@ -415,16 +423,14 @@ def run_pipeline(
             episodes, scene_gs = scene_graphlets(scene_id, scene, cfg)
         except Exception as exc:
             raise PipelineError("graphlets", f"scene {scene_id}: {exc}") from exc
-        del scene
         all_episodes[scene_id] = episode_records(episodes)
-        graphlets.extend(scene_gs)
-    if not graphlets:
+        records += graphlet_records(scene_gs)
+        del scene, scene_gs  # past here a graphlet is its record
+    if not records:
         raise PipelineError("graphlets", "no interactions found in any scene")
     os.makedirs(out_dir, exist_ok=True)
     with open(artifact("episodes.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(all_episodes, sort_keys=True))
-
-    records = graphlet_records(graphlets)
     save_graphlet_corpus(records, artifact("graphlets.jsonl"))
 
     ids = [rec["id"] for rec in records]
@@ -435,7 +441,9 @@ def run_pipeline(
         dist, rows = clust.pairwise_cosine_costs(table.vectors), None
         vectors, threshold = table.vectors, cfg.cut_threshold
     else:
-        dist, rows = clust.sed_matrix(graphlets, cfg.c_spat, cfg.k_spat)
+        forms, rows = form_table(records)
+        dist, profile = clust.sed_matrix(forms, cfg.c_spat, cfg.k_spat)
+        rows = [profile[r] for r in rows]
         vectors, threshold = None, cfg.sed_threshold
 
     dend, threshold, assignment = cluster_table(dist, ids, vectors, threshold, rows)
@@ -452,7 +460,7 @@ def run_pipeline(
             fh.write(metrics_report(hom, comp, v))
 
     report = RunReport(
-        n_graphlets=len(graphlets),
+        n_graphlets=len(records),
         n_clusters=len(set(assignment.values())),
         cut_threshold=float(threshold),
         homogeneity=hom, completeness=comp, v_measure=v,

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from affgraph.graphlet import ENTITY, SPATIAL, TEMPORAL, AGraphlet
+from affgraph.graphlet import (ENTITY, SPATIAL, TEMPORAL, AGraphlet, canonical_form,
+                               parse_canonical)
 from affgraph.scene import MaskRLE
 
 DISR_LABELS = ["DiSR:Sup", "DiSR:Supi", "DiSR:Cont", "DiSR:Conti", "DiSR:Adj", "DiSR:NI"]
@@ -39,6 +40,11 @@ def random_graphlet(rng: np.random.Generator, max_spatial: int = 4,
             g.add_edge(spatial[i], v)
             g.add_edge(spatial[j], v)
     return g
+
+
+def forms_of(gs: list[AGraphlet]) -> list[tuple[list[str], list[tuple[int, int]]]]:
+    """One parsed canonical form per graphlet, as ``sed_matrix`` reads them."""
+    return [parse_canonical(canonical_form(g)) for g in gs]
 
 
 def label_multiset(g: AGraphlet, layer: str) -> list[str]:

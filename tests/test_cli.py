@@ -25,6 +25,7 @@ from affgraph.cli import (
 )
 from affgraph.embedding import EmbeddingTable, save_embeddings
 from affgraph.evaluation import pca_project
+from affgraph.graphlet import AGraphlet
 from affgraph.scene import MAX_FRAME_PIXELS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -1091,6 +1092,37 @@ def test_scenes_are_read_one_at_a_time(tmp_path, fast_config, monkeypatch, capsy
     want = {f"read {k}": 0 for k in range(3)} | {"save_graphlet_corpus": 0}
     if command == "run":
         want["embed_corpus"] = 0
+    assert held == want
+
+
+@pytest.mark.parametrize("argv", [["graphlets"], ["run"], ["run", "--mode", "sed"]],
+                         ids=" ".join)
+def test_no_graphlet_object_outlives_its_scene(tmp_path, fast_config, monkeypatch, capsys,
+                                               argv):
+    # past the graphlet stage a graphlet is its corpus record
+    paths = []
+    for seed, kind in enumerate(["place-on", "put-into", "push-adjacent"] * 2):
+        paths.append(str(tmp_path / f"s{seed}.json"))
+        assert main(["synth", kind, "-o", paths[-1], "--seed", str(seed)]) == EXIT_OK
+    held = {}  # when each hook ran, how many graphlet objects were alive
+
+    def hook(name):
+        real = getattr(pipeline, name)
+
+        def entered(*args, **kwargs):
+            gc.collect()
+            held[name] = sum(isinstance(o, AGraphlet) for o in gc.get_objects())
+            return real(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, entered)
+
+    hook("save_graphlet_corpus")
+    hook("cluster_table")
+    out = str(tmp_path / ("corpus.jsonl" if argv == ["graphlets"] else "out"))
+    assert main([*argv, *paths, "-o", out, "--config", str(fast_config)]) == EXIT_OK
+    capsys.readouterr()
+    want = {"save_graphlet_corpus": 0}
+    if argv != ["graphlets"]:
+        want["cluster_table"] = 0
     assert held == want
 
 

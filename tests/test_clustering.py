@@ -25,7 +25,7 @@ from affgraph.temporal import Calculus
 
 import clustering_oracle as oracle
 from clustering_oracle import cosine_cost, labels_for, leaves_under
-from conftest import random_graphlet
+from conftest import forms_of, random_graphlet
 
 
 # -- cosine cost --------------------------------------------------------------
@@ -376,7 +376,7 @@ def _graphlet_from_labels(disr_spat=(), disr_temp=(), rcc2_spat=(), rcc2_temp=()
 def _expanded_sed(graphlets, *args, **kwargs):
     """``sed_matrix`` as a graphlets x graphlets matrix: each graphlet's row
     of the profile matrix, expanded."""
-    dist, rows = sed_matrix(graphlets, *args, **kwargs)
+    dist, rows = sed_matrix(forms_of(graphlets), *args, **kwargs)
     return dist[np.ix_(rows, rows)]
 
 
@@ -404,7 +404,7 @@ def test_sed_weights_and_validation():
     b = _graphlet_from_labels(rcc2_spat=("RCC2:DC",))
     assert _expanded_sed([a, b], k_spat=0.3)[0, 1] == pytest.approx(0.6)
     with pytest.raises(ValueError):
-        sed_matrix([a, b], c_spat=1.5)
+        sed_matrix(forms_of([a, b]), c_spat=1.5)
 
 
 def _sed_oracle(g_a, g_b, c_spat=0.5, k_spat=0.5):
@@ -500,7 +500,7 @@ def test_sed_matrix_matches_per_pair_oracle_bit_for_bit(seed, n, c_spat, k_spat)
     rng = np.random.default_rng(seed)
     pool = [_with_rcc5_on(random_graphlet(rng), rng) for _ in range(rng.integers(1, n + 1))]
     gs = [pool[i] for i in rng.integers(len(pool), size=n)]  # with duplicates
-    dist, rows = sed_matrix(gs, c_spat, k_spat)
+    dist, rows = sed_matrix(forms_of(gs), c_spat, k_spat)
     got = dist[np.ix_(rows, rows)]
     want = np.zeros((n, n))
     for i in range(n):
@@ -523,7 +523,7 @@ def test_row_level_tree_is_the_graphlet_level_tree(seed, n, c_spat, k_spat):
     rng = np.random.default_rng(seed)
     pool = [_with_rcc5_on(random_graphlet(rng), rng) for _ in range(rng.integers(1, n + 1))]
     gs = [pool[i] for i in rng.integers(len(pool), size=n)]  # with duplicates
-    dist, rows = sed_matrix(gs, c_spat, k_spat)
+    dist, rows = sed_matrix(forms_of(gs), c_spat, k_spat)
     ids = [f"g{i}" for i in range(n)]
     dend = hierarchical_cluster(dist, ids, rows)
     want = oracle.hierarchical_cluster(dist[np.ix_(rows, rows)], ids)
@@ -535,10 +535,10 @@ def test_sed_rows_ignore_object_pair_labels_at_zero_c_spat():
     b = _graphlet_from_labels(disr_spat=("DiSR:Cont", "DiSR:Adj", "DiSR:NI"),
                               rcc2_spat=("RCC2:C",))
     c = _rcc5_on_graphlet(("RCC5On:PO", "RCC5On:DR"), ())
-    dist, rows = sed_matrix([a, b, c], c_spat=0.0)
+    dist, rows = sed_matrix(forms_of([a, b, c]), c_spat=0.0)
     assert rows == [0, 0, 1]
     assert dist.shape == (2, 2) and dist[0, 1] == 0.5  # k_spat * one RCC2 vertex
-    dist, rows = sed_matrix([a, b, c], c_spat=0.25)
+    dist, rows = sed_matrix(forms_of([a, b, c]), c_spat=0.25)
     assert rows == [0, 1, 2]
 
 
@@ -546,7 +546,7 @@ def test_alike_graphlets_share_one_row_and_merge_at_zero():
     g = _graphlet_from_labels(disr_spat=("DiSR:Sup", "DiSR:NI"), disr_temp=("m",),
                               rcc2_spat=("RCC2:C",), rcc2_temp=("d",))
     n = 5
-    dist, rows = sed_matrix([g] * n)
+    dist, rows = sed_matrix(forms_of([g] * n))
     assert rows == [0] * n and dist.shape == (1, 1) and dist[0, 0] == 0.0
     dend = hierarchical_cluster(dist, rows=rows)
     assert [(m.height, m.size) for m in dend.merges] == [(0.0, k) for k in range(2, n + 1)]

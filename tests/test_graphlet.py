@@ -232,6 +232,8 @@ def test_parse_canonical_round_trip(rng):
 def test_parse_canonical_rejects_malformed():
     with pytest.raises(ValueError):
         parse_canonical("not a form")
+    with pytest.raises(ValueError, match="does not list"):
+        parse_canonical("V[a;b]E[0-5]")
 
 
 def test_graphlets_are_object_agnostic():

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from affgraph import embedding as emb
 from affgraph import pipeline
-from affgraph.clustering import Dendrogram, Merge, sed_matrix
-from affgraph.graphlet import parse_canonical
+from affgraph.clustering import Dendrogram, Merge, hierarchical_cluster, sed_matrix
+from affgraph.graphlet import canonical_form, parse_canonical
 from affgraph.pipeline import (
     PROFILES,
     DatasetProfile,
@@ -25,6 +25,7 @@ from affgraph.pipeline import (
     config_from_dict,
     embed_corpus,
     export_dendrogram_dot,
+    form_table,
     graphlet_records,
     load_config,
     load_graphlet_corpus,
@@ -34,7 +35,7 @@ from affgraph.pipeline import (
 from affgraph.scene import Entity, SceneSequence
 from affgraph.synth import SyntheticScript, generate_synthetic
 
-from conftest import label_multiset
+from conftest import forms_of, label_multiset, random_graphlet
 
 
 def _small_cfg(mode="embedding", **kwargs):
@@ -177,6 +178,25 @@ def test_embed_corpus_tokenises_each_distinct_form_once(small_corpus, monkeypatc
     assert table.loss_history == want.loss_history
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000), st.integers(1, 25), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_form_table_holds_each_distinct_form_once(seed, n, c_spat, k_spat):
+    rng = np.random.default_rng(seed)
+    pool = [random_graphlet(rng) for _ in range(rng.integers(1, n + 1))]
+    gs = [pool[i] for i in rng.integers(len(pool), size=n)]  # with duplicates
+    records = [{"id": f"g{i}", "form": canonical_form(g)} for i, g in enumerate(gs)]
+    forms, rows = form_table(records)
+    per_record = forms_of(gs)
+    assert len({json.dumps(form) for form in forms}) == len(forms)  # no form twice
+    assert list(dict.fromkeys(rows)) == list(range(len(forms)))  # in first-seen order
+    assert [forms[r] for r in rows] == per_record
+    # SED over the distinct forms, composed through rows, is SED over every record's
+    dist, profile = sed_matrix(forms, c_spat, k_spat)
+    want_dist, want_rows = sed_matrix(per_record, c_spat, k_spat)
+    assert [profile[r] for r in rows] == want_rows
+    assert dist.tobytes() == want_dist.tobytes()
+
+
 def test_run_pipeline_sed_mode(small_corpus, tmp_path):
     scenes, truth = small_corpus
     report = run_pipeline(scenes, _small_cfg(mode="sed"), str(tmp_path / "sed"), truth)
@@ -184,6 +204,18 @@ def test_run_pipeline_sed_mode(small_corpus, tmp_path):
     assert not (tmp_path / "sed" / "embeddings.tsv").exists()
     assert (tmp_path / "sed" / "dendrogram.json").exists()
     assert report.v_measure is not None
+
+
+def test_run_pipeline_sed_mode_gives_each_graphlet_its_profile_row(small_corpus, tmp_path):
+    # at c_spat 0 distinct forms share a profile, so a form's row is not its profile's
+    scenes, _ = small_corpus
+    cfg = _small_cfg(mode="sed", c_spat=0.0)
+    run_pipeline(scenes, cfg, str(tmp_path))
+    gs = [g for name in sorted(scenes) for g in scene_graphlets(name, scenes[name], cfg)[1]]
+    dist, rows = sed_matrix(forms_of(gs), cfg.c_spat, cfg.k_spat)
+    assert len(set(rows)) < len({canonical_form(g) for g in gs})
+    want = hierarchical_cluster(dist, [g.id for g in gs], rows).to_dict()
+    assert json.loads((tmp_path / "dendrogram.json").read_text()) == want
 
 
 def test_rcc5_on_baseline_calculus(small_corpus):
@@ -203,7 +235,8 @@ def test_sed_on_rcc5_on_graphlets_follows_c_spat(small_corpus):
     cfg = _small_cfg(calculus="rcc5_on")
     gs = [g for name in sorted(scenes) for g in scene_graphlets(name, scenes[name], cfg)[1]]
     expanded = [dist[np.ix_(rows, rows)]
-                for dist, rows in (sed_matrix(gs, c_spat, 0.5) for c_spat in (0.0, 1.0))]
+                for dist, rows in (sed_matrix(forms_of(gs), c_spat, 0.5)
+                                   for c_spat in (0.0, 1.0))]
     assert not np.array_equal(*expanded)
 
 
